@@ -27,7 +27,6 @@ from .gramians import (
 )
 from .linalg import matrix_exponential, solve_lyapunov, solve_sylvester, stability_margin
 from .model import (
-    InitialCondition,
     InitialConditionBasis,
     StateSpaceModel,
     build_msd,

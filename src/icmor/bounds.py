@@ -68,7 +68,7 @@ def bt_bound(tail, u_l2):
     return float(2.0 * np.sum(tail) * u_l2)
 
 
-def irka_linf_bound(M: StateSpaceModel, R, u_l2):
+def irka_linf_bound(M: StateSpaceModel, R: StateSpaceModel, u_l2):
     """Linf output bound: H2 norm of the error system times input energy."""
     return float(h2_error_norm(M, R) * u_l2)
 
@@ -85,45 +85,23 @@ def abt_bound(M: StateSpaceModel, R_abt, basis, u_l2, z0_norm):
     eta = R_abt.hankel
     r = R_abt.r
     tail_sum = float(np.sum(eta[r:]))
-    term_u = 2.0 * tail_sum * u_l2
+    term_u = bt_bound(eta[r:], u_l2)
 
     gamma = R_abt.x0_scale
     X0s = gamma * basis.X0
     X0til_s = gamma * R_abt.X0til
     z0_scaled = z0_norm / gamma
+    # In balanced coordinates the full-order term is Sigma^{1/2} T^{-1} A X0;
+    # with Q = L L^T, Sigma^{1/2} T^{-1} = Y^T L^T for the orthogonal Hankel
+    # factor Y, so its norm is that of L^T A X0.
     L = R_abt.aug_obs_factor
     S_half = np.sqrt(eta[:r])
     inner = (
-        np.linalg.norm(L @ M.A @ X0s, 2)
-        + np.linalg.norm((S_half[:, None] * (R_abt.Atil @ X0til_s)), 2)
+        np.linalg.norm(L.T @ M.A @ X0s, 2)
+        + np.linalg.norm((S_half[:, None] * (R_abt.sys.A @ X0til_s)), 2)
     )
     term_x0 = 3.0 * 2.0 ** (-1.0 / 3.0) * inner ** (1.0 / 3.0) \
         * tail_sum ** (2.0 / 3.0) * z0_scaled
-    return float(term_u + term_x0), float(term_u), float(term_x0)
-
-
-def abt_bound_balanced(M: StateSpaceModel, basis, r, u_l2, z0_norm, scaling=True):
-    """Diagnostic variant of the augmented bound evaluated in fully
-    balanced coordinates (may be ill-conditioned to reach; the regular
-    bound avoids the transformation)."""
-    X0 = basis.X0
-    gamma = 1.0
-    if scaling and X0.shape[1] > 0 and M.m > 0:
-        bmax = float(np.max(np.linalg.norm(M.B, axis=0)))
-        xnorm = float(np.linalg.norm(X0, 2))
-        if bmax > 0 and xnorm > 0:
-            gamma = bmax / xnorm
-    X0s = gamma * X0
-    Maug = StateSpaceModel(M.A, np.hstack([M.B, X0s]), M.C)
-    bal = balance_realization(Maug)
-    eta = bal.Theta
-    r = min(r, len(eta))
-    tail_sum = float(np.sum(eta[r:]))
-    term_u = 2.0 * tail_sum * u_l2
-    S_half_A = np.sqrt(eta)[:, None] * bal.Ab
-    term_x0 = 3.0 * np.linalg.norm(S_half_A, 2) ** (1.0 / 3.0) \
-        * np.linalg.norm(X0s, 2) ** (1.0 / 3.0) * tail_sum ** (2.0 / 3.0) \
-        * (z0_norm / gamma)
     return float(term_u + term_x0), float(term_u), float(term_x0)
 
 
@@ -170,9 +148,9 @@ def split_bound(S, u_l2, z0_norm):
     Hankel-trace bound when the initial-condition map was reduced by BT,
     and the exact H2 error (flagged) when it came from IRKA.
     """
-    e1 = float(2.0 * np.sum(S.suy.spectrum_tail))
+    e1 = bt_bound(S.suy.spectrum_tail, 1.0)
     if S.sxy.method == "irka":
-        e2 = float(h2_error_norm(S.aux_system, S.sxy))
+        e2 = float(h2_error_norm(S.aux_system, S.sxy.sys))
         budget = ErrorBudget(e1=e1, e2=e2, e2_is_h2_error=True)
     else:
         e2, _ = aca_bound(S.aux_system, S.sxy.r)

@@ -21,27 +21,24 @@ import numpy as np
 
 from ._mmio import write_matrix
 from .errors import IcmorError
-from .experiment import ExperimentConfig, emit_report, run_experiment
-from .model import build_msd, load_model, save_model, unit_vector_basis
-from .reduction import OrderSelection, abt_reduce, bt_reduce, split_reduce
-from .simulation import InputSignal, l2_norm, linf_norm, simulate, suggest_grid
+from .experiment import (
+    ExperimentConfig,
+    _build_input,
+    _build_model,
+    _grid,
+    _model_spec,
+    _selection,
+    _write_trace_csv,
+    emit_report,
+    run_experiment,
+)
+from .model import build_msd, save_model, unit_vector_basis
+from .reduction import abt_reduce, split_reduce
+from .simulation import l2_norm, linf_norm, simulate
 
 
-def _load_any_model(spec, x0_indices=None):
-    if spec.startswith("builtin:msd"):
-        M = build_msd(150, m_inputs=10)
-        basis = None
-    else:
-        M, basis = load_model(spec)
-    if x0_indices:
-        basis = unit_vector_basis(M.n, x0_indices)
-    return M, basis
-
-
-def _selection(args):
-    if args.order is not None:
-        return OrderSelection.fixed(args.order)
-    return OrderSelection.tolerance(args.tol)
+def _load(args):
+    return _build_model(_model_spec(args.model), args.x0_indices)
 
 
 def cmd_bench(args):
@@ -54,36 +51,27 @@ def cmd_bench(args):
 
 
 def cmd_reduce(args):
-    M, basis = _load_any_model(args.model, args.x0_indices)
+    M, basis = _load(args)
+    if basis is None:
+        print(f"{args.method} needs --x0-indices or a model directory with X0.mtx",
+              file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
-    sel_u = OrderSelection.fixed(args.order_u) if args.order_u is not None \
-        else OrderSelection.tolerance(args.tol)
+    sel_u = _selection(args.order_u, args.tol)
     if args.method == "augbt":
-        if basis is None:
-            print("augbt needs --x0-indices or a model directory with X0.mtx",
-                  file=sys.stderr)
-            return 1
         R = abt_reduce(M, basis, sel_u)
-        write_matrix(os.path.join(args.out, "A_red.mtx"), R.Atil)
-        write_matrix(os.path.join(args.out, "B_red.mtx"), R.Btil)
-        write_matrix(os.path.join(args.out, "C_red.mtx"), R.Ctil)
+        systems = {"red": R.sys}
         write_matrix(os.path.join(args.out, "X0_red.mtx"), R.X0til)
         orders = {"r_aug": R.r}
     else:
-        if basis is None:
-            print("split methods need --x0-indices or a model with X0.mtx",
-                  file=sys.stderr)
-            return 1
-        sel_x0 = OrderSelection.fixed(args.order_x0) if args.order_x0 is not None \
-            else OrderSelection.tolerance(args.tol)
         x0_method = "irka" if args.method == "bt-irka" else "bt"
-        S = split_reduce(M, basis, sel_u, sel_x0, x0_method=x0_method,
-                         irka_opts={"seed": args.seed})
-        for tag, R in (("u", S.suy), ("x0", S.sxy)):
-            write_matrix(os.path.join(args.out, f"A_{tag}.mtx"), R.Atil)
-            write_matrix(os.path.join(args.out, f"B_{tag}.mtx"), R.Btil)
-            write_matrix(os.path.join(args.out, f"C_{tag}.mtx"), R.Ctil)
+        S = split_reduce(M, basis, sel_u, _selection(args.order_x0, args.tol),
+                         x0_method=x0_method, irka_opts={"seed": args.seed})
+        systems = {"u": S.suy.sys, "x0": S.sxy.sys}
         orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
+    for tag, red in systems.items():
+        for name in ("A", "B", "C"):
+            write_matrix(os.path.join(args.out, f"{name}_{tag}.mtx"), getattr(red, name))
     with open(os.path.join(args.out, "offline.json"), "w") as fh:
         json.dump({"method": args.method, "orders": orders}, fh, indent=2)
     print(f"{args.method}: orders {orders}; wrote {args.out}")
@@ -91,24 +79,13 @@ def cmd_reduce(args):
 
 
 def cmd_simulate(args):
-    M, basis = _load_any_model(args.model, args.x0_indices)
-    t_f, dt = suggest_grid(M)
-    if args.tf is not None:
-        t_f = args.tf
-        dt = t_f / 4000.0
-    if args.dt is not None:
-        dt = args.dt
-    u = InputSignal.decaying_pulses(M.m) if args.input == "decaying_pulses" \
-        else InputSignal.decaying_sinusoid(M.m) if args.input == "decaying_sinusoid" \
-        else InputSignal.zero(M.m)
-    x0 = None
-    if basis is not None and basis.n0 > 0:
-        x0 = basis.X0 @ np.ones(basis.n0)
+    M, basis = _load(args)
+    t_f, dt = _grid(M, args.tf, args.dt)
+    u = _build_input({"kind": args.input}, M.m)
+    x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
     tr = simulate(M, u, x0, t_f, dt)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    header = "t," + ",".join(f"y{j + 1}" for j in range(tr.y.shape[1]))
-    np.savetxt(args.out, np.column_stack([tr.t, tr.y]), delimiter=",",
-               header=header, comments="")
+    _write_trace_csv(args.out, tr)
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
           f"L2={l2_norm(tr):.6g} Linf={linf_norm(tr):.6g}; wrote {args.out}")
     return 0

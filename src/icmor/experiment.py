@@ -20,7 +20,7 @@ from .model import (
     load_model,
     unit_vector_basis,
 )
-from .reduction import OrderSelection, abt_reduce, split_reduce
+from .reduction import OrderSelection, abt_reduce, augmented_system, split_reduce
 from .simulation import (
     InputSignal,
     SimulationTrace,
@@ -61,15 +61,7 @@ class ExperimentConfig:
         d = dict(d)
         if "model" not in d:
             raise ConfigError("model: required")
-        model = d["model"]
-        if isinstance(model, str):
-            if model == "builtin:msd":
-                model = {"kind": "msd"}
-            else:
-                model = {"path": model}
-            d["model"] = model
-        if not isinstance(model, dict) or not ("kind" in model or "path" in model):
-            raise ConfigError("model: need 'kind' or 'path'")
+        d["model"] = _model_spec(d["model"])
         methods = d.get("methods")
         if not methods:
             raise ConfigError("methods: at least one method required")
@@ -107,22 +99,37 @@ class ReductionReport:
         )
 
 
-def _build_model(cfg):
-    spec = cfg.model
+def _model_spec(model):
+    """Normalize a model entry: ``"builtin:msd"``, a model directory, or a
+    dict with ``kind`` or ``path``."""
+    if isinstance(model, str):
+        model = {"kind": "msd"} if model == "builtin:msd" else {"path": model}
+    if not isinstance(model, dict) or not ("kind" in model or "path" in model):
+        raise ConfigError("model: need 'kind' or 'path'")
+    return model
+
+
+def _build_model(spec, x0_indices=None):
+    """The model of a normalized spec and its basis: unit vectors at
+    ``x0_indices`` when given, else the model directory's ``X0.mtx``, else
+    None."""
     if "path" in spec:
         M, basis = load_model(spec["path"])
-        return M, basis
-    if spec.get("kind") != "msd":
+    elif spec.get("kind") != "msd":
         raise ConfigError(f"model.kind: unknown builtin '{spec.get('kind')}'")
-    kwargs = {k: spec[k] for k in ("n_masses", "mass", "stiffness", "damping", "m_inputs")
-              if k in spec}
-    kwargs.setdefault("n_masses", 150)
-    kwargs.setdefault("m_inputs", 10)
-    return build_msd(**kwargs), None
+    else:
+        kwargs = {k: spec[k] for k in ("n_masses", "mass", "stiffness", "damping", "m_inputs")
+                  if k in spec}
+        kwargs.setdefault("n_masses", 150)
+        kwargs.setdefault("m_inputs", 10)
+        M, basis = build_msd(**kwargs), None
+    if x0_indices is not None:
+        basis = unit_vector_basis(M.n, x0_indices)
+    return M, basis
 
 
-def _build_input(cfg, m):
-    spec = dict(cfg.input or {"kind": "decaying_pulses"})
+def _build_input(spec, m):
+    spec = dict(spec or {"kind": "decaying_pulses"})
     kind = spec.pop("kind", "decaying_pulses")
     if kind == "zero":
         return InputSignal.zero(m)
@@ -135,6 +142,18 @@ def _build_input(cfg, m):
 
 def _selection(order, tol):
     return OrderSelection.fixed(order) if order is not None else OrderSelection.tolerance(tol)
+
+
+def _grid(M, horizon=None, dt=None):
+    """Horizon and step: the decay horizon of ``M`` with 4000 steps, or the
+    given horizon with 4000 steps; a given ``dt`` overrides the step."""
+    t_f, step = suggest_grid(M)
+    if horizon is not None:
+        t_f = float(horizon)
+        step = t_f / 4000.0
+    if dt is not None:
+        step = float(dt)
+    return t_f, step
 
 
 def _scaled_trace(tr, factor):
@@ -150,23 +169,15 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     """
     timings = {}
     t0 = time.perf_counter()
-    M, basis = _build_model(cfg)
-    if cfg.x0_indices is not None:
-        basis = unit_vector_basis(M.n, cfg.x0_indices)
+    M, basis = _build_model(cfg.model, cfg.x0_indices)
     if basis is None:
         basis = InitialConditionBasis(np.zeros((M.n, 0)))
     n0 = basis.n0
     z0 = np.ones(n0) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float)
     if z0.shape != (n0,):
         raise ConfigError(f"z0: expected {n0} coordinates, got {z0.shape}")
-    u = _build_input(cfg, M.m)
-
-    t_f, dt = suggest_grid(M)
-    if cfg.horizon is not None:
-        t_f = float(cfg.horizon)
-        dt = t_f / 4000.0
-    if cfg.dt is not None:
-        dt = float(cfg.dt)
+    u = _build_input(cfg.input, M.m)
+    t_f, dt = _grid(M, cfg.horizon, cfg.dt)
     timings["setup"] = time.perf_counter() - t0
 
     # Hankel spectra of the three relevant systems (for reporting and the
@@ -175,15 +186,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     sigma = hankel_spectrum(gramian_factors(M)).sigma
     aux = StateSpaceModel(M.A, basis.X0, M.C)
     theta = hankel_spectrum(gramian_factors(aux)).sigma
-    gamma = 1.0
-    if cfg.abt_scaling and n0 > 0 and M.m > 0:
-        bmax = float(np.max(np.linalg.norm(M.B, axis=0)))
-        xnorm = float(np.linalg.norm(basis.X0, 2))
-        if bmax > 0 and xnorm > 0:
-            gamma = bmax / xnorm
-    eta = hankel_spectrum(
-        gramian_factors(StateSpaceModel(M.A, np.hstack([M.B, gamma * basis.X0]), M.C))
-    ).sigma
+    Maug, _ = augmented_system(M, basis.X0, cfg.abt_scaling)
+    eta = hankel_spectrum(gramian_factors(Maug)).sigma
     timings["gramians"] = time.perf_counter() - t0
 
     # Full-order component responses; rescale the initial condition so both
@@ -212,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
             orders = {"r_aug": R.r}
             mt["reduce"] = time.perf_counter() - t0
             t1 = time.perf_counter()
-            tr = simulate(R, u, R.X0til @ z0, t_f, dt)
+            tr = simulate(R.sys, u, R.X0til @ z0, t_f, dt)
             mt["simulate"] = time.perf_counter() - t1
             t1 = time.perf_counter()
             bound, term_u, term_x0 = abt_bound(M, R, basis, u_l2, z0_norm)

@@ -133,31 +133,30 @@ def balance_realization(M: StateSpaceModel, deflation_tol=1e-12) -> BalancedReal
                                Tbal=T, Tbal_inv=Tinv, cond=cond)
 
 
-def h2_norm(M: StateSpaceModel) -> float:
-    """H2 norm, computed Gramian-side as ``sqrt(trace(C P C^T))``."""
-    if M.n == 0 or M.p == 0 or M.m == 0:
+def _h2(A, B, C):
+    """``sqrt(trace(C P C^T))`` with ``A P + P A^T + B B^T = 0``."""
+    if A.shape[0] == 0 or B.shape[1] == 0 or C.shape[0] == 0:
         return 0.0
-    P = solve_lyapunov(M.A, M.B @ M.B.T)
-    val = float(np.trace(M.C @ P @ M.C.T))
+    P = solve_lyapunov(A, B @ B.T)
+    val = float(np.trace(C @ P @ C.T))
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _coerce_system(R):
-    """Accept a StateSpaceModel or anything exposing Atil/Btil/Ctil."""
-    if isinstance(R, StateSpaceModel):
-        return R.A, R.B, R.C
-    return R.Atil, R.Btil, R.Ctil
+def h2_norm(M: StateSpaceModel) -> float:
+    """H2 norm, computed Gramian-side as ``sqrt(trace(C P C^T))``."""
+    return _h2(M.A, M.B, M.C)
 
 
-def h2_error_norm(M: StateSpaceModel, R) -> float:
-    """H2 norm of the error system between ``M`` and a reduced model ``R``."""
-    Ar, Br, Cr = _coerce_system(R)
-    if Br.shape[1] != M.m or Cr.shape[0] != M.p:
+def h2_error_norm(M: StateSpaceModel, R: StateSpaceModel) -> float:
+    """H2 norm of the error system between ``M`` and a reduced model ``R``.
+
+    The block-diagonal error system is stable whenever both models are, so
+    its Lyapunov equation is solved directly.
+    """
+    if R.m != M.m or R.p != M.p:
         raise DimensionMismatch("input/output dimensions differ between models")
-    n, r = M.n, Ar.shape[0]
+    n, r = M.n, R.n
     Ae = np.zeros((n + r, n + r))
     Ae[:n, :n] = M.A
-    Ae[n:, n:] = Ar
-    Be = np.vstack([M.B, Br])
-    Ce = np.hstack([M.C, -Cr])
-    return h2_norm(StateSpaceModel(Ae, Be, Ce))
+    Ae[n:, n:] = R.A
+    return _h2(Ae, np.vstack([M.B, R.B]), np.hstack([M.C, -R.C]))

@@ -37,17 +37,10 @@ def stability_margin(A):
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def _check_stable(A, T=None):
-    # Tolerance relative to the matrix scale; eigenvalues come from the
-    # Schur factor when available so the check is consistent with the solve.
-    if A.size == 0:
-        return
-    eigs = np.linalg.eigvals(T if T is not None else A)
-    tol = 1e-12 * max(1.0, np.linalg.norm(A, 2))
-    if np.max(eigs.real) > -tol:
-        raise NotStable(
-            f"matrix has an eigenvalue with real part {np.max(eigs.real):.3e}"
-        )
+def _is_stable(A, abscissa):
+    """Whether the spectral abscissa of ``A`` clears the stability
+    tolerance, ``-1e-12 max(1, ||A||_2)``."""
+    return abscissa < -1e-12 * max(1.0, np.linalg.norm(A, 2))
 
 
 def solve_lyapunov(A, G):
@@ -63,7 +56,12 @@ def solve_lyapunov(A, G):
     if A.size == 0:
         return np.zeros((0, 0))
     T, U = sla.schur(A, output="real")
-    _check_stable(A, T)
+    # LAPACK returns the standardized real Schur form: each 2x2 block has
+    # equal diagonal entries, so the diagonal holds the real parts of the
+    # whole spectrum and is the stability verdict.
+    abscissa = float(np.max(np.diag(T)))
+    if not _is_stable(A, abscissa):
+        raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
     # T Y + Y T^T = -Gt
     trsyl = lapack.dtrsyl

@@ -15,12 +15,11 @@ from .errors import (
     NotInSubspace,
     NotStable,
 )
-from .linalg import solve_lyapunov, stability_margin
+from .linalg import _is_stable, solve_lyapunov, stability_margin
 
 __all__ = [
     "StateSpaceModel",
     "InitialConditionBasis",
-    "InitialCondition",
     "ValidationReport",
     "validate_model",
     "coordinates_of",
@@ -68,7 +67,7 @@ class StateSpaceModel:
             C = C.reshape(C.shape[0] if C.ndim == 2 else 0, n)
         if n > 0:
             margin = stability_margin(A)
-            if margin > -1e-12 * max(1.0, np.linalg.norm(A, 2)):
+            if not _is_stable(A, margin):
                 raise NotStable(f"A has stability margin {margin:.3e}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -112,34 +111,6 @@ class InitialConditionBasis:
         return self.X0.shape[1]
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """An initial state, optionally carrying coordinates in a basis."""
-
-    x0: np.ndarray = None
-    z0: np.ndarray = None
-    basis: InitialConditionBasis = None
-
-    def __post_init__(self):
-        x0 = None if self.x0 is None else np.asarray(self.x0, dtype=float).ravel()
-        z0 = None if self.z0 is None else np.asarray(self.z0, dtype=float).ravel()
-        if x0 is None and z0 is None:
-            raise InvalidParameter("either x0 or z0 must be given")
-        if z0 is not None and self.basis is None:
-            raise InvalidParameter("z0 requires a basis")
-        if x0 is not None and z0 is not None:
-            rec = self.basis.X0 @ z0
-            if np.linalg.norm(rec - x0) > 1e-10 * max(1.0, np.linalg.norm(x0)):
-                raise InvalidParameter("x0 and X0 @ z0 disagree")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "z0", z0)
-
-    def state(self):
-        if self.x0 is not None:
-            return self.x0
-        return self.basis.X0 @ self.z0
-
-
 @dataclass
 class ValidationReport:
     stability_margin: float
@@ -166,7 +137,7 @@ def validate_model(A, B=None, C=None, rank_tol=1e-10):
     B = _mat(B, "B")
     C = _mat(C, "C")
     margin = stability_margin(A)
-    stable = margin < -1e-12 * max(1.0, np.linalg.norm(A, 2))
+    stable = _is_stable(A, margin)
     if stable and A.size:
         P = solve_lyapunov(A, B @ B.T)
         Q = solve_lyapunov(A.T, C.T @ C)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidParameter, MaxItersExceeded, UnstableReduction
+from .errors import InvalidParameter, MaxItersExceeded, NonFinite, NotStable, UnstableReduction
 from .gramians import (
     GramianFactors,
     HankelSpectrum,
@@ -16,7 +16,6 @@ from .gramians import (
     h2_error_norm,
     hankel_spectrum,
 )
-from .linalg import stability_margin
 from .model import InitialConditionBasis, StateSpaceModel
 
 __all__ = [
@@ -24,6 +23,7 @@ __all__ = [
     "ProjectionPair",
     "ReducedModel",
     "SplitReducedModel",
+    "augmented_system",
     "order_from_tolerance",
     "bt_reduce",
     "abt_reduce",
@@ -66,26 +66,22 @@ class OrderSelection:
 class ProjectionPair:
     V: np.ndarray
     W: np.ndarray
-    biorthogonal: bool = True
 
 
 @dataclass
 class ReducedModel:
-    """Projected realization plus the data needed by the error bounds.
+    """Projected realization ``sys`` plus the data needed by the error bounds.
 
     ``hankel`` holds the full Hankel spectrum of the system the projection
     was computed from (``sigma`` for BT, ``eta`` for augmented BT); the
     truncated tail is ``spectrum_tail``.  Augmented-BT models additionally
-    carry the observability factor of the augmented system and the basis
-    scaling, which the a-priori bound needs.
+    carry the projected basis ``X0til``, the observability factor of the
+    augmented system and the basis scaling, which the a-priori bound needs.
     """
 
-    Atil: np.ndarray
-    Btil: np.ndarray
-    Ctil: np.ndarray
+    sys: StateSpaceModel
     X0til: np.ndarray = None
     method: str = "bt"
-    r: int = 0
     hankel: np.ndarray = None
     projection: ProjectionPair = None
     aug_obs_factor: np.ndarray = None
@@ -94,24 +90,15 @@ class ReducedModel:
     interp_residuals: dict = field(default_factory=dict)
     converged: bool = True
 
-    def __post_init__(self):
-        self.Atil = np.atleast_2d(np.asarray(self.Atil, dtype=float))
-        self.r = self.Atil.shape[0]
-        if self.r > 0:
-            margin = stability_margin(self.Atil)
-            if margin > -1e-12 * max(1.0, np.linalg.norm(self.Atil, 2)):
-                raise UnstableReduction(
-                    f"reduced state matrix has stability margin {margin:.3e}"
-                )
+    @property
+    def r(self):
+        return self.sys.n
 
     @property
     def spectrum_tail(self):
         if self.hankel is None:
             return np.zeros(0)
         return self.hankel[self.r:]
-
-    def as_model(self):
-        return StateSpaceModel(self.Atil, self.Btil, self.Ctil)
 
 
 @dataclass
@@ -133,7 +120,7 @@ def order_from_tolerance(sigma, tau):
     """Smallest order whose truncated Hankel values fall below
     ``tau * sigma_1``, pushed past any ties at the cut so that the retained
     and truncated values are strictly separated."""
-    sigma = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     n = len(sigma)
     if not (0.0 < tau < 1.0):
         raise InvalidParameter("tau must lie in (0, 1)")
@@ -164,7 +151,12 @@ def _bt_projection(F: GramianFactors, spec: HankelSpectrum, r):
     d = 1.0 / np.sqrt(spec.sigma[:r])
     V = (F.U @ spec.Z[:, :r]) * d
     W = (F.L @ spec.Y[:, :r]) * d
-    return ProjectionPair(V=V, W=W, biorthogonal=True)
+    return ProjectionPair(V=V, W=W)
+
+
+def _project(M: StateSpaceModel, proj: ProjectionPair) -> StateSpaceModel:
+    V, W = proj.V, proj.W
+    return StateSpaceModel(W.T @ M.A @ V, W.T @ M.B, M.C @ V)
 
 
 def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
@@ -178,15 +170,24 @@ def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
     spec = hankel_spectrum(F)
     r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
     proj = _bt_projection(F, spec, r)
-    V, W = proj.V, proj.W
-    return ReducedModel(
-        Atil=W.T @ M.A @ V,
-        Btil=W.T @ M.B,
-        Ctil=M.C @ V,
-        method="bt",
-        hankel=spec.sigma,
-        projection=proj,
-    )
+    return ReducedModel(sys=_project(M, proj), method="bt",
+                        hankel=spec.sigma, projection=proj)
+
+
+def augmented_system(M: StateSpaceModel, X0, scaling=True):
+    """The system with input ``[B, gamma X0]``, and ``gamma``.
+
+    With ``scaling`` on, ``gamma`` brings ``||X0||_2`` to the largest
+    input-column norm; it is 1 otherwise, or when either side is empty or
+    zero.
+    """
+    gamma = 1.0
+    if scaling and X0.shape[1] > 0 and M.m > 0:
+        bmax = float(np.max(np.linalg.norm(M.B, axis=0)))
+        xnorm = float(np.linalg.norm(X0, 2))
+        if bmax > 0 and xnorm > 0:
+            gamma = bmax / xnorm
+    return StateSpaceModel(M.A, np.hstack([M.B, gamma * X0]), M.C), gamma
 
 
 def abt_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
@@ -200,24 +201,14 @@ def abt_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
     X0 = basis.X0
     if X0.shape[0] != M.n:
         raise InvalidParameter("basis dimension does not match the model")
-    gamma = 1.0
-    if scaling and X0.shape[1] > 0 and M.m > 0:
-        bmax = float(np.max(np.linalg.norm(M.B, axis=0)))
-        xnorm = float(np.linalg.norm(X0, 2))
-        if bmax > 0 and xnorm > 0:
-            gamma = bmax / xnorm
-    Baug = np.hstack([M.B, gamma * X0])
-    Maug = StateSpaceModel(M.A, Baug, M.C)
+    Maug, gamma = augmented_system(M, X0, scaling)
     F = gramian_factors(Maug)
     spec = hankel_spectrum(F)
     r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
     proj = _bt_projection(F, spec, r)
-    V, W = proj.V, proj.W
     return ReducedModel(
-        Atil=W.T @ M.A @ V,
-        Btil=W.T @ M.B,
-        Ctil=M.C @ V,
-        X0til=W.T @ X0,
+        sys=_project(M, proj),
+        X0til=proj.W.T @ X0,
         method="abt",
         hankel=spec.sigma,
         projection=proj,
@@ -268,11 +259,11 @@ def _tangential_basis(A, Bmat, shifts, dirs, r):
     return Q
 
 
-def tangential_residuals(M: StateSpaceModel, R: ReducedModel, shifts, bdirs, cdirs):
+def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, shifts, bdirs, cdirs):
     """Relative Hermite interpolation residuals of ``R`` against ``M`` at
     the given shifts and tangential directions."""
     A, B, C = M.A, M.B, M.C
-    Ar, Br, Cr = R.Atil, R.Btil, R.Ctil
+    Ar, Br, Cr = R.A, R.B, R.C
     I = np.eye(A.shape[0])
     Ir = np.eye(Ar.shape[0])
     val = der = 0.0
@@ -299,10 +290,6 @@ def _stabilize_poles(Ar):
     lam = np.where(lam.real >= 0, -np.conj(lam), lam)
     Ar_new = np.real(X @ np.diag(lam) @ np.linalg.inv(X))
     return Ar_new, True
-
-
-def _is_stable(Ar):
-    return stability_margin(Ar) < -1e-12 * max(1.0, np.linalg.norm(Ar, 2))
 
 
 def _mirrored_pole_data(Ar, Br, Cr):
@@ -355,7 +342,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
             raise InvalidParameter(
                 f"warm start has order {warm_start.r}, requested {r}")
         starts = [_mirrored_pole_data(
-            warm_start.Atil, warm_start.Btil, warm_start.Ctil)]
+            warm_start.sys.A, warm_start.sys.B, warm_start.sys.C)]
     else:
         # the fixed point is only locally attractive, so without a warm
         # start several deterministic initial shift sets are tried and the
@@ -398,16 +385,19 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
             Ars, reflected = _stabilize_poles(Ar)
             candidate = None
             err = np.inf
-            if np.all(np.isfinite(Ars)) and _is_stable(Ars):
-                candidate = (Ars, reflected, shifts.copy(),
-                             bdirs.copy(), cdirs.copy())
+            try:
+                candidate = (StateSpaceModel(Ars, Br, Cr), reflected,
+                             shifts.copy(), bdirs.copy(), cdirs.copy())
+            except (NonFinite, NotStable):
+                pass
+            if candidate is not None:
                 try:
-                    err = h2_error_norm(M, StateSpaceModel(Ars, Br, Cr))
+                    err = h2_error_norm(M, candidate[0])
                 except Exception:
                     err = np.inf
                 if err < best_err:
                     best_err = err
-                    best = (Ars, Br, Cr) + candidate[1:]
+                    best = candidate
             new_shifts, new_b, new_c = _mirrored_pole_data(Ar, Br, Cr)
             order_old = np.lexsort((shifts.imag, shifts.real))
             order_new = np.lexsort((new_shifts.imag, new_shifts.real))
@@ -416,7 +406,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
             ) / max(np.linalg.norm(shifts[order_old]), 1e-300)
             if change < shift_tol:
                 if candidate is not None and err < final_err:
-                    final = (Ars, Br, Cr) + candidate[1:]
+                    final = candidate
                     final_err = err
                 break
             # the plain fixed-point map can be locally repelling (shift
@@ -431,35 +421,27 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
 
     converged = final is not None
     if converged:
-        Ar, Br, Cr, reflected, shifts, bdirs, cdirs = final
+        sys, reflected, shifts, bdirs, cdirs = final
     elif best is not None:
         warnings.warn(
             f"shift fixed point not reached in {max_iters} iterations; "
             "returning the stable iterate with the smallest H2 error",
             MaxItersExceeded,
         )
-        Ar, Br, Cr, reflected, shifts, bdirs, cdirs = best
+        sys, reflected, shifts, bdirs, cdirs = best
     elif warm_start is not None:
         warnings.warn(
             "no stable iterate found; falling back to the warm-start model",
             MaxItersExceeded,
         )
-        R = ReducedModel(
-            Atil=warm_start.Atil.copy(), Btil=warm_start.Btil.copy(),
-            Ctil=warm_start.Ctil.copy(), method="irka",
-            shifts=shifts, converged=False,
-        )
-        R.interp_residuals = {"fallback": True}
-        return R
+        return ReducedModel(sys=warm_start.sys, method="irka", shifts=shifts,
+                            converged=False, interp_residuals={"fallback": True})
     else:
         raise UnstableReduction(
             "no stable iterate found and no warm start to fall back on")
 
-    R = ReducedModel(
-        Atil=Ar, Btil=Br, Ctil=Cr, method="irka",
-        shifts=shifts, converged=converged,
-    )
-    R.interp_residuals = tangential_residuals(M, R, shifts, bdirs, cdirs)
+    R = ReducedModel(sys=sys, method="irka", shifts=shifts, converged=converged)
+    R.interp_residuals = tangential_residuals(M, sys, shifts, bdirs, cdirs)
     R.interp_residuals["pole_reflection"] = bool(reflected)
     R.interp_residuals["fallback"] = False
     return R
@@ -475,25 +457,18 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
     output ``C``) is reduced by BT or IRKA; for IRKA with a tolerance
     selection, the order comes from the auxiliary system's own Hankel
     decay, and the BT reduction at that order warm-starts the iteration.
+    The reduced initial-condition map takes ``z0`` through ``sxy.sys.B``.
     """
     if x0_method not in ("bt", "irka"):
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
     suy = bt_reduce(M, sel_u)
     aux = StateSpaceModel(M.A, basis.X0, M.C)
-    if x0_method == "bt":
-        sxy = bt_reduce(aux, sel_x0)
-        sxy.X0til = sxy.Btil
-    else:
-        spec = hankel_spectrum(gramian_factors(aux))
-        r = min(sel_x0.resolve(spec.sigma), _numerical_rank(spec.sigma))
-        if r == 0:
-            sxy = ReducedModel(
-                Atil=np.zeros((0, 0)), Btil=np.zeros((0, basis.n0)),
-                Ctil=np.zeros((M.p, 0)), method="irka",
-            )
+    sxy = bt_reduce(aux, sel_x0)
+    if x0_method == "irka":
+        if sxy.r == 0:
+            irka = ReducedModel(sys=sxy.sys, method="irka")
         else:
-            warm = bt_reduce(aux, OrderSelection.fixed(r))
-            sxy = irka_reduce(aux, r, warm_start=warm, **(irka_opts or {}))
-        sxy.hankel = spec.sigma
-        sxy.X0til = sxy.Btil
+            irka = irka_reduce(aux, sxy.r, warm_start=sxy, **(irka_opts or {}))
+        irka.hankel = sxy.hankel
+        sxy = irka
     return SplitReducedModel(suy=suy, sxy=sxy, basis=basis, aux_system=aux)

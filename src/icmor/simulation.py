@@ -104,16 +104,6 @@ class InputSignal:
             return out
         raise InvalidParameter(f"unknown input kind '{self.kind}'")
 
-    def scaled(self, factor):
-        if self.kind in ("zero",):
-            return self
-        if self.kind == "sampled":
-            return InputSignal.sampled(self.params["t"],
-                                       self.params["values"] * factor)
-        p = dict(self.params)
-        p["amplitude"] = p["amplitude"] * factor
-        return InputSignal(self.kind, self.m, p)
-
     def l2_norm(self, t_f, dt):
         """L2 norm over [0, t_f] by fine trapezoidal quadrature."""
         t = np.arange(0.0, t_f + dt / 2, dt / 10.0)
@@ -149,28 +139,21 @@ def foh_weights(A, B, dt):
     return E, F0, F1
 
 
-def _system(M):
-    if isinstance(M, StateSpaceModel):
-        return M.A, M.B, M.C
-    return M.Atil, M.Btil, M.Ctil
-
-
-def suggest_grid(M, decay_target=1e-8, samples=4000):
+def suggest_grid(M: StateSpaceModel, decay_target=1e-8, samples=4000):
     """Horizon covering the full transient decay, with a default step."""
-    A = _system(M)[0]
-    margin = stability_margin(A)
+    margin = stability_margin(M.A)
     t_f = np.log(1.0 / decay_target) / max(-margin, 1e-12)
     return float(t_f), float(t_f / samples)
 
 
-def simulate(M, u, x0, t_f, dt):
+def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     """Propagate the system and sample the output on a uniform grid.
 
     ``u`` may be None (zero input); ``x0`` may be None (zero state).  If
     ``||A|| dt`` exceeds 0.5 the step is internally subdivided (the scheme
     stays exact for piecewise-linear inputs but input sampling benefits).
     """
-    A, B, C = _system(M)
+    A, B, C = M.A, M.B, M.C
     n, m, p = A.shape[0], B.shape[1], C.shape[0]
     if t_f <= 0 or dt <= 0:
         raise InvalidParameter("need positive horizon and step")
@@ -229,12 +212,12 @@ def superpose(tr_a: SimulationTrace, tr_b: SimulationTrace) -> SimulationTrace:
 
 def online_phase(S, u, x0, t_f, dt) -> SimulationTrace:
     """Reconstruct the reduced output: input response from ``suy`` plus the
-    initial-condition response from ``sxy`` with the Dirac input applied as
-    the exact state jump ``X0til z0``."""
+    initial-condition response from ``sxy``, whose input matrix is the
+    projected basis, with the Dirac input applied as the exact state jump
+    ``sxy.sys.B z0``."""
     z0 = coordinates_of(x0, S.basis)
-    tr_u = simulate(S.suy, u, None, t_f, dt)
-    jump = S.sxy.X0til @ z0 if S.sxy.X0til is not None else S.sxy.Btil @ z0
-    tr_x0 = simulate(S.sxy, None, jump, t_f, dt)
+    tr_u = simulate(S.suy.sys, u, None, t_f, dt)
+    tr_x0 = simulate(S.sxy.sys, None, S.sxy.sys.B @ z0, t_f, dt)
     return superpose(tr_u, tr_x0)
 
 

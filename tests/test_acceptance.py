@@ -19,6 +19,7 @@ from icmor import (
     InputSignal,
     OrderSelection,
     StateSpaceModel,
+    abt_bound,
     abt_reduce,
     aca_bound,
     bt_bound,
@@ -140,7 +141,7 @@ class TestCriterion3BtBound:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 tr = simulate(M, u, None, t_f, dt)
-                tr_r = simulate(R, u, None, t_f, dt)
+                tr_r = simulate(R.sys, u, None, t_f, dt)
                 err = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_r.y))
             bound = bt_bound(R.spectrum_tail, u.l2_norm(t_f, dt))
             assert err <= bound
@@ -166,7 +167,7 @@ class TestCriterion4TraceBound:
             scale = h2_norm(M)
             for r in range(1, 8):
                 bound, _ = aca_bound(M, r)
-                err = h2_error_norm(M, bt_reduce(M, OrderSelection.fixed(r)))
+                err = h2_error_norm(M, bt_reduce(M, OrderSelection.fixed(r)).sys)
                 # floor at the cancellation noise of the trace computations
                 assert bound >= err * (1.0 - 1e-6) - 1e-7 * scale
         assert time.perf_counter() - t_start < 60.0
@@ -176,10 +177,26 @@ class TestCriterion5SplitBound:
     @pytest.mark.parametrize("case_name", ["case1", "case2"])
     def test_end_to_end_bound_holds(self, case_name, request):
         rep, _ = request.getfixturevalue(case_name)
-        for method in ("bt-bt", "bt-irka"):
+        for method in ("augbt", "bt-bt", "bt-irka"):
             res = rep.report["methods"][method]
             assert res["abs_l2_error"] <= res["bound"], \
                 f"{case_name}/{method}: {res['abs_l2_error']} > {res['bound']}"
+
+    @pytest.mark.parametrize("x0_index, r", [(300, 16), (30, 20)])
+    def test_augmented_bound_holds_without_input(self, msd300, x0_index, r):
+        # u = 0, z0 = 1: only the x0 term of the augmented bound is left
+        M = msd300
+        basis = unit_vector_basis(M.n, [x0_index])
+        R = abt_reduce(M, basis, OrderSelection.fixed(r))
+        z0 = np.ones(1)
+        t_f, dt = suggest_grid(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tr = simulate(M, None, basis.X0 @ z0, t_f, dt)
+            tr_r = simulate(R.sys, None, R.X0til @ z0, t_f, dt)
+            err = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_r.y))
+        bound, _, _ = abt_bound(M, R, basis, 0.0, 1.0)
+        assert err <= bound
 
 
 class TestCriterion6AugmentedStructure:
@@ -213,7 +230,7 @@ class TestCriterion7IrkaOptimality:
                  for a0 in (-0.3, -1.0, -3.0)),
                 key=lambda res: res.fun,
             )
-            err = h2_error_norm(M, R)
+            err = h2_error_norm(M, R.sys)
             assert err <= best.fun * (1.0 + 1e-4) + 1e-12
 
 
@@ -267,9 +284,9 @@ class TestCriterion10Iss:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tr = simulate(M, None, x0, t_f, dt)
-            jump = S.sxy.X0til @ z0
-            tr_split = simulate(S.sxy, None, jump, t_f, dt)
-            tr_abt = simulate(Rabt, None, Rabt.X0til @ z0, t_f, dt)
+            jump = S.sxy.sys.B @ z0
+            tr_split = simulate(S.sxy.sys, None, jump, t_f, dt)
+            tr_abt = simulate(Rabt.sys, None, Rabt.X0til @ z0, t_f, dt)
             e_split = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_split.y))
             e_abt = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_abt.y))
         assert e_split <= e_abt / 1e3

@@ -59,7 +59,7 @@ class TestBtBound:
         u = InputSignal.decaying_pulses(M.m)
         t_f, dt = 200.0, 0.05
         tr = simulate(M, u, None, t_f, dt)
-        tr_r = simulate(R, u, None, t_f, dt)
+        tr_r = simulate(R.sys, u, None, t_f, dt)
         bound = bt_bound(R.spectrum_tail, u.l2_norm(t_f, dt))
         assert _error_l2(tr, tr_r) <= bound
 
@@ -79,9 +79,9 @@ class TestIrkaLinfBound:
         R = irka_reduce(M, 2)
         u = InputSignal.decaying_sinusoid(M.m)
         t_f, dt = 60.0, 0.01
-        bound = irka_linf_bound(M, R, u.l2_norm(t_f, dt))
+        bound = irka_linf_bound(M, R.sys, u.l2_norm(t_f, dt))
         tr = simulate(M, u, None, t_f, dt)
-        tr_r = simulate(R, u, None, t_f, dt)
+        tr_r = simulate(R.sys, u, None, t_f, dt)
         err = linf_norm(SimulationTrace(t=tr.t, y=tr.y - tr_r.y))
         assert err <= bound
 
@@ -118,7 +118,7 @@ class TestAbtBound:
         t_f, dt = 400.0, 0.1
         tr = superpose(simulate(M, u, None, t_f, dt),
                        simulate(M, None, basis.X0 @ z0, t_f, dt))
-        tr_r = simulate(R, u, R.X0til @ z0, t_f, dt)
+        tr_r = simulate(R.sys, u, R.X0til @ z0, t_f, dt)
         total, _, _ = abt_bound(M, R, basis, u.l2_norm(t_f, dt),
                                 float(np.linalg.norm(z0)))
         assert _error_l2(tr, tr_r) <= total
@@ -136,7 +136,7 @@ class TestAcaBound:
                             np.array([[1.0, 1.0]]))
         bound, _ = aca_bound(M, 1)
         R = bt_reduce(M, OrderSelection.fixed(1))
-        assert bound >= h2_error_norm(M, R)
+        assert bound >= h2_error_norm(M, R.sys)
 
     def test_monte_carlo_validity(self, rng):
         for _ in range(20):
@@ -145,7 +145,7 @@ class TestAcaBound:
             for r in range(1, 8):
                 bound, _ = aca_bound(M, r)
                 R = bt_reduce(M, OrderSelection.fixed(r))
-                err = h2_error_norm(M, R)
+                err = h2_error_norm(M, R.sys)
                 # relative slack plus a floor at the cancellation noise of
                 # the trace computations: both sides are sqrt of nearly
                 # cancelling traces, so values below ~1e-7 of the system
@@ -200,7 +200,7 @@ class TestSplitBound:
         _, budget = split_bound(S, 1.0, 1.0)
         assert budget.e2_is_h2_error
         aux = S.aux_system
-        assert budget.e2 == pytest.approx(h2_error_norm(aux, S.sxy))
+        assert budget.e2 == pytest.approx(h2_error_norm(aux, S.sxy.sys))
 
     def test_irka_e2_usually_below_bt_e2(self, rng):
         wins = 0

@@ -78,10 +78,12 @@ class TestRunExperiment:
 
     def test_empty_basis_collapses_to_bt(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
-            small_config(tmp_path, methods=["bt-bt"], x0_indices=[]))
+            small_config(tmp_path, methods=["bt-bt", "bt-irka"], x0_indices=[]))
         rep = run_experiment(cfg)
         assert rep.report["model"]["n0"] == 0
-        assert rep.report["methods"]["bt-bt"]["orders"]["r_x0"] == 0
+        for method in ("bt-bt", "bt-irka"):
+            assert rep.report["methods"][method]["orders"]["r_x0"] == 0
+        assert rep.bound_ok
 
     def test_parallel_matches_sequential(self, tmp_path):
         base = small_config(tmp_path, methods=["bt-bt", "augbt"])

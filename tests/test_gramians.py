@@ -171,11 +171,11 @@ class TestH2Norms:
 
         M = random_system(rng, 6, 1, 1, margin=0.5)
         R = bt_reduce(M, OrderSelection.fixed(2))
-        err = h2_error_norm(M, R)
+        err = h2_error_norm(M, R.sys)
         # quadrature on the difference of impulse responses
         Ae = np.block([[M.A, np.zeros((6, R.r))],
-                       [np.zeros((R.r, 6)), R.Atil]])
-        Be = np.vstack([M.B, R.Btil])
-        Ce = np.hstack([M.C, -R.Ctil])
+                       [np.zeros((R.r, 6)), R.sys.A]])
+        Be = np.vstack([M.B, R.sys.B])
+        Ce = np.hstack([M.C, -R.sys.C])
         oracle = h2_quadrature(Ae, Be, Ce)
         assert err == pytest.approx(oracle, rel=1e-6)

@@ -51,8 +51,11 @@ class TestSolveLyapunov:
         assert w.min() >= -1e-10 * np.linalg.norm(P, 2)
 
     def test_unstable_rejected(self):
-        with pytest.raises(NotStable):
-            solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+        # a real eigenvalue, a complex pair 0.1 +- 1i, and the pair +-1i on
+        # the imaginary axis (2x2 blocks of the real Schur form)
+        for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]):
+            with pytest.raises(NotStable):
+                solve_lyapunov(np.array(A), np.eye(len(A)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -29,8 +29,11 @@ class TestStateSpaceModel:
         assert (M.n, M.m, M.p) == (3, 2, 1)
 
     def test_unstable_rejected(self):
-        with pytest.raises(NotStable):
-            StateSpaceModel([[1.0]], [[1.0]], [[1.0]])
+        # a real eigenvalue, a complex pair 0.1 +- 1i, and the pair +-1i on
+        # the imaginary axis
+        for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]):
+            with pytest.raises(NotStable):
+                StateSpaceModel(A, np.ones((len(A), 1)), np.ones((1, len(A))))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -65,20 +65,20 @@ class TestBtReduce:
     def test_full_order_preserves_transfer(self, rng):
         M = random_system(rng, 5, 2, 2)
         R = bt_reduce(M, OrderSelection.fixed(5))
-        assert h2_error_norm(M, R) <= 1e-7 * h2_norm(M)
+        assert h2_error_norm(M, R.sys) <= 1e-7 * h2_norm(M)
 
     def test_scalar_identity(self):
         M = StateSpaceModel([[-2.0]], [[3.0]], [[1.5]])
         R = bt_reduce(M, OrderSelection.fixed(1))
-        assert R.Atil[0, 0] == pytest.approx(-2.0)
-        assert abs(R.Btil[0, 0] * R.Ctil[0, 0]) == pytest.approx(4.5)
+        assert R.sys.A[0, 0] == pytest.approx(-2.0)
+        assert abs(R.sys.B[0, 0] * R.sys.C[0, 0]) == pytest.approx(4.5)
 
     def test_projection_biorthogonal_and_balanced(self, rng):
         M = random_system(rng, 8, 2, 2)
         R = bt_reduce(M, OrderSelection.fixed(3))
         V, W = R.projection.V, R.projection.W
         assert np.allclose(W.T @ V, np.eye(3), atol=1e-8)
-        F = gramian_factors(R.as_model())
+        F = gramian_factors(R.sys)
         sig = hankel_spectrum(gramian_factors(M)).sigma
         assert np.allclose(F.U @ F.U.T, np.diag(sig[:3]), atol=1e-7)
         assert np.allclose(F.L @ F.L.T, np.diag(sig[:3]), atol=1e-7)
@@ -88,7 +88,7 @@ class TestBtReduce:
             M = random_system(rng, 9, 2, 2)
             for r in (1, 3, 5):
                 R = bt_reduce(M, OrderSelection.fixed(r))
-                assert np.max(np.linalg.eigvals(R.Atil).real) < 0
+                assert np.max(np.linalg.eigvals(R.sys.A).real) < 0
 
     def test_identity_on_balanced_minimal(self, rng):
         from icmor import balance_realization
@@ -100,9 +100,9 @@ class TestBtReduce:
         # identity up to diagonal +-1 state signs
         s = np.sign(np.diag(R.projection.V.T @ np.eye(4)))
         D = np.diag(s)
-        assert np.allclose(D @ R.Atil @ D, Mb.A, atol=1e-7)
-        assert np.allclose(D @ R.Btil, Mb.B, atol=1e-7)
-        assert np.allclose(R.Ctil @ D, Mb.C, atol=1e-7)
+        assert np.allclose(D @ R.sys.A @ D, Mb.A, atol=1e-7)
+        assert np.allclose(D @ R.sys.B, Mb.B, atol=1e-7)
+        assert np.allclose(R.sys.C @ D, Mb.C, atol=1e-7)
 
     def test_spectrum_tail(self, rng):
         M = random_system(rng, 6, 1, 1)
@@ -125,9 +125,9 @@ class TestAbtReduce:
         basis = InitialConditionBasis(np.zeros((6, 0)))
         Ra = abt_reduce(M, basis, OrderSelection.fixed(3))
         Rb = bt_reduce(M, OrderSelection.fixed(3))
-        assert np.allclose(Ra.Atil, Rb.Atil, atol=1e-10)
-        assert np.allclose(Ra.Btil, Rb.Btil, atol=1e-10)
-        assert np.allclose(Ra.Ctil, Rb.Ctil, atol=1e-10)
+        assert np.allclose(Ra.sys.A, Rb.sys.A, atol=1e-10)
+        assert np.allclose(Ra.sys.B, Rb.sys.B, atol=1e-10)
+        assert np.allclose(Ra.sys.C, Rb.sys.C, atol=1e-10)
 
     def test_x0til_is_projected_basis(self, rng):
         M = random_system(rng, 6, 2, 1)
@@ -148,7 +148,7 @@ class TestIrkaReduce:
         M = StateSpaceModel([[-3.0]], [[2.0]], [[5.0]])
         R = irka_reduce(M, 1)
         assert R.converged
-        assert h2_error_norm(M, R) <= 1e-8 * h2_norm(M)
+        assert h2_error_norm(M, R.sys) <= 1e-8 * h2_norm(M)
 
     def test_r1_matches_brute_force(self):
         M = StateSpaceModel(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]),
@@ -167,7 +167,7 @@ class TestIrkaReduce:
              for a0 in (-0.5, -1.2, -2.5)),
             key=lambda res: res.fun,
         )
-        assert h2_error_norm(M, R) == pytest.approx(best.fun, rel=1e-4)
+        assert h2_error_norm(M, R.sys) == pytest.approx(best.fun, rel=1e-4)
 
     def test_hermite_residuals_at_convergence(self, rng):
         for _ in range(3):
@@ -195,7 +195,7 @@ class TestIrkaReduce:
             M = random_system(rng, 8, 1, 1, margin=0.5)
             warm = bt_reduce(M, OrderSelection.fixed(3))
             R = irka_reduce(M, 3, warm_start=warm)
-            assert h2_error_norm(M, R) <= h2_error_norm(M, warm) * (1 + 1e-8)
+            assert h2_error_norm(M, R.sys) <= h2_error_norm(M, warm.sys) * (1 + 1e-8)
 
 
 class TestSplitReduce:
@@ -204,9 +204,9 @@ class TestSplitReduce:
         basis = InitialConditionBasis(M.B.copy())
         S = split_reduce(M, basis, OrderSelection.fixed(3),
                          OrderSelection.fixed(3), x0_method="bt")
-        assert np.allclose(S.suy.Atil, S.sxy.Atil, atol=1e-10)
-        assert np.allclose(S.suy.Btil, S.sxy.Btil, atol=1e-10)
-        assert np.allclose(S.suy.Ctil, S.sxy.Ctil, atol=1e-10)
+        assert np.allclose(S.suy.sys.A, S.sxy.sys.A, atol=1e-10)
+        assert np.allclose(S.suy.sys.B, S.sxy.sys.B, atol=1e-10)
+        assert np.allclose(S.suy.sys.C, S.sxy.sys.C, atol=1e-10)
 
     def test_unobservable_x0_gives_order_zero(self):
         # x0 direction in an unobservable mode: C e^{At} X0 is identically 0
@@ -238,8 +238,8 @@ class TestSplitReduce:
             S = split_reduce(M, basis, OrderSelection.fixed(3),
                              OrderSelection.fixed(3), x0_method="bt")
             z0 = np.array([1.0, -1.0]) / scale
-            jump = S.sxy.X0til @ z0
-            tr = simulate(S.sxy, None, jump, t_f, dt)
+            jump = S.sxy.sys.B @ z0
+            tr = simulate(S.sxy.sys, None, jump, t_f, dt)
             outputs.append(tr.y)
         ref = l2_norm(SimulationTrace(t=np.arange(0, t_f + dt / 2, dt),
                                       y=outputs[0]))

@@ -137,7 +137,7 @@ class TestOnlinePhase:
         M, basis, S = self._split(rng)
         u = InputSignal.decaying_pulses(2)
         tr = online_phase(S, u, np.zeros(6), 30.0, 0.01)
-        tr_u = simulate(S.suy, u, None, 30.0, 0.01)
+        tr_u = simulate(S.suy.sys, u, None, 30.0, 0.01)
         assert np.allclose(tr.y, tr_u.y, atol=1e-12)
 
     def test_zero_input_equals_x0_branch(self, rng):
