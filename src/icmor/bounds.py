@@ -77,10 +77,10 @@ def abt_bound(M: StateSpaceModel, R_abt, basis, u_l2, z0_norm):
     """Evaluate the augmented-BT output bound.
 
     Returns ``(total, input_term, x0_term)``.  Requires a model produced by
-    ``abt_reduce`` so the augmented Hankel values, observability factor,
-    projected basis, and scaling are available.
+    ``abt_reduce`` so the augmented Hankel values, the image ``L^T A X0s``
+    of the scaled basis, the projected basis, and scaling are available.
     """
-    if getattr(R_abt, "method", None) != "abt" or R_abt.aug_obs_factor is None:
+    if getattr(R_abt, "method", None) != "abt" or R_abt.obs_x0 is None:
         raise MissingProvenance("bound requires a model from abt_reduce")
     eta = R_abt.hankel
     r = R_abt.r
@@ -88,16 +88,14 @@ def abt_bound(M: StateSpaceModel, R_abt, basis, u_l2, z0_norm):
     term_u = bt_bound(eta[r:], u_l2)
 
     gamma = R_abt.x0_scale
-    X0s = gamma * basis.X0
     X0til_s = gamma * R_abt.X0til
     z0_scaled = z0_norm / gamma
     # In balanced coordinates the full-order term is Sigma^{1/2} T^{-1} A X0;
     # with Q = L L^T, Sigma^{1/2} T^{-1} = Y^T L^T for the orthogonal Hankel
-    # factor Y, so its norm is that of L^T A X0.
-    L = R_abt.aug_obs_factor
+    # factor Y, so its norm is that of L^T A X0 (R_abt.obs_x0).
     S_half = np.sqrt(eta[:r])
     inner = (
-        np.linalg.norm(L.T @ M.A @ X0s, 2)
+        np.linalg.norm(R_abt.obs_x0, 2)
         + np.linalg.norm((S_half[:, None] * (R_abt.sys.A @ X0til_s)), 2)
     )
     term_x0 = 3.0 * 2.0 ** (-1.0 / 3.0) * inner ** (1.0 / 3.0) \

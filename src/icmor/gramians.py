@@ -4,7 +4,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch, FactorizationFailure, IllConditionedBalancing
 from .linalg import solve_lyapunov
@@ -133,30 +132,19 @@ def balance_realization(M: StateSpaceModel, deflation_tol=1e-12) -> BalancedReal
                                Tbal=T, Tbal_inv=Tinv, cond=cond)
 
 
-def _h2(A, B, C):
-    """``sqrt(trace(C P C^T))`` with ``A P + P A^T + B B^T = 0``."""
-    if A.shape[0] == 0 or B.shape[1] == 0 or C.shape[0] == 0:
-        return 0.0
-    P = solve_lyapunov(A, B @ B.T)
-    val = float(np.trace(C @ P @ C.T))
-    return float(np.sqrt(max(val, 0.0)))
-
-
 def h2_norm(M: StateSpaceModel) -> float:
     """H2 norm, computed Gramian-side as ``sqrt(trace(C P C^T))``."""
-    return _h2(M.A, M.B, M.C)
+    return float(np.sqrt(max(M.h2_squared, 0.0)))
 
 
 def h2_error_norm(M: StateSpaceModel, R: StateSpaceModel) -> float:
     """H2 norm of the error system between ``M`` and a reduced model ``R``.
 
-    The block-diagonal error system is stable whenever both models are, so
-    its Lyapunov equation is solved directly.
+    ``||H||^2 - 2 tr(C X Cr^T) + ||Hr||^2`` with ``A X + X Ar^T + B Br^T
+    = 0``, on the complex Schur forms the models keep.  The squared error
+    has relative accuracy about ``eps ||C||^2 ||P|| / ||H - Hr||^2`` (README).
     """
     if R.m != M.m or R.p != M.p:
         raise DimensionMismatch("input/output dimensions differ between models")
-    n, r = M.n, R.n
-    Ae = np.zeros((n + r, n + r))
-    Ae[:n, :n] = M.A
-    Ae[n:, n:] = R.A
-    return _h2(Ae, np.vstack([M.B, R.B]), np.hstack([M.C, -R.C]))
+    cross = M.schur.gramian_trace(M.B, M.C, R.schur, R.B, R.C)
+    return float(np.sqrt(max(M.h2_squared - 2.0 * cross + R.h2_squared, 0.0)))

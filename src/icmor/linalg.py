@@ -13,6 +13,7 @@ from scipy.linalg import lapack
 from .errors import DimensionMismatch, NonFinite, NotStable, SpectraOverlap
 
 __all__ = [
+    "ComplexSchur",
     "solve_lyapunov",
     "solve_sylvester",
     "matrix_exponential",
@@ -43,6 +44,51 @@ def _is_stable(A, abscissa):
     return abscissa < -1e-12 * max(1.0, np.linalg.norm(A, 2))
 
 
+def _trsyl(trsyl, *args, **kwargs):
+    """The solution ``X / scale`` of a LAPACK ``*trsyl`` call."""
+    X, scale, info = trsyl(*args, **kwargs)
+    if info < 0:
+        raise NonFinite(f"trsyl failed with info={info}")
+    # scale is 1 unless trsyl had to avoid overflow; skip the n x n copy
+    return X if scale == 1.0 else X / scale
+
+
+def _schur_eigvals(T):
+    """Eigenvalues of a standardized real Schur form, read off its diagonal
+    blocks: a 2x2 block ``[[a, b], [c, a]]`` holds ``a +- i sqrt(-bc)``."""
+    ev = np.diag(T).astype(complex)
+    for i in np.flatnonzero(np.diag(T, -1)):
+        ev[i:i + 2] += np.array([1j, -1j]) * np.sqrt(-T[i, i + 1] * T[i + 1, i])
+    return ev
+
+
+class ComplexSchur:
+    """``A = Z T Z^H`` (``T`` upper triangular) of a real ``A``: shifted
+    solves with ``A`` or ``A^T`` and Sylvester equations as one ``ztrsyl``."""
+
+    def __init__(self, A):
+        self.T, self.Z = sla.schur(A, output="complex")
+
+    def shifted_solve(self, shifts, R, transpose=False):
+        """Columns ``(s_k I - A)^{-1} R[:, k]``, or with ``A^T`` (``= A^H``)
+        when ``transpose``: ``op(T) Y - Y diag(s) = -Z^H R``, with ``Z^H R``
+        formed as ``conj(Z^T conj(R))`` to avoid a conjugated copy of ``Z``."""
+        return self.Z @ _trsyl(
+            lapack.ztrsyl, self.T, np.diag(np.asarray(shifts, dtype=complex)),
+            -(self.Z.T @ R.conj()).conj(), trana="C" if transpose else "N", isgn=-1)
+
+    def gramian_trace(self, B, C, other, Bo, Co):
+        """``tr(C X Co^T)`` with ``A X + X Ao^T + B Bo^T = 0`` for real
+        ``B``, ``Bo``, where ``other`` is the form of ``Ao``: ``X = Z Y Zo^H``
+        and ``T Y + Y To^H = -(Z^H B)(Zo^H Bo)^H``."""
+        if 0 in B.shape + C.shape + Bo.shape + Co.shape:
+            return 0.0
+        # the right-hand side, built transposed (Fortran order, overwritten)
+        K = -((other.Z.T @ Bo) @ (self.Z.T @ B).conj().T).T
+        Y = _trsyl(lapack.ztrsyl, self.T, other.T, K, tranb="C", overwrite_c=True)
+        return float(np.sum(((C @ self.Z) @ Y) * (Co @ other.Z).conj()).real)
+
+
 def solve_lyapunov(A, G):
     """Solve ``A P + P A^T + G = 0`` for symmetric PSD ``P``.
 
@@ -64,11 +110,7 @@ def solve_lyapunov(A, G):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
     # T Y + Y T^T = -Gt
-    trsyl = lapack.dtrsyl
-    Y, scale, info = trsyl(T, T, -Gt, tranb="T")
-    if info < 0:
-        raise NonFinite(f"trsyl failed with info={info}")
-    P = U @ (Y / scale) @ U.T
+    P = U @ _trsyl(lapack.dtrsyl, T, T, -Gt, tranb="T") @ U.T
     return (P + P.T) / 2.0
 
 
@@ -88,8 +130,8 @@ def solve_sylvester(A, M, K):
         return np.zeros((n, r))
     Ta, Ua = sla.schur(A.T, output="real")
     Tm, Um = sla.schur(M, output="real")
-    ea = np.linalg.eigvals(Ta)
-    em = np.linalg.eigvals(Tm)
+    ea = _schur_eigvals(Ta)
+    em = _schur_eigvals(Tm)
     sep = np.min(np.abs(ea[:, None] + em[None, :]))
     scale_ref = max(np.linalg.norm(A, 2), np.linalg.norm(M, 2), 1.0)
     if sep < 1e-12 * scale_ref:
@@ -98,10 +140,7 @@ def solve_sylvester(A, M, K):
         )
     Kt = Ua.T @ K @ Um
     # Ta Z + Z Tm = -Kt  with Ta quasi-triangular (Schur of A^T)
-    Z, scale, info = lapack.dtrsyl(Ta, Tm, -Kt)
-    if info < 0:
-        raise NonFinite(f"trsyl failed with info={info}")
-    return Ua @ (Z / scale) @ Um.T
+    return Ua @ _trsyl(lapack.dtrsyl, Ta, Tm, -Kt) @ Um.T
 
 
 def matrix_exponential(A, t=1.0):

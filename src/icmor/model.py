@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -15,7 +16,7 @@ from .errors import (
     NotInSubspace,
     NotStable,
 )
-from .linalg import _is_stable, solve_lyapunov, stability_margin
+from .linalg import ComplexSchur, _is_stable, solve_lyapunov, stability_margin
 
 __all__ = [
     "StateSpaceModel",
@@ -42,7 +43,8 @@ class StateSpaceModel:
     """Continuous-time LTI system ``x' = A x + B u``, ``y = C x``.
 
     ``A`` must be asymptotically stable; this is checked on construction.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share.  The complex Schur form of
+    ``A`` (``schur``) and ``h2_squared`` are computed on first use and kept.
     """
 
     A: np.ndarray
@@ -84,6 +86,14 @@ class StateSpaceModel:
     @property
     def p(self):
         return self.C.shape[0]
+
+    @cached_property
+    def schur(self):
+        return ComplexSchur(self.A)
+
+    @cached_property
+    def h2_squared(self):
+        return self.schur.gramian_trace(self.B, self.C, self.schur, self.B, self.C)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "abt_reduce",
     "irka_reduce",
     "split_reduce",
+    "split_from_bt",
 ]
 
 
@@ -75,8 +76,8 @@ class ReducedModel:
     ``hankel`` holds the full Hankel spectrum of the system the projection
     was computed from (``sigma`` for BT, ``eta`` for augmented BT); the
     truncated tail is ``spectrum_tail``.  Augmented-BT models additionally
-    carry the projected basis ``X0til``, the observability factor of the
-    augmented system and the basis scaling, which the a-priori bound needs.
+    carry the projected basis ``X0til``, the basis scaling and ``obs_x0 =
+    L^T A X0s`` (augmented ``Q = L L^T``), which the a-priori bound needs.
     """
 
     sys: StateSpaceModel
@@ -84,7 +85,7 @@ class ReducedModel:
     method: str = "bt"
     hankel: np.ndarray = None
     projection: ProjectionPair = None
-    aug_obs_factor: np.ndarray = None
+    obs_x0: np.ndarray = None
     x0_scale: float = 1.0
     shifts: np.ndarray = None
     interp_residuals: dict = field(default_factory=dict)
@@ -212,7 +213,7 @@ def abt_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
         method="abt",
         hankel=spec.sigma,
         projection=proj,
-        aug_obs_factor=F.L,
+        obs_x0=F.L.T @ M.A @ (gamma * X0),
         x0_scale=gamma,
     )
 
@@ -227,29 +228,28 @@ def _gershgorin_shift_range(A):
     return lo, hi
 
 
-def _tangential_basis(A, Bmat, shifts, dirs, r):
-    """Real basis spanning (s_k I - A)^{-1} B b_k, conjugate pairs merged
-    into real/imaginary columns."""
-    n = A.shape[0]
-    I = np.eye(n)
-    cols = []
+def _tangential_basis(schur, Bmat, shifts, dirs, r, transpose=False):
+    """Real basis spanning (s_k I - A)^{-1} B b_k (``A^T`` when
+    ``transpose``), conjugate pairs merged into real/imaginary columns."""
+    keep, pair = [], []
     used = np.zeros(len(shifts), dtype=bool)
     for k in range(len(shifts)):
         if used[k]:
             continue
         used[k] = True
         s = shifts[k]
-        x = np.linalg.solve(s * I - A, Bmat @ dirs[:, k])
-        if abs(s.imag) > 1e-12 * max(abs(s.real), 1.0):
+        keep.append(k)
+        pair.append(abs(s.imag) > 1e-12 * max(abs(s.real), 1.0))
+        if pair[-1]:
             # consume the conjugate partner
             rest = np.where(~used)[0]
             if len(rest):
                 j = rest[np.argmin(np.abs(shifts[rest] - np.conj(s)))]
                 used[j] = True
-            cols.append(x.real)
-            cols.append(x.imag)
-        else:
-            cols.append(x.real)
+    X = schur.shifted_solve(shifts[keep], Bmat @ dirs[:, keep], transpose)
+    cols = []
+    for x, is_pair in zip(X.T, pair):
+        cols += [x.real, x.imag] if is_pair else [x.real]
     V = np.column_stack(cols)[:, :r]
     Q = sla.orth(V)
     if Q.shape[1] < r:
@@ -261,23 +261,21 @@ def _tangential_basis(A, Bmat, shifts, dirs, r):
 
 def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, shifts, bdirs, cdirs):
     """Relative Hermite interpolation residuals of ``R`` against ``M`` at
-    the given shifts and tangential directions."""
-    A, B, C = M.A, M.B, M.C
+    the given shifts and tangential directions (``M`` solves on ``M.schur``)."""
+    X = M.schur.shifted_solve(shifts, M.B @ bdirs)
+    X2 = M.schur.shifted_solve(shifts, X)
     Ar, Br, Cr = R.A, R.B, R.C
-    I = np.eye(A.shape[0])
     Ir = np.eye(Ar.shape[0])
     val = der = 0.0
     for k in range(len(shifts)):
         s, b, c = shifts[k], bdirs[:, k], cdirs[:, k]
-        x = np.linalg.solve(s * I - A, B @ b)
         xr = np.linalg.solve(s * Ir - Ar, Br @ b)
-        hb, hrb = C @ x, Cr @ xr
+        hb, hrb = M.C @ X[:, k], Cr @ xr
         ref = max(np.linalg.norm(hb), 1e-300)
         val = max(val, np.linalg.norm(hb - hrb) / ref)
         # Hermite condition: c^T H'(s) b with H'(s) = -C (sI-A)^{-2} B
-        x2 = np.linalg.solve(s * I - A, x)
         xr2 = np.linalg.solve(s * Ir - Ar, xr)
-        hd, hrd = -(c @ (C @ x2)), -(c @ (Cr @ xr2))
+        hd, hrd = -(c @ (M.C @ X2[:, k])), -(c @ (Cr @ xr2))
         dref = max(abs(hd), 1e-300)
         der = max(der, abs(hd - hrd) / dref)
     return {"value": float(val), "derivative": float(der)}
@@ -333,6 +331,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
     if needed) is scored by its actual H2 error and the best one wins if
     the fixed point is not reached.  If no iterate is usable the warm
     start itself is returned, flagged via ``interp_residuals['fallback']``.
+    Shifted solves and H2 scorings share ``M.schur``, computed once.
     """
     if r < 1 or r > M.n:
         raise InvalidParameter(f"need 1 <= r <= n, got r={r}, n={M.n}")
@@ -374,8 +373,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
     for shifts, bdirs, cdirs in starts:
         prev_change = np.inf
         for _ in range(max_iters):
-            V = _tangential_basis(A, B, shifts, bdirs, r)
-            W = _tangential_basis(A.T, C.T, shifts, cdirs, r)
+            V = _tangential_basis(M.schur, B, shifts, bdirs, r)
+            W = _tangential_basis(M.schur, C.T, shifts, cdirs, r, transpose=True)
             Einv = _regularized_inverse(W.T @ V)
             Ar = Einv @ (W.T @ A @ V)
             Br = Einv @ (W.T @ B)
@@ -454,16 +453,20 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
 
     The input map is always reduced by balanced truncation.  The auxiliary
     system driven by the basis columns (state matrix ``A``, input ``X0``,
-    output ``C``) is reduced by BT or IRKA; for IRKA with a tolerance
-    selection, the order comes from the auxiliary system's own Hankel
-    decay, and the BT reduction at that order warm-starts the iteration.
-    The reduced initial-condition map takes ``z0`` through ``sxy.sys.B``.
+    output ``C``) is reduced by BT, then combined by ``split_from_bt``.
     """
+    aux = StateSpaceModel(M.A, basis.X0, M.C)
+    return split_from_bt(bt_reduce(M, sel_u), aux, bt_reduce(aux, sel_x0),
+                         basis, x0_method, irka_opts)
+
+
+def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
+                  basis, x0_method="bt", irka_opts=None) -> SplitReducedModel:
+    """The split model from BT reductions (not modified) of the input map
+    and of ``aux``; with ``x0_method`` "irka", ``sxy`` warm-starts IRKA on
+    ``aux`` at its order.  The reduced x0 map takes ``z0`` through its B."""
     if x0_method not in ("bt", "irka"):
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
-    suy = bt_reduce(M, sel_u)
-    aux = StateSpaceModel(M.A, basis.X0, M.C)
-    sxy = bt_reduce(aux, sel_x0)
     if x0_method == "irka":
         if sxy.r == 0:
             irka = ReducedModel(sys=sxy.sys, method="irka")

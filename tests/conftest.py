@@ -44,6 +44,20 @@ def kron_sylvester(A, M, K):
     return vec.reshape((n, r), order="F")
 
 
+def dense_h2_error(M, R):
+    """H2 norm of the error system between ``M`` and ``R`` from one dense
+    Lyapunov solve with the block-diagonal error realization (SciPy's
+    solver, not the library's)."""
+    n, r = M.n, R.n
+    Ae = np.zeros((n + r, n + r))
+    Ae[:n, :n] = M.A
+    Ae[n:, n:] = R.A
+    Be = np.vstack([M.B, R.B])
+    Ce = np.hstack([M.C, -R.C])
+    P = sla.solve_continuous_lyapunov(Ae, -Be @ Be.T)
+    return float(np.sqrt(max(np.trace(Ce @ P @ Ce.T), 0.0)))
+
+
 def h2_quadrature(A, B, C, t_f=60.0, samples=60001):
     """H2 norm by trapezoidal quadrature of ||C e^{At} B||_F^2."""
     t = np.linspace(0.0, t_f, samples)

@@ -43,6 +43,7 @@ from icmor import (
     unit_vector_basis,
 )
 from icmor.experiment import ExperimentConfig, run_experiment
+from icmor.reduction import augmented_system
 from icmor.simulation import SimulationTrace
 
 from conftest import kron_lyapunov, kron_sylvester, make_stable, random_system
@@ -171,6 +172,23 @@ class TestCriterion4TraceBound:
                 # floor at the cancellation noise of the trace computations
                 assert bound >= err * (1.0 - 1e-6) - 1e-7 * scale
         assert time.perf_counter() - t_start < 60.0
+
+
+class TestSharedReductions:
+    @pytest.mark.parametrize("case_name,x0_index", [("case1", 300), ("case2", 30)])
+    def test_hsv_matches_standalone_spectra(self, case_name, x0_index, msd300, request):
+        # run_experiment reads sigma, theta and eta off the reductions that
+        # feed the methods; they must be the standalone spectra bit for bit
+        rep, _ = request.getfixturevalue(case_name)
+        X0 = unit_vector_basis(msd300.n, [x0_index]).X0
+        systems = {
+            "sigma": msd300,
+            "theta": StateSpaceModel(msd300.A, X0, msd300.C),
+            "eta": augmented_system(msd300, X0)[0],
+        }
+        for key, sys in systems.items():
+            want = hankel_spectrum(gramian_factors(sys)).sigma
+            assert rep.hsv[key].tobytes() == want.tobytes(), key
 
 
 class TestCriterion5SplitBound:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from icmor import (
+    OrderSelection,
     StateSpaceModel,
     balance_realization,
+    bt_reduce,
     build_msd,
     gramian_factors,
     h2_error_norm,
@@ -15,8 +17,9 @@ from icmor import (
     hankel_spectrum,
 )
 from icmor.errors import IllConditionedBalancing
+from icmor.model import unit_vector_basis
 
-from conftest import h2_quadrature, kron_lyapunov, random_system
+from conftest import dense_h2_error, h2_quadrature, kron_lyapunov, random_system
 
 
 def scalar_system(a, b, c):
@@ -165,6 +168,20 @@ class TestH2Norms:
         M = random_system(rng, 4, 1, 1)
         R = StateSpaceModel([[-1.0]], [[0.0]], [[0.0]])
         assert h2_error_norm(M, R) == pytest.approx(h2_norm(M), rel=1e-10)
+
+    def test_error_norm_against_dense_block_oracle(self, rng):
+        for _ in range(10):
+            M = random_system(rng, 10, 2, 2)
+            R = bt_reduce(M, OrderSelection.fixed(3)).sys
+            assert h2_error_norm(M, R) == pytest.approx(dense_h2_error(M, R), rel=1e-9)
+
+    def test_error_norm_case2_aux_against_dense_block_oracle(self):
+        # the initial-condition map of the paper's case 2 (n = 300, x0 at
+        # state index 30) reduced to r = 20
+        M = build_msd(150, m_inputs=10)
+        aux = StateSpaceModel(M.A, unit_vector_basis(M.n, [30]).X0, M.C)
+        R = bt_reduce(aux, OrderSelection.fixed(20)).sys
+        assert h2_error_norm(aux, R) == pytest.approx(dense_h2_error(aux, R), rel=1e-9)
 
     def test_error_norm_against_quadrature(self, rng):
         from icmor import OrderSelection, bt_reduce

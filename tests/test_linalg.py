@@ -4,8 +4,15 @@ Kronecker and eigendecomposition oracles."""
 import numpy as np
 import pytest
 
-from icmor import matrix_exponential, solve_lyapunov, solve_sylvester, stability_margin
+from icmor import (
+    build_msd,
+    matrix_exponential,
+    solve_lyapunov,
+    solve_sylvester,
+    stability_margin,
+)
 from icmor.errors import DimensionMismatch, NonFinite, NotStable, SpectraOverlap
+from icmor.linalg import ComplexSchur, _schur_eigvals
 
 from conftest import kron_lyapunov, kron_sylvester, make_stable
 
@@ -135,3 +142,38 @@ def test_stability_margin_matches_eigenvalues(rng):
     assert stability_margin(A) == pytest.approx(
         np.max(np.linalg.eigvals(A).real), abs=1e-12
     )
+
+
+class TestComplexSchur:
+    """Batched shifted solves against one dense solve per shift."""
+
+    SHIFTS = np.array([0.5, 2.0, 1.0 + 3.0j, 1.0 - 3.0j, 0.2 + 0.7j, 0.2 - 0.7j])
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("system", ["random", "msd"])
+    def test_shifted_solves_match_dense(self, rng, system, transpose):
+        A = make_stable(rng, 25) if system == "random" else build_msd(40).A
+        n, k = A.shape[0], len(self.SHIFTS)
+        R = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        X = ComplexSchur(A).shifted_solve(self.SHIFTS, R, transpose)
+        Aop = A.T if transpose else A
+        for j, s in enumerate(self.SHIFTS):
+            ref = np.linalg.solve(s * np.eye(n) - Aop, R[:, j])
+            assert np.linalg.norm(X[:, j] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_real_right_hand_side(self, rng):
+        A = make_stable(rng, 10)
+        B = rng.standard_normal((10, 2))
+        X = ComplexSchur(A).shifted_solve(np.array([1.5, 1.5]), B)
+        assert np.allclose(X.imag, 0.0, atol=1e-12)
+        assert np.allclose((1.5 * np.eye(10) - A) @ X.real, B, atol=1e-10)
+
+
+def test_schur_block_eigenvalues(rng):
+    import scipy.linalg as sla
+
+    for A in (make_stable(rng, 12), np.array([[0.1, 1.0], [-1.0, 0.1]]),
+              np.diag([-1.0, -2.0])):
+        T, _ = sla.schur(A, output="real")
+        ev = np.sort_complex(_schur_eigvals(T))
+        assert np.allclose(ev, np.sort_complex(np.linalg.eigvals(A)), atol=1e-10)
