@@ -22,6 +22,7 @@ from .model import (
 )
 from .reduction import OrderSelection, abt_reduce, bt_reduce, split_from_bt
 from .simulation import (
+    GRID_SAMPLES,
     InputSignal,
     SimulationTrace,
     l2_norm,
@@ -145,12 +146,12 @@ def _selection(order, tol):
 
 
 def _grid(M, horizon=None, dt=None):
-    """Horizon and step: the decay horizon of ``M`` with 4000 steps, or the
-    given horizon with 4000 steps; a given ``dt`` overrides the step."""
+    """Horizon and step: the decay horizon of ``M``, or the given horizon,
+    with ``GRID_SAMPLES`` steps; a given ``dt`` overrides the step."""
     t_f, step = suggest_grid(M)
     if horizon is not None:
         t_f = float(horizon)
-        step = t_f / 4000.0
+        step = t_f / GRID_SAMPLES
     if dt is not None:
         step = float(dt)
     return t_f, step

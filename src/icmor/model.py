@@ -42,7 +42,8 @@ def _mat(x, name):
 class StateSpaceModel:
     """Continuous-time LTI system ``x' = A x + B u``, ``y = C x``.
 
-    ``A`` must be asymptotically stable; this is checked on construction.
+    ``A`` must be asymptotically stable; this is checked on construction,
+    and the spectral abscissa it computes is kept as ``abscissa``.
     Instances are immutable and safe to share.  The complex Schur form of
     ``A`` (``schur``) and ``h2_squared`` are computed on first use and kept.
     """
@@ -51,6 +52,7 @@ class StateSpaceModel:
     B: np.ndarray
     C: np.ndarray
     labels: dict = field(default_factory=dict, compare=False)
+    abscissa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _mat(self.A, "A")
@@ -67,10 +69,10 @@ class StateSpaceModel:
             B = B.reshape(n, B.shape[1] if B.ndim == 2 else 0)
         if C.size == 0:
             C = C.reshape(C.shape[0] if C.ndim == 2 else 0, n)
-        if n > 0:
-            margin = stability_margin(A)
-            if not _is_stable(A, margin):
-                raise NotStable(f"A has stability margin {margin:.3e}")
+        margin = stability_margin(A)
+        if n > 0 and not _is_stable(A, margin):
+            raise NotStable(f"A has stability margin {margin:.3e}")
+        object.__setattr__(self, "abscissa", margin)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)

