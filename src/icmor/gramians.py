@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FactorizationFailure, IllConditionedBalancing
-from .linalg import solve_lyapunov
+from .errors import DimensionMismatch, IllConditionedBalancing
 from .model import StateSpaceModel
 
 __all__ = [
@@ -57,40 +56,10 @@ class BalancedRealization:
     cond: float
 
 
-def _sqrt_factor(P, name):
-    """Lower-triangular-ish factor U with P = U U^T, tolerant of
-    numerically semidefinite P."""
-    if P.shape[0] == 0:
-        return np.zeros((0, 0))
-    try:
-        return np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        pass
-    # Eigendecomposition fallback with negative eigenvalues clipped at zero:
-    # semidefinite Gramians (uncontrollable or unobservable directions) get
-    # exactly-zero factor columns this way, which keeps the corresponding
-    # Hankel values at zero instead of at noise level.
-    w, V = np.linalg.eigh((P + P.T) / 2.0)
-    if np.all(np.isfinite(w)) and w.min() >= -1e-8 * max(abs(w.max()), 1e-300):
-        w = np.clip(w, 0.0, None)
-        order = np.argsort(w)[::-1]
-        return V[:, order] * np.sqrt(w[order])
-    # Last resort: a single diagonal jitter before giving up.
-    jitter = 1e-14 * abs(np.trace(P)) / max(P.shape[0], 1)
-    if np.isfinite(jitter) and jitter > 0:
-        try:
-            return np.linalg.cholesky(P + jitter * np.eye(P.shape[0]))
-        except np.linalg.LinAlgError:
-            pass
-    raise FactorizationFailure(f"{name} Gramian is indefinite")
-
-
 def gramian_factors(M: StateSpaceModel) -> GramianFactors:
-    """Solve both Lyapunov equations and return square-root factors."""
-    P = solve_lyapunov(M.A, M.B @ M.B.T)
-    Q = solve_lyapunov(M.A.T, M.C.T @ M.C)
-    return GramianFactors(U=_sqrt_factor(P, "reachability"),
-                          L=_sqrt_factor(Q, "observability"))
+    """Square-root factors of both Gramians.  Each Lyapunov equation is
+    solved once: ``P`` per model, ``Q`` per ``A`` and ``C`` (README)."""
+    return GramianFactors(U=M.reach_factor, L=M.obs_factor)
 
 
 def hankel_spectrum(F: GramianFactors) -> HankelSpectrum:

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, NonFinite, NotStable, SpectraOverlap
+from .errors import DimensionMismatch, FactorizationFailure, NonFinite, NotStable, SpectraOverlap
 
 __all__ = [
     "ComplexSchur",
@@ -38,10 +38,10 @@ def stability_margin(A):
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def _is_stable(A, abscissa):
+def _is_stable(abscissa, anorm):
     """Whether the spectral abscissa of ``A`` clears the stability
-    tolerance, ``-1e-12 max(1, ||A||_2)``."""
-    return abscissa < -1e-12 * max(1.0, np.linalg.norm(A, 2))
+    tolerance, ``-1e-12 max(1, ||A||_2)`` (``anorm = ||A||_2``)."""
+    return abscissa < -1e-12 * max(1.0, anorm)
 
 
 def _trsyl(trsyl, *args, **kwargs):
@@ -89,6 +89,34 @@ class ComplexSchur:
         return float(np.sum(((C @ self.Z) @ Y) * (Co @ other.Z).conj()).real)
 
 
+def _sqrt_factor(P, name):
+    """Lower-triangular-ish factor U with P = U U^T, tolerant of
+    numerically semidefinite P."""
+    if P.shape[0] == 0:
+        return np.zeros((0, 0))
+    try:
+        return np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        pass
+    # Eigendecomposition fallback with negative eigenvalues clipped at zero:
+    # semidefinite Gramians (uncontrollable or unobservable directions) get
+    # exactly-zero factor columns this way, which keeps the corresponding
+    # Hankel values at zero instead of at noise level.
+    w, V = np.linalg.eigh((P + P.T) / 2.0)
+    if np.all(np.isfinite(w)) and w.min() >= -1e-8 * max(abs(w.max()), 1e-300):
+        w = np.clip(w, 0.0, None)
+        order = np.argsort(w)[::-1]
+        return V[:, order] * np.sqrt(w[order])
+    # Last resort: a single diagonal jitter before giving up.
+    jitter = 1e-14 * abs(np.trace(P)) / max(P.shape[0], 1)
+    if np.isfinite(jitter) and jitter > 0:
+        try:
+            return np.linalg.cholesky(P + jitter * np.eye(P.shape[0]))
+        except np.linalg.LinAlgError:
+            pass
+    raise FactorizationFailure(f"{name} Gramian is indefinite")
+
+
 def solve_lyapunov(A, G):
     """Solve ``A P + P A^T + G = 0`` for symmetric PSD ``P``.
 
@@ -106,7 +134,7 @@ def solve_lyapunov(A, G):
     # equal diagonal entries, so the diagonal holds the real parts of the
     # whole spectrum and is the stability verdict.
     abscissa = float(np.max(np.diag(T)))
-    if not _is_stable(A, abscissa):
+    if not _is_stable(abscissa, np.linalg.norm(A, 2)):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
     # T Y + Y T^T = -Gt

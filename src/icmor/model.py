@@ -1,6 +1,7 @@
 """State-space model types, benchmark generators, and file ingestion."""
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,7 +17,7 @@ from .errors import (
     NotInSubspace,
     NotStable,
 )
-from .linalg import ComplexSchur, _is_stable, solve_lyapunov, stability_margin
+from .linalg import ComplexSchur, _is_stable, _sqrt_factor, solve_lyapunov, stability_margin
 
 __all__ = [
     "StateSpaceModel",
@@ -38,21 +39,35 @@ def _mat(x, name):
     return x
 
 
+class _Shared:
+    """The stability verdict of ``A`` and the observability factor ``L`` of
+    ``(A, C)``, for a model and those ``with_input`` derives from it.  It
+    refers to no model, so a dropped model is freed at once (no cycle)."""
+
+    def __init__(self, A, C):
+        self.A, self.C = A, C
+        self.abscissa, self.anorm = stability_margin(A), np.linalg.norm(A, 2)
+        self.L = None
+        self.lock = threading.Lock()
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Continuous-time LTI system ``x' = A x + B u``, ``y = C x``.
 
     ``A`` must be asymptotically stable; this is checked on construction,
-    and the spectral abscissa it computes is kept as ``abscissa``.
-    Instances are immutable and safe to share.  The complex Schur form of
-    ``A`` (``schur``) and ``h2_squared`` are computed on first use and kept.
+    which keeps ``abscissa`` and ``anorm = ||A||_2``.  Instances are
+    immutable and safe to share.  ``schur`` (complex Schur form of ``A``),
+    ``h2_squared`` and the Gramian factors are computed on first use and kept.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     labels: dict = field(default_factory=dict, compare=False)
+    _shared: _Shared = field(default=None, repr=False, compare=False)
     abscissa: float = field(init=False, repr=False, compare=False)
+    anorm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _mat(self.A, "A")
@@ -69,13 +84,19 @@ class StateSpaceModel:
             B = B.reshape(n, B.shape[1] if B.ndim == 2 else 0)
         if C.size == 0:
             C = C.reshape(C.shape[0] if C.ndim == 2 else 0, n)
-        margin = stability_margin(A)
-        if n > 0 and not _is_stable(A, margin):
-            raise NotStable(f"A has stability margin {margin:.3e}")
-        object.__setattr__(self, "abscissa", margin)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        shared = self._shared
+        if shared is None or shared.A is not A or shared.C is not C:
+            shared = _Shared(A, C)
+        if n > 0 and not _is_stable(shared.abscissa, shared.anorm):
+            raise NotStable(f"A has stability margin {shared.abscissa:.3e}")
+        for name, value in (("A", A), ("B", B), ("C", C), ("_shared", shared),
+                            ("abscissa", shared.abscissa), ("anorm", shared.anorm)):
+            object.__setattr__(self, name, value)
+
+    def with_input(self, B):
+        """``(A, B, C)`` on this model's ``A`` and ``C``: checks ``B`` and
+        shares this model's stability verdict and ``obs_factor``."""
+        return StateSpaceModel(self.A, B, self.C, _shared=self._shared)
 
     @property
     def n(self):
@@ -96,6 +117,20 @@ class StateSpaceModel:
     @cached_property
     def h2_squared(self):
         return self.schur.gramian_trace(self.B, self.C, self.schur, self.B, self.C)
+
+    @cached_property
+    def reach_factor(self):
+        """``U`` with ``P = U U^T``, ``A P + P A^T + B B^T = 0``."""
+        return _sqrt_factor(solve_lyapunov(self.A, self.B @ self.B.T), "reachability")
+
+    @property
+    def obs_factor(self):
+        """``L`` with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``."""
+        S = self._shared
+        with S.lock:
+            if S.L is None:
+                S.L = _sqrt_factor(solve_lyapunov(self.A.T, self.C.T @ self.C), "observability")
+            return S.L
 
 
 @dataclass(frozen=True)
@@ -143,13 +178,11 @@ def validate_model(A, B=None, C=None, rank_tol=1e-10):
     a deficient model.
     """
     if isinstance(A, StateSpaceModel):
-        M = A
-        A, B, C = M.A, M.B, M.C
-    A = _mat(A, "A")
-    B = _mat(B, "B")
-    C = _mat(C, "C")
-    margin = stability_margin(A)
-    stable = _is_stable(A, margin)
+        A, B, C, margin, anorm = A.A, A.B, A.C, A.abscissa, A.anorm
+    else:
+        A, B, C = _mat(A, "A"), _mat(B, "B"), _mat(C, "C")
+        margin, anorm = stability_margin(A), np.linalg.norm(A, 2)
+    stable = _is_stable(margin, anorm)
     if stable and A.size:
         P = solve_lyapunov(A, B @ B.T)
         Q = solve_lyapunov(A.T, C.T @ C)

@@ -188,7 +188,7 @@ def augmented_system(M: StateSpaceModel, X0, scaling=True):
         xnorm = float(np.linalg.norm(X0, 2))
         if bmax > 0 and xnorm > 0:
             gamma = bmax / xnorm
-    return StateSpaceModel(M.A, np.hstack([M.B, gamma * X0]), M.C), gamma
+    return M.with_input(np.hstack([M.B, gamma * X0])), gamma
 
 
 def abt_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
@@ -455,7 +455,7 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
     system driven by the basis columns (state matrix ``A``, input ``X0``,
     output ``C``) is reduced by BT, then combined by ``split_from_bt``.
     """
-    aux = StateSpaceModel(M.A, basis.X0, M.C)
+    aux = M.with_input(basis.X0)
     return split_from_bt(bt_reduce(M, sel_u), aux, bt_reduce(aux, sel_x0),
                          basis, x0_method, irka_opts)
 

@@ -187,7 +187,7 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     if u.kind == "zero":
         B, m = B[:, :0], 0
 
-    anorm = np.linalg.norm(A, 2)
+    anorm = M.anorm
     sub = 1
     if anorm * dt > 0.5:
         sub = int(np.ceil(anorm * dt / 0.5))

@@ -6,6 +6,7 @@ systems, matrix functions against eigendecompositions, and H2 norms
 against time-domain quadrature of the impulse response.
 """
 
+import sys
 import warnings
 
 import numpy as np
@@ -128,3 +129,38 @@ def rng():
     # function-scoped so each test sees the same stream no matter which
     # subset of the suite runs
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def lyapunov_orders(monkeypatch):
+    """The order of every ``solve_lyapunov`` call, wherever an icmor module
+    binds the function."""
+    from icmor import linalg
+
+    orders = []
+    original = linalg.solve_lyapunov
+
+    def counted(A, G):
+        orders.append(np.shape(A)[0])
+        return original(A, G)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "icmor" or name.startswith("icmor."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return orders
+
+
+@pytest.fixture()
+def eigvals_calls(monkeypatch):
+    """A list that grows by one on every ``np.linalg.eigvals`` call."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return original(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls

@@ -125,6 +125,14 @@ class TestAbtBound:
 
 
 class TestAcaBound:
+    def test_reuses_the_factors_of_bt(self, lyapunov_orders):
+        M = build_msd(12, m_inputs=3)
+        aux = M.with_input(unit_vector_basis(M.n, [24]).X0)
+        R = bt_reduce(aux, OrderSelection.tolerance(1e-2))
+        del lyapunov_orders[:]
+        aca_bound(aux, R.r)
+        assert lyapunov_orders == []
+
     def test_full_order_zero(self, rng):
         M = random_system(rng, 5, 1, 1)
         bound, part = aca_bound(M, 5)

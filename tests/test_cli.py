@@ -93,6 +93,12 @@ class TestRunExperiment:
         assert json.dumps(rep_seq.report, sort_keys=True) == \
             json.dumps(rep_par.report, sort_keys=True)
 
+    def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
+        run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        # P of the input map, of aux and of the augmented system, and the Q
+        # that all three share
+        assert lyapunov_orders.count(24) == 4
+
     def test_determinism(self, tmp_path):
         cfg = small_config(tmp_path)
         r1 = run_experiment(ExperimentConfig.from_dict(cfg))

@@ -1,6 +1,10 @@
 """Gramian factors, Hankel spectra, balancing, and H2 norms."""
 
+import gc
+import sys
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +58,62 @@ class TestGramianFactors:
         rq = np.linalg.norm(M.A.T @ Q + Q @ M.A + M.C.T @ M.C)
         assert rp <= 1e-9 * max(1.0, np.linalg.norm(M.B @ M.B.T))
         assert rq <= 1e-9 * max(1.0, np.linalg.norm(M.C.T @ M.C))
+
+
+class TestSharedFactors:
+    """Each Gramian is solved once: P per model, Q per ``A`` and ``C``,
+    shared by the models ``with_input`` derives."""
+
+    def setup_method(self):
+        self.M = build_msd(12, m_inputs=3)
+        self.X0 = unit_vector_basis(self.M.n, [24, 7]).X0
+
+    def test_each_equation_solved_once(self, lyapunov_orders):
+        aux = self.M.with_input(self.X0)
+        for _ in range(2):
+            F, Fa = gramian_factors(self.M), gramian_factors(aux)
+        assert lyapunov_orders == [24] * 3
+        assert Fa.L is F.L
+
+    def test_shared_factor_matches_a_fresh_model(self):
+        gramian_factors(self.M)
+        Fa = gramian_factors(self.M.with_input(self.X0))
+        fresh = StateSpaceModel(self.M.A.copy(), self.X0.copy(), self.M.C.copy())
+        F = gramian_factors(fresh)
+        assert np.array_equal(Fa.L, F.L) and np.array_equal(Fa.U, F.U)
+
+    def test_another_state_matrix_shares_nothing(self, lyapunov_orders):
+        M2 = StateSpaceModel(2.0 * self.M.A, self.M.B, self.M.C)
+        F, F2 = gramian_factors(self.M), gramian_factors(M2)
+        assert len(lyapunov_orders) == 4
+        assert not np.allclose(F.L, F2.L)
+
+    def test_no_reference_cycle(self):
+        gc.disable()
+        try:
+            aux = self.M.with_input(self.X0)
+            gramian_factors(aux)
+            ref = weakref.ref(aux)
+            del aux
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_threads_solve_the_shared_equation_once(self, lyapunov_orders):
+        # order 200, so that each solve outlasts many thread switches
+        M = build_msd(100, m_inputs=3)
+        X0 = unit_vector_basis(M.n, [200]).X0
+        derived = [M.with_input(X0 * (k + 1)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda D: D.obs_factor, D) for D in derived]
+                factors = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(lyapunov_orders) == 1
+        assert all(L is factors[0] for L in factors)
 
 
 class TestHankelSpectrum:

@@ -1,5 +1,7 @@
 """Model types, validation, benchmark generator, and file round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from icmor.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
+    NonFinite,
     NotInSubspace,
     NotStable,
     ParseError,
@@ -43,11 +46,46 @@ class TestStateSpaceModel:
     def test_keeps_its_spectral_abscissa(self):
         M = build_msd(6, m_inputs=2)
         assert M.abscissa == stability_margin(M.A)
+        assert M.anorm == np.linalg.norm(M.A, 2)
         assert StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
                                np.zeros((1, 0))).abscissa == -np.inf
 
 
+class TestWithInput:
+    def test_takes_over_the_stability_check(self, eigvals_calls):
+        M = build_msd(6, m_inputs=2)
+        del eigvals_calls[:]
+        aux = M.with_input(unit_vector_basis(M.n, [12]).X0)
+        assert eigvals_calls == []
+        assert (aux.A is M.A) and (aux.C is M.C) and aux.m == 1
+        assert (aux.abscissa, aux.anorm) == (M.abscissa, M.anorm)
+
+    def test_input_is_still_checked(self):
+        M = build_msd(6, m_inputs=2)
+        with pytest.raises(DimensionMismatch):
+            M.with_input(np.ones((M.n + 1, 1)))
+        B = np.ones((M.n, 1))
+        B[3, 0] = np.nan
+        with pytest.raises(NonFinite):
+            M.with_input(B)
+
+    def test_another_state_matrix_is_checked_again(self, eigvals_calls):
+        M = build_msd(6, m_inputs=2)
+        del eigvals_calls[:]
+        others = [StateSpaceModel(2.0 * M.A, M.B, M.C), dataclasses.replace(M, A=2.0 * M.A)]
+        assert len(eigvals_calls) == 2
+        for M2 in others:
+            assert M2.abscissa == stability_margin(2.0 * M.A) != M.abscissa
+
+
 class TestValidateModel:
+    def test_model_reuses_its_stability_check(self, eigvals_calls):
+        M = build_msd(6, m_inputs=2)
+        del eigvals_calls[:]
+        rep = validate_model(M)
+        assert eigvals_calls == []
+        assert rep.stable and rep.stability_margin == M.abscissa
+
     def test_scalar_fully_regular(self):
         rep = validate_model(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]]))
         assert rep.stable and rep.controllable and rep.observable
