@@ -9,7 +9,7 @@ Verbs mirror the offline/online split of the workflow:
                     evaluate bounds, emit tables and plot data
 
 Exit codes: 0 on success, 2 if a measured error exceeded its bound, 1 on
-any other error.
+any other error, a usage error included.
 """
 
 import argparse
@@ -95,8 +95,6 @@ def cmd_report(args):
     cfg = ExperimentConfig.from_json(args.config)
     if args.out:
         cfg.out = args.out
-    if args.parallel:
-        cfg.parallel = True
     rep = run_experiment(cfg)
     files = emit_report(rep, cfg.out)
     print(f"wrote {len(files)} files to {cfg.out}")
@@ -152,15 +150,16 @@ def build_parser():
     rp = sub.add_parser("report", help="full experiment from a JSON config")
     rp.add_argument("--config", required=True)
     rp.add_argument("--out", default=None, help="override config output directory")
-    rp.add_argument("--parallel", action="store_true",
-                    help="run method pipelines concurrently")
     rp.set_defaults(func=cmd_report)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 here means a bound violation
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except IcmorError as exc:

@@ -70,7 +70,8 @@ class ConfigError(IcmorError):
 
 
 class MaxItersExceeded(UserWarning):
-    """Fixed-point iteration hit its iteration cap; best iterate returned."""
+    """Fixed-point iteration stopped short of its fixed point (iteration cap
+    or collapsed basis); best iterate returned."""
 
 
 class IllConditionedBalancing(UserWarning):

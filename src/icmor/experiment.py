@@ -5,7 +5,6 @@ measured errors."""
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,6 @@ class ExperimentConfig:
     out: str = "results"
     calibrate: bool = True
     abt_scaling: bool = True
-    parallel: bool = False
 
     @classmethod
     def from_dict(cls, d):
@@ -207,7 +205,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     abt = abt_reduce(M, basis, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
     timings["reductions"] = time.perf_counter() - t0
 
-    def run_method(method):
+    traces = {"full": tr_full}
+    methods_report = {}
+    t_methods = time.perf_counter()
+    for method in cfg.methods:
         mt = {}
         t0 = time.perf_counter()
         if method == "augbt":
@@ -248,22 +249,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
         }
         if ref > 1e-300:
             res.update(relative_errors(tr_full, tr))
-        return method, res, tr, mt
-
-    t0 = time.perf_counter()
-    if cfg.parallel and len(cfg.methods) > 1:
-        with ThreadPoolExecutor(max_workers=len(cfg.methods)) as pool:
-            outcomes = list(pool.map(run_method, cfg.methods))
-    else:
-        outcomes = [run_method(m) for m in cfg.methods]
-    timings["methods_total"] = time.perf_counter() - t0
-
-    traces = {"full": tr_full}
-    methods_report = {}
-    for method, res, tr, mt in outcomes:
         methods_report[method] = res
         traces[method] = tr
         timings[method] = mt
+    timings["methods_total"] = time.perf_counter() - t_methods
 
     report = {
         "config": {

@@ -1,7 +1,6 @@
 """State-space model types, benchmark generators, and file ingestion."""
 
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,7 +47,6 @@ class _Shared:
         self.A, self.C = A, C
         self.abscissa, self.anorm = stability_margin(A), np.linalg.norm(A, 2)
         self.L = None
-        self.lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,8 @@ class StateSpaceModel:
     which keeps ``abscissa`` and ``anorm = ||A||_2``.  Instances are
     immutable and safe to share.  ``schur`` (complex Schur form of ``A``),
     ``h2_squared`` and the Gramian factors are computed on first use and kept.
+    Nothing guards that first use: two threads that use a model for the
+    first time at once may each compute a factor, and one result is kept.
     """
 
     A: np.ndarray
@@ -127,10 +127,9 @@ class StateSpaceModel:
     def obs_factor(self):
         """``L`` with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``."""
         S = self._shared
-        with S.lock:
-            if S.L is None:
-                S.L = _sqrt_factor(solve_lyapunov(self.A.T, self.C.T @ self.C), "observability")
-            return S.L
+        if S.L is None:
+            S.L = _sqrt_factor(solve_lyapunov(self.A.T, self.C.T @ self.C), "observability")
+        return S.L
 
 
 @dataclass(frozen=True)

@@ -229,8 +229,9 @@ def _gershgorin_shift_range(A):
 
 
 def _tangential_basis(schur, Bmat, shifts, dirs, r, transpose=False):
-    """Real basis spanning (s_k I - A)^{-1} B b_k (``A^T`` when
-    ``transpose``), conjugate pairs merged into real/imaginary columns."""
+    """Orthonormal basis of the span of (s_k I - A)^{-1} B b_k (``A^T`` when
+    ``transpose``), conjugate pairs merged into real/imaginary columns.  It
+    has fewer than ``r`` columns when that span has collapsed."""
     keep, pair = [], []
     used = np.zeros(len(shifts), dtype=bool)
     for k in range(len(shifts)):
@@ -250,13 +251,7 @@ def _tangential_basis(schur, Bmat, shifts, dirs, r, transpose=False):
     cols = []
     for x, is_pair in zip(X.T, pair):
         cols += [x.real, x.imag] if is_pair else [x.real]
-    V = np.column_stack(cols)[:, :r]
-    Q = sla.orth(V)
-    if Q.shape[1] < r:
-        # span collapsed; pad with deterministic complements
-        pad = sla.null_space(Q.T)[:, : r - Q.shape[1]]
-        Q = np.column_stack([Q, pad])
-    return Q
+    return sla.orth(np.column_stack(cols)[:, :r])
 
 
 def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, shifts, bdirs, cdirs):
@@ -281,20 +276,17 @@ def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, shifts, bdirs, 
     return {"value": float(val), "derivative": float(der)}
 
 
-def _stabilize_poles(Ar):
-    lam, X = np.linalg.eig(Ar)
-    if np.max(lam.real) < 0:
-        return Ar, False
-    lam = np.where(lam.real >= 0, -np.conj(lam), lam)
-    Ar_new = np.real(X @ np.diag(lam) @ np.linalg.inv(X))
-    return Ar_new, True
-
-
-def _mirrored_pole_data(Ar, Br, Cr):
-    """Shifts and tangential directions from the eigendecomposition of a
-    reduced state matrix: mirrored poles, residue directions normalized."""
+def _pole_data(Ar, Br, Cr):
+    """From one eigendecomposition of a reduced state matrix: the matrix
+    with its unstable poles reflected (and whether any were), and the next
+    shifts and tangential directions: mirrored poles, residue directions
+    normalized."""
     lam, X = np.linalg.eig(Ar)
     Xi = np.linalg.inv(X)
+    reflected = bool(np.max(lam.real) >= 0)
+    Ars = Ar
+    if reflected:
+        Ars = np.real(X @ np.diag(np.where(lam.real >= 0, -np.conj(lam), lam)) @ Xi)
     shifts = -lam
     floor = 1e-8 * max(np.max(np.abs(shifts)), 1e-300)
     re = np.where(np.abs(shifts.real) < floor, floor, np.abs(shifts.real))
@@ -305,7 +297,7 @@ def _mirrored_pole_data(Ar, Br, Cr):
     nc = np.linalg.norm(cdirs, axis=0)
     bdirs = bdirs / np.where(nb > 0, nb, 1.0)
     cdirs = cdirs / np.where(nc > 0, nc, 1.0)
-    return shifts, bdirs, cdirs
+    return Ars, reflected, (shifts, bdirs, cdirs)
 
 
 def _regularized_inverse(E, rel_tol=1e-13):
@@ -329,8 +321,11 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
     range.  The iteration has no descent guarantee, so every iterate that
     is stable (after reflecting unstable poles across the imaginary axis
     if needed) is scored by its actual H2 error and the best one wins if
-    the fixed point is not reached.  If no iterate is usable the warm
-    start itself is returned, flagged via ``interp_residuals['fallback']``.
+    the fixed point is not reached.  A start also ends when a tangential
+    basis collapses to rank < ``r``.  If no iterate is usable the warm
+    start itself is returned, flagged via ``interp_residuals['fallback']``;
+    without a warm start ``UnstableReduction`` is raised.  The warnings and
+    the error say where and why each start stopped.
     Shifted solves and H2 scorings share ``M.schur``, computed once.
     """
     if r < 1 or r > M.n:
@@ -340,8 +335,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
         if warm_start.r != r:
             raise InvalidParameter(
                 f"warm start has order {warm_start.r}, requested {r}")
-        starts = [_mirrored_pole_data(
-            warm_start.sys.A, warm_start.sys.B, warm_start.sys.C)]
+        ws = warm_start.sys
+        starts = [_pole_data(ws.A, ws.B, ws.C)[2]]
     else:
         # the fixed point is only locally attractive, so without a warm
         # start several deterministic initial shift sets are tried and the
@@ -370,18 +365,27 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
     best = None
     final = None
     final_err = np.inf
+    stops = []
     for shifts, bdirs, cdirs in starts:
         prev_change = np.inf
-        for _ in range(max_iters):
+        stop = f"no fixed point in {max_iters} iterations"
+        for it in range(1, max_iters + 1):
             V = _tangential_basis(M.schur, B, shifts, bdirs, r)
             W = _tangential_basis(M.schur, C.T, shifts, cdirs, r, transpose=True)
+            rank = min(V.shape[1], W.shape[1])
+            if rank < r:
+                # the tangential directions no longer span r dimensions, so
+                # no order-r model interpolates them: this start ends
+                stop = f"basis rank {rank} < r = {r} at iteration {it}"
+                break
             Einv = _regularized_inverse(W.T @ V)
             Ar = Einv @ (W.T @ A @ V)
             Br = Einv @ (W.T @ B)
             Cr = C @ V
             if not np.all(np.isfinite(Ar)):
+                stop = f"non-finite reduced matrix at iteration {it}"
                 break
-            Ars, reflected = _stabilize_poles(Ar)
+            Ars, reflected, (new_shifts, new_b, new_c) = _pole_data(Ar, Br, Cr)
             candidate = None
             err = np.inf
             try:
@@ -392,12 +396,11 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
             if candidate is not None:
                 try:
                     err = h2_error_norm(M, candidate[0])
-                except Exception:
+                except (NonFinite, np.linalg.LinAlgError):
                     err = np.inf
                 if err < best_err:
                     best_err = err
                     best = candidate
-            new_shifts, new_b, new_c = _mirrored_pole_data(Ar, Br, Cr)
             order_old = np.lexsort((shifts.imag, shifts.real))
             order_new = np.lexsort((new_shifts.imag, new_shifts.real))
             change = np.linalg.norm(
@@ -407,6 +410,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
                 if candidate is not None and err < final_err:
                     final = candidate
                     final_err = err
+                stop = f"fixed point at iteration {it}"
                 break
             # the plain fixed-point map can be locally repelling (shift
             # oscillation); damp the update whenever the change stops
@@ -417,27 +421,31 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
                     new_shifts[order_new] + shifts[order_old])
             prev_change = change
             shifts, bdirs, cdirs = new_shifts, new_b, new_c
+        stops.append(stop)
 
+    why = "; ".join(dict.fromkeys(stops))
     converged = final is not None
     if converged:
         sys, reflected, shifts, bdirs, cdirs = final
     elif best is not None:
         warnings.warn(
-            f"shift fixed point not reached in {max_iters} iterations; "
-            "returning the stable iterate with the smallest H2 error",
+            f"IRKA stopped ({why}); returning the stable iterate with the "
+            "smallest H2 error",
             MaxItersExceeded,
         )
         sys, reflected, shifts, bdirs, cdirs = best
     elif warm_start is not None:
         warnings.warn(
-            "no stable iterate found; falling back to the warm-start model",
+            f"IRKA found no stable iterate ({why}); falling back to the "
+            "warm-start model",
             MaxItersExceeded,
         )
         return ReducedModel(sys=warm_start.sys, method="irka", shifts=shifts,
                             converged=False, interp_residuals={"fallback": True})
     else:
         raise UnstableReduction(
-            "no stable iterate found and no warm start to fall back on")
+            f"IRKA found no stable iterate ({why}) and has no warm start to "
+            "fall back on")
 
     R = ReducedModel(sys=sys, method="irka", shifts=shifts, converged=converged)
     R.interp_residuals = tangential_residuals(M, sys, shifts, bdirs, cdirs)

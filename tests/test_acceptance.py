@@ -7,6 +7,7 @@ the criteria that inspect them.
 
 import json
 import os
+import re
 import time
 import warnings
 
@@ -42,6 +43,7 @@ from icmor import (
     superpose,
     unit_vector_basis,
 )
+from icmor.errors import MaxItersExceeded
 from icmor.experiment import ExperimentConfig, run_experiment
 from icmor.reduction import augmented_system
 from icmor.simulation import SimulationTrace
@@ -66,10 +68,10 @@ def _run_case(x0_index):
         "out": "unused",
     })
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rep = run_experiment(cfg)
-    return rep, time.perf_counter() - t0
+    return rep, time.perf_counter() - t0, caught
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +151,7 @@ class TestCriterion3BtBound:
 
     def test_msd300(self, case1):
         # input-map component of the split run: BT at tolerance 1e-2
-        rep, _ = case1
+        rep, _, _ = case1
         tr_full = rep.traces["full"]
         tr_red = rep.traces["bt-bt"]
         err = l2_norm(SimulationTrace(
@@ -179,7 +181,7 @@ class TestSharedReductions:
     def test_hsv_matches_standalone_spectra(self, case_name, x0_index, msd300, request):
         # run_experiment reads sigma, theta and eta off the reductions that
         # feed the methods; they must be the standalone spectra bit for bit
-        rep, _ = request.getfixturevalue(case_name)
+        rep, _, _ = request.getfixturevalue(case_name)
         X0 = unit_vector_basis(msd300.n, [x0_index]).X0
         systems = {
             "sigma": msd300,
@@ -194,7 +196,7 @@ class TestSharedReductions:
 class TestCriterion5SplitBound:
     @pytest.mark.parametrize("case_name", ["case1", "case2"])
     def test_end_to_end_bound_holds(self, case_name, request):
-        rep, _ = request.getfixturevalue(case_name)
+        rep, _, _ = request.getfixturevalue(case_name)
         for method in ("augbt", "bt-bt", "bt-irka"):
             res = rep.report["methods"][method]
             assert res["abs_l2_error"] <= res["bound"], \
@@ -254,7 +256,7 @@ class TestCriterion7IrkaOptimality:
 
 class TestCriterion8Case1:
     def test_order_gap_and_accuracy(self, case1):
-        rep, elapsed = case1
+        rep, elapsed, _ = case1
         methods = rep.report["methods"]
         r_u = methods["bt-bt"]["orders"]["r_u"]
         r_x0 = methods["bt-bt"]["orders"]["r_x0"]
@@ -267,11 +269,23 @@ class TestCriterion8Case1:
 
 class TestCriterion9Case2:
     def test_all_methods_accurate(self, case2):
-        rep, _ = case2
+        rep, _, _ = case2
         methods = rep.report["methods"]
         for name in ("augbt", "bt-bt", "bt-irka"):
             assert methods[name]["rel_l2"] <= 5e-2, name
         assert methods["bt-irka"]["rel_l2"] <= methods["bt-bt"]["rel_l2"]
+
+
+class TestIrkaStopReported:
+    @pytest.mark.parametrize("case_name,reason", [
+        ("case1", r"basis rank \d+ < r = 86 at iteration \d+"),
+        ("case2", "no fixed point in 100 iterations"),
+    ])
+    def test_one_warning_names_the_stop(self, case_name, reason, request):
+        _, _, caught = request.getfixturevalue(case_name)
+        stops = [str(w.message) for w in caught if w.category is MaxItersExceeded]
+        assert len(stops) == 1, stops
+        assert re.search(reason, stops[0]), stops[0]
 
 
 @pytest.mark.skipif(not os.path.isdir(ISS_PATH),

@@ -85,14 +85,6 @@ class TestRunExperiment:
             assert rep.report["methods"][method]["orders"]["r_x0"] == 0
         assert rep.bound_ok
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        base = small_config(tmp_path, methods=["bt-bt", "augbt"])
-        rep_seq = run_experiment(ExperimentConfig.from_dict(base))
-        rep_par = run_experiment(
-            ExperimentConfig.from_dict({**base, "parallel": True}))
-        assert json.dumps(rep_seq.report, sort_keys=True) == \
-            json.dumps(rep_par.report, sort_keys=True)
-
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
         # P of the input map, of aux and of the augmented system, and the Q
@@ -202,3 +194,11 @@ class TestCliVerbs:
         with open(cfg_path, "w") as fh:
             fh.write("{\"methods\": []}")
         assert main(["report", "--config", cfg_path]) == 1
+
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # 2 is reserved for a bound violation
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(small_config(tmp_path, methods=["bt-bt"]), fh)
+        assert main(["report", "--config", cfg_path, "--parallel"]) == 1
+        assert main(["report", "--help"]) == 0

@@ -1,10 +1,8 @@
 """Gramian factors, Hankel spectra, balancing, and H2 norms."""
 
 import gc
-import sys
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,22 +96,6 @@ class TestSharedFactors:
             assert ref() is None
         finally:
             gc.enable()
-
-    def test_threads_solve_the_shared_equation_once(self, lyapunov_orders):
-        # order 200, so that each solve outlasts many thread switches
-        M = build_msd(100, m_inputs=3)
-        X0 = unit_vector_basis(M.n, [200]).X0
-        derived = [M.with_input(X0 * (k + 1)) for k in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda D: D.obs_factor, D) for D in derived]
-                factors = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(lyapunov_orders) == 1
-        assert all(L is factors[0] for L in factors)
 
 
 class TestHankelSpectrum:

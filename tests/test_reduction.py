@@ -20,7 +20,8 @@ from icmor import (
     split_reduce,
     unit_vector_basis,
 )
-from icmor.errors import InvalidParameter
+from icmor import reduction
+from icmor.errors import InvalidParameter, MaxItersExceeded, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
 
 from conftest import random_system
@@ -196,6 +197,32 @@ class TestIrkaReduce:
             warm = bt_reduce(M, OrderSelection.fixed(3))
             R = irka_reduce(M, 3, warm_start=warm)
             assert h2_error_norm(M, R.sys) <= h2_error_norm(M, warm.sys) * (1 + 1e-8)
+
+    def test_collapsed_basis_ends_the_iteration(self, monkeypatch):
+        # the x0 map of the order-300 chain, x0 at its far end: from the
+        # third iterate on, the r = 86 tangential bases lose rank
+        M = build_msd(150, m_inputs=10)
+        aux = M.with_input(unit_vector_basis(M.n, [300]).X0)
+        warm = bt_reduce(aux, OrderSelection.fixed(86))
+        scorings = []
+
+        def counted(*args):
+            scorings.append(args)
+            return h2_error_norm(*args)
+
+        monkeypatch.setattr(reduction, "h2_error_norm", counted)
+        with pytest.warns(MaxItersExceeded, match=r"basis rank \d+ < r = 86 at iteration 3"):
+            R = irka_reduce(aux, 86, max_iters=8, warm_start=warm)
+        assert len(scorings) == 2
+        assert not R.converged
+        assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
+
+    def test_collapse_without_warm_start_raises(self):
+        # B reaches only a 2-dimensional subspace, so no order-3 basis exists
+        M = StateSpaceModel(np.diag([-1.0, -2.0, -3.0, -4.0]),
+                            [[1.0], [1.0], [0.0], [0.0]], np.ones((1, 4)))
+        with pytest.raises(UnstableReduction, match="rank 2 < r = 3"):
+            irka_reduce(M, 3)
 
 
 class TestSplitReduce:
