@@ -34,7 +34,6 @@ from .model import (
     load_model,
     save_model,
     unit_vector_basis,
-    validate_model,
 )
 from .reduction import (
     OrderSelection,

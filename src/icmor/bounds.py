@@ -26,9 +26,10 @@ class ErrorBudget:
     """Split-method error budget: ``total = e1 ||u|| + e2 ||z0||``.
 
     ``e1`` is the input-map L2-gain term (twice the truncated Hankel sum);
-    ``e2`` bounds the impulse-response error of the initial-condition map.
-    When that map was reduced by IRKA no Hankel-trace bound is available
-    and ``e2`` is the exact H2 error instead, flagged by ``e2_is_h2_error``.
+    ``e2`` is the H2 norm of the impulse-response error of the
+    initial-condition map.  A map reduced by BT gets it from the trace
+    formula of ``aca_bound``; a map reduced by IRKA, which has no Hankel
+    partition, gets it from ``h2_error_norm``, flagged by ``e2_is_h2_error``.
     """
 
     e1: float
@@ -104,11 +105,14 @@ def abt_bound(M: StateSpaceModel, R_abt, basis, u_l2, z0_norm):
 
 
 def aca_bound(Sx0y: StateSpaceModel, r_x0):
-    """Hankel-trace bound on the squared H2 error of balanced truncation.
+    """H2 norm of the balanced-truncation error, by the Hankel-trace formula.
 
     Balances the system, partitions at ``r_x0``, solves the coupling
     Sylvester equation, and returns ``sqrt(trace(T Theta2))`` (clamped at
-    zero) together with the partition.
+    zero) together with the partition.  The trace is the squared H2 error
+    itself, not only a bound on it: it agrees with ``h2_error_norm`` to
+    1.5e-12 relative on case 2's x0 map, and to 2e-8 on random MIMO systems
+    wherever that subtraction form is accurate (error >= 1e-4 ||H||).
     """
     bal = balance_realization(Sx0y)
     Ab, Bb, Cb, theta = bal.Ab, bal.Bb, bal.Cb, bal.Theta
@@ -142,9 +146,10 @@ def aca_bound(Sx0y: StateSpaceModel, r_x0):
 def split_bound(S, u_l2, z0_norm):
     """Evaluate the split-method output bound and its budget.
 
-    ``e1`` comes from the BT tail of the input map; ``e2`` is the
-    Hankel-trace bound when the initial-condition map was reduced by BT,
-    and the exact H2 error (flagged) when it came from IRKA.
+    ``e1`` comes from the BT tail of the input map; ``e2`` is the H2 error
+    of the initial-condition map, by the Hankel-trace formula when that map
+    was reduced by BT and by ``h2_error_norm`` (flagged) when it came from
+    IRKA.
     """
     e1 = bt_bound(S.suy.spectrum_tail, 1.0)
     if S.sxy.method == "irka":

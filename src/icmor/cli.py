@@ -66,7 +66,7 @@ def cmd_reduce(args):
     else:
         x0_method = "irka" if args.method == "bt-irka" else "bt"
         S = split_reduce(M, basis, sel_u, _selection(args.order_x0, args.tol),
-                         x0_method=x0_method, irka_opts={"seed": args.seed})
+                         x0_method=x0_method)
         systems = {"u": S.suy.sys, "x0": S.sxy.sys}
         orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
     for tag, red in systems.items():
@@ -133,7 +133,6 @@ def build_parser():
     r.add_argument("--order-u", type=int, default=None)
     r.add_argument("--order-x0", type=int, default=None)
     r.add_argument("--x0-indices", type=int, nargs="*", default=None)
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_reduce)
 

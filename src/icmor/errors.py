@@ -78,10 +78,6 @@ class IllConditionedBalancing(UserWarning):
     pass
 
 
-class StepTooLarge(UserWarning):
-    pass
-
-
 class TailWarning(UserWarning):
     pass
 

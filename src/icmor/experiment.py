@@ -49,7 +49,6 @@ class ExperimentConfig:
     input: dict = field(default_factory=lambda: {"kind": "decaying_pulses"})
     horizon: float = None
     dt: float = None
-    seed: int = 0
     out: str = "results"
     calibrate: bool = True
     abt_scaling: bool = True
@@ -161,9 +160,8 @@ def _scaled_trace(tr, factor):
 def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     """Run the full workflow for every configured method.
 
-    Deterministic given the seed; wall-clock timings are collected
-    separately from the numerical report so repeated runs produce identical
-    report content.
+    Deterministic: wall-clock timings are collected separately from the
+    numerical report so repeated runs produce identical report content.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -223,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
             mt["bounds"] = time.perf_counter() - t1
         else:
             x0_method = "irka" if method == "bt-irka" else "bt"
-            S = split_from_bt(suy, aux, sxy, basis, x0_method, {"seed": cfg.seed})
+            S = split_from_bt(suy, aux, sxy, basis, x0_method)
             orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
             mt["reduce"] = time.perf_counter() - t0
             t1 = time.perf_counter()
@@ -265,7 +263,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
                 "order_aug": cfg.order_aug,
             },
             "input": cfg.input,
-            "seed": cfg.seed,
             "calibrate": cfg.calibrate,
             "abt_scaling": cfg.abt_scaling,
         },

@@ -107,13 +107,6 @@ def _sqrt_factor(P, name):
         w = np.clip(w, 0.0, None)
         order = np.argsort(w)[::-1]
         return V[:, order] * np.sqrt(w[order])
-    # Last resort: a single diagonal jitter before giving up.
-    jitter = 1e-14 * abs(np.trace(P)) / max(P.shape[0], 1)
-    if np.isfinite(jitter) and jitter > 0:
-        try:
-            return np.linalg.cholesky(P + jitter * np.eye(P.shape[0]))
-        except np.linalg.LinAlgError:
-            pass
     raise FactorizationFailure(f"{name} Gramian is indefinite")
 
 

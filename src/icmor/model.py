@@ -21,8 +21,6 @@ from .linalg import ComplexSchur, _is_stable, _sqrt_factor, solve_lyapunov, stab
 __all__ = [
     "StateSpaceModel",
     "InitialConditionBasis",
-    "ValidationReport",
-    "validate_model",
     "coordinates_of",
     "build_msd",
     "load_model",
@@ -155,55 +153,6 @@ class InitialConditionBasis:
     @property
     def n0(self):
         return self.X0.shape[1]
-
-
-@dataclass
-class ValidationReport:
-    stability_margin: float
-    stable: bool
-    reach_eigs: np.ndarray
-    obs_eigs: np.ndarray
-    controllable: bool
-    observable: bool
-    weak_reach_directions: list
-    weak_obs_directions: list
-
-
-def validate_model(A, B=None, C=None, rank_tol=1e-10):
-    """Diagnose stability and numerical controllability/observability.
-
-    Accepts a ``StateSpaceModel`` or raw ``(A, B, C)`` matrices so that
-    unstable candidates can be examined too.  Report-only; never raises for
-    a deficient model.
-    """
-    if isinstance(A, StateSpaceModel):
-        A, B, C, margin, anorm = A.A, A.B, A.C, A.abscissa, A.anorm
-    else:
-        A, B, C = _mat(A, "A"), _mat(B, "B"), _mat(C, "C")
-        margin, anorm = stability_margin(A), np.linalg.norm(A, 2)
-    stable = _is_stable(margin, anorm)
-    if stable and A.size:
-        P = solve_lyapunov(A, B @ B.T)
-        Q = solve_lyapunov(A.T, C.T @ C)
-        pw, pv = np.linalg.eigh(P)
-        qw, qv = np.linalg.eigh(Q)
-        pref = max(pw.max(), 0.0)
-        qref = max(qw.max(), 0.0)
-        weak_p = [pv[:, i] for i in range(len(pw)) if pw[i] <= rank_tol * max(pref, 1e-300)]
-        weak_q = [qv[:, i] for i in range(len(qw)) if qw[i] <= rank_tol * max(qref, 1e-300)]
-    else:
-        pw = qw = np.zeros(0)
-        weak_p = weak_q = []
-    return ValidationReport(
-        stability_margin=margin,
-        stable=stable,
-        reach_eigs=pw,
-        obs_eigs=qw,
-        controllable=stable and not weak_p,
-        observable=stable and not weak_q,
-        weak_reach_directions=weak_p,
-        weak_obs_directions=weak_q,
-    )
 
 
 def coordinates_of(x0, basis, rtol=1e-8):

@@ -310,7 +310,7 @@ def _regularized_inverse(E, rel_tol=1e-13):
     return (Vt.T * s_inv) @ U.T
 
 
-def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
+def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
                 warm_start: ReducedModel = None) -> ReducedModel:
     """H2-targeted reduction by iterated tangential interpolation.
 
@@ -341,7 +341,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
         # the fixed point is only locally attractive, so without a warm
         # start several deterministic initial shift sets are tried and the
         # converged result with the smallest measured H2 error wins
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         lo, hi = _gershgorin_shift_range(A)
         mid = np.sqrt(lo * hi)
         starts = []
@@ -456,7 +456,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6, seed=0,
 
 def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
                  sel_u: OrderSelection, sel_x0: OrderSelection,
-                 x0_method="bt", irka_opts=None) -> SplitReducedModel:
+                 x0_method="bt") -> SplitReducedModel:
     """Reduce the input map and the initial-condition map independently.
 
     The input map is always reduced by balanced truncation.  The auxiliary
@@ -465,11 +465,11 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
     """
     aux = M.with_input(basis.X0)
     return split_from_bt(bt_reduce(M, sel_u), aux, bt_reduce(aux, sel_x0),
-                         basis, x0_method, irka_opts)
+                         basis, x0_method)
 
 
 def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
-                  basis, x0_method="bt", irka_opts=None) -> SplitReducedModel:
+                  basis, x0_method="bt") -> SplitReducedModel:
     """The split model from BT reductions (not modified) of the input map
     and of ``aux``; with ``x0_method`` "irka", ``sxy`` warm-starts IRKA on
     ``aux`` at its order.  The reduced x0 map takes ``z0`` through its B."""
@@ -479,7 +479,7 @@ def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
         if sxy.r == 0:
             irka = ReducedModel(sys=sxy.sys, method="irka")
         else:
-            irka = irka_reduce(aux, sxy.r, warm_start=sxy, **(irka_opts or {}))
+            irka = irka_reduce(aux, sxy.r, warm_start=sxy)
         irka.hankel = sxy.hankel
         sxy = irka
     return SplitReducedModel(suy=suy, sxy=sxy, basis=basis, aux_system=aux)

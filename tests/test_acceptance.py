@@ -331,7 +331,6 @@ class TestCriterion11Determinism:
             "methods": ["augbt", "bt-bt", "bt-irka"],
             "x0_indices": [60],
             "tol": 1e-2,
-            "seed": 7,
             "out": "unused",
         }
         reports = []

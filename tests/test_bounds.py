@@ -160,6 +160,17 @@ class TestAcaBound:
                 # norm carry no information
                 assert bound >= err * (1.0 - 1e-6) - 1e-7 * scale
 
+    def test_equals_h2_error_on_case2_x0_map(self):
+        # the trace formula is the H2 error of BT itself, not only a bound
+        # on it; case 2's x0 map (r = 20) is where the subtraction form of
+        # h2_error_norm is accurate enough to show it
+        M = build_msd(150, m_inputs=10)
+        aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
+        R = bt_reduce(aux, OrderSelection.tolerance(1e-2))
+        assert R.r == 20
+        bound, _ = aca_bound(aux, R.r)
+        assert bound == pytest.approx(h2_error_norm(aux, R.sys), rel=1e-9)
+
     def test_terms_reported(self, rng):
         M = random_system(rng, 6, 2, 1)
         bound, part = aca_bound(M, 3)

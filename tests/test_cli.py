@@ -2,13 +2,14 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from icmor import build_msd, load_model, save_model, unit_vector_basis
 from icmor.cli import main
-from icmor.errors import ConfigError
+from icmor.errors import ConfigError, MaxItersExceeded
 from icmor.experiment import ExperimentConfig, emit_report, run_experiment
 
 
@@ -44,6 +45,10 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(
                 {"model": {"kind": "msd"}, "methods": ["bt-bt"],
                  "tolerance": 0.1})
+        # IRKA is warm-started from BT, so there is no seed to set
+        with pytest.raises(ConfigError, match="seed: unknown config field"):
+            ExperimentConfig.from_dict(
+                {"model": {"kind": "msd"}, "methods": ["bt-irka"], "seed": 0})
 
     def test_string_model_shorthand(self):
         cfg = ExperimentConfig.from_dict(
@@ -84,6 +89,19 @@ class TestRunExperiment:
         for method in ("bt-bt", "bt-irka"):
             assert rep.report["methods"][method]["orders"]["r_x0"] == 0
         assert rep.bound_ok
+
+    def test_full_order_reductions_match_to_rounding(self, tmp_path):
+        # at r = n every reduced model is a similarity transform of the full
+        # one; on one shared time grid the traces then agree to rounding
+        cfg = ExperimentConfig.from_dict(small_config(
+            tmp_path, model={"kind": "msd", "n_masses": 6, "m_inputs": 6},
+            x0_indices=[12]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MaxItersExceeded)
+            rep = run_experiment(cfg)
+        for res in rep.report["methods"].values():
+            assert set(res["orders"].values()) == {12}
+            assert res["rel_l2"] <= 1e-12
 
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
@@ -201,4 +219,8 @@ class TestCliVerbs:
         with open(cfg_path, "w") as fh:
             json.dump(small_config(tmp_path, methods=["bt-bt"]), fh)
         assert main(["report", "--config", cfg_path, "--parallel"]) == 1
+        assert main(["reduce", "--model", "builtin:msd", "--method", "bt-irka",
+                     "--x0-indices", "300", "--seed", "0",
+                     "--out", str(tmp_path / "red")]) == 1
+        assert not os.path.exists(tmp_path / "red")
         assert main(["report", "--help"]) == 0

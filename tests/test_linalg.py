@@ -11,8 +11,14 @@ from icmor import (
     solve_sylvester,
     stability_margin,
 )
-from icmor.errors import DimensionMismatch, NonFinite, NotStable, SpectraOverlap
-from icmor.linalg import ComplexSchur, _schur_eigvals
+from icmor.errors import (
+    DimensionMismatch,
+    FactorizationFailure,
+    NonFinite,
+    NotStable,
+    SpectraOverlap,
+)
+from icmor.linalg import ComplexSchur, _schur_eigvals, _sqrt_factor
 
 from conftest import kron_lyapunov, kron_sylvester, make_stable
 
@@ -167,6 +173,23 @@ class TestComplexSchur:
         X = ComplexSchur(A).shifted_solve(np.array([1.5, 1.5]), B)
         assert np.allclose(X.imag, 0.0, atol=1e-12)
         assert np.allclose((1.5 * np.eye(10) - A) @ X.real, B, atol=1e-10)
+
+
+class TestSqrtFactor:
+    def test_indefinite_gramian_raises(self):
+        P = np.diag([1.0, -1e-6])
+        with pytest.raises(FactorizationFailure, match="observability"):
+            _sqrt_factor(P, "observability")
+
+    def test_rounding_negative_eigenvalues_give_zero_columns(self):
+        # PSD up to two eigenvalues at -1e-16, as rounding leaves them in a
+        # formed Gramian: no Cholesky factor, so the eigh path clips them
+        P = np.diag([2.0, -1e-16, 1.0, -1e-16, 0.5])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(P)
+        U = _sqrt_factor(P, "reachability")
+        assert np.all(U[:, 3:] == 0.0)
+        assert np.allclose(U @ U.T, np.clip(P, 0.0, None), rtol=1e-15, atol=0.0)
 
 
 def test_schur_block_eigenvalues(rng):

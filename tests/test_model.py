@@ -1,4 +1,4 @@
-"""Model types, validation, benchmark generator, and file round-trips."""
+"""Model types, benchmark generator, and file round-trips."""
 
 import dataclasses
 
@@ -14,7 +14,6 @@ from icmor import (
     save_model,
     stability_margin,
     unit_vector_basis,
-    validate_model,
 )
 from icmor.errors import (
     DimensionMismatch,
@@ -76,38 +75,6 @@ class TestWithInput:
         assert len(eigvals_calls) == 2
         for M2 in others:
             assert M2.abscissa == stability_margin(2.0 * M.A) != M.abscissa
-
-
-class TestValidateModel:
-    def test_model_reuses_its_stability_check(self, eigvals_calls):
-        M = build_msd(6, m_inputs=2)
-        del eigvals_calls[:]
-        rep = validate_model(M)
-        assert eigvals_calls == []
-        assert rep.stable and rep.stability_margin == M.abscissa
-
-    def test_scalar_fully_regular(self):
-        rep = validate_model(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]]))
-        assert rep.stable and rep.controllable and rep.observable
-        assert rep.stability_margin == pytest.approx(-1.0)
-
-    def test_uncontrollable_mode_flagged(self):
-        rep = validate_model(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]),
-                             np.array([[1.0, 1.0]]))
-        assert rep.stable and rep.observable
-        assert not rep.controllable
-        assert len(rep.weak_reach_directions) == 1
-        # the flagged direction is the second mode
-        d = rep.weak_reach_directions[0]
-        assert abs(d[1]) > 0.99
-
-    def test_msd_stable(self):
-        rep = validate_model(build_msd(20))
-        assert rep.stable
-        assert rep.stability_margin < 0
-        assert rep.stability_margin == pytest.approx(
-            np.max(np.linalg.eigvals(build_msd(20).A).real), abs=1e-10
-        )
 
 
 class TestCoordinatesOf:
