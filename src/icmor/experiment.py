@@ -196,8 +196,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     # BT of the input map, of aux = (A, X0, C) and of the augmented system,
     # once each: they feed every method and give sigma, theta and eta.  After
     # the simulations, so the factors the models keep add nothing to their peak.
+    # The input map is reduced on a derived model, so its factor U dies with it.
     t0 = time.perf_counter()
-    suy = bt_reduce(M, _selection(cfg.order_u, cfg.tol))
+    suy = bt_reduce(M.with_input(M.B), _selection(cfg.order_u, cfg.tol))
     aux = M.with_input(basis.X0)
     sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol))
     abt = abt_reduce(M, basis, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)

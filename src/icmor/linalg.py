@@ -110,11 +110,16 @@ def _sqrt_factor(P, name):
     raise FactorizationFailure(f"{name} Gramian is indefinite")
 
 
-def solve_lyapunov(A, G):
+def solve_lyapunov(A, G, schur=None, anorm=None):
     """Solve ``A P + P A^T + G = 0`` for symmetric PSD ``P``.
 
     ``A`` must be asymptotically stable and ``G`` symmetric.  The result is
-    symmetrized before returning.
+    symmetrized before returning.  ``schur``, the real Schur form ``(T, U)``
+    of ``A`` as ``scipy.linalg.schur(A, output="real")`` gives it, and
+    ``anorm = ||A||_2``, which sets the stability tolerance, are computed
+    when not given; a caller that solves several equations on one ``A``
+    passes them.  The stability verdict is read off ``diag(T)`` and raises
+    ``NotStable``.
     """
     A = _as_square(A)
     G = _as_square(G, "G")
@@ -122,12 +127,12 @@ def solve_lyapunov(A, G):
         raise DimensionMismatch(f"A is {A.shape}, G is {G.shape}")
     if A.size == 0:
         return np.zeros((0, 0))
-    T, U = sla.schur(A, output="real")
+    T, U = sla.schur(A, output="real") if schur is None else schur
     # LAPACK returns the standardized real Schur form: each 2x2 block has
     # equal diagonal entries, so the diagonal holds the real parts of the
     # whole spectrum and is the stability verdict.
     abscissa = float(np.max(np.diag(T)))
-    if not _is_stable(abscissa, np.linalg.norm(A, 2)):
+    if not _is_stable(abscissa, np.linalg.norm(A, 2) if anorm is None else anorm):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
     # T Y + Y T^T = -Gt

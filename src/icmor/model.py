@@ -37,14 +37,15 @@ def _mat(x, name):
 
 
 class _Shared:
-    """The stability verdict of ``A`` and the observability factor ``L`` of
-    ``(A, C)``, for a model and those ``with_input`` derives from it.  It
-    refers to no model, so a dropped model is freed at once (no cycle)."""
+    """The stability verdict and real Schur form of ``A`` and the
+    observability factor ``L`` of ``(A, C)``, for a model and those
+    ``with_input`` derives from it.  It refers to no model, so a dropped
+    model is freed at once (no cycle)."""
 
     def __init__(self, A, C):
         self.A, self.C = A, C
         self.abscissa, self.anorm = stability_margin(A), np.linalg.norm(A, 2)
-        self.L = None
+        self.real_schur = self.L = None
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ class StateSpaceModel:
     ``A`` must be asymptotically stable; this is checked on construction,
     which keeps ``abscissa`` and ``anorm = ||A||_2``.  Instances are
     immutable and safe to share.  ``schur`` (complex Schur form of ``A``),
-    ``h2_squared`` and the Gramian factors are computed on first use and kept.
+    ``h2_squared``, the Gramian factors and the real Schur form of ``A``
+    they are solved on are computed on first use and kept.
     Nothing guards that first use: two threads that use a model for the
     first time at once may each compute a factor, and one result is kept.
     """
@@ -93,7 +95,8 @@ class StateSpaceModel:
 
     def with_input(self, B):
         """``(A, B, C)`` on this model's ``A`` and ``C``: checks ``B`` and
-        shares this model's stability verdict and ``obs_factor``."""
+        shares this model's stability verdict, the real Schur form of ``A``
+        and ``obs_factor``."""
         return StateSpaceModel(self.A, B, self.C, _shared=self._shared)
 
     @property
@@ -118,15 +121,22 @@ class StateSpaceModel:
 
     @cached_property
     def reach_factor(self):
-        """``U`` with ``P = U U^T``, ``A P + P A^T + B B^T = 0``."""
-        return _sqrt_factor(solve_lyapunov(self.A, self.B @ self.B.T), "reachability")
+        """``U`` with ``P = U U^T``, ``A P + P A^T + B B^T = 0``, solved on
+        the real Schur form of ``A`` that this model shares."""
+        S = self._shared
+        if S.real_schur is None:
+            S.real_schur = sla.schur(self.A, output="real")
+        P = solve_lyapunov(self.A, self.B @ self.B.T, S.real_schur, self.anorm)
+        return _sqrt_factor(P, "reachability")
 
     @property
     def obs_factor(self):
-        """``L`` with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``."""
+        """``L`` with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``, solved on
+        the real Schur form of ``A^T``."""
         S = self._shared
         if S.L is None:
-            S.L = _sqrt_factor(solve_lyapunov(self.A.T, self.C.T @ self.C), "observability")
+            Q = solve_lyapunov(self.A.T, self.C.T @ self.C, anorm=self.anorm)
+            S.L = _sqrt_factor(Q, "observability")
         return S.L
 
 

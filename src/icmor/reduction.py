@@ -327,14 +327,19 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
     without a warm start ``UnstableReduction`` is raised.  The warnings and
     the error say where and why each start stopped.
     Shifted solves and H2 scorings share ``M.schur``, computed once.
+    At ``r = n`` ``M`` itself is returned at once: its H2 error is 0, so
+    no iterate can do better.
     """
     if r < 1 or r > M.n:
         raise InvalidParameter(f"need 1 <= r <= n, got r={r}, n={M.n}")
+    if warm_start is not None and warm_start.r != r:
+        raise InvalidParameter(
+            f"warm start has order {warm_start.r}, requested {r}")
+    if r == M.n:
+        return ReducedModel(sys=M, method="irka", interp_residuals={
+            "value": 0.0, "derivative": 0.0, "pole_reflection": False, "fallback": False})
     A, B, C = M.A, M.B, M.C
     if warm_start is not None:
-        if warm_start.r != r:
-            raise InvalidParameter(
-                f"warm start has order {warm_start.r}, requested {r}")
         ws = warm_start.sys
         starts = [_pole_data(ws.A, ws.B, ws.C)[2]]
     else:

@@ -129,16 +129,37 @@ def lyapunov_orders(monkeypatch):
     orders = []
     original = linalg.solve_lyapunov
 
-    def counted(A, G):
+    def counted(A, G, *args, **kwargs):
         orders.append(np.shape(A)[0])
-        return original(A, G)
+        return original(A, G, *args, **kwargs)
 
+    _rebind_in_icmor(monkeypatch, original, counted)
+    return orders
+
+
+@pytest.fixture()
+def schur_calls(monkeypatch):
+    """The order of every real Schur form ``scipy.linalg.schur`` computes,
+    called as ``sla.schur`` or wherever an icmor module binds the function."""
+    orders = []
+    original = sla.schur
+
+    def counted(a, output="real", *args, **kwargs):
+        if output == "real":
+            orders.append(np.shape(a)[0])
+        return original(a, output, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", counted)
+    _rebind_in_icmor(monkeypatch, original, counted)
+    return orders
+
+
+def _rebind_in_icmor(monkeypatch, original, replacement):
     for name, mod in list(sys.modules.items()):
         if name == "icmor" or name.startswith("icmor."):
             for key, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, key, counted)
-    return orders
+                    monkeypatch.setattr(mod, key, replacement)
 
 
 @pytest.fixture()

@@ -97,7 +97,7 @@ class TestRunExperiment:
             tmp_path, model={"kind": "msd", "n_masses": 6, "m_inputs": 6},
             x0_indices=[12]))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MaxItersExceeded)
+            warnings.simplefilter("error", MaxItersExceeded)
             rep = run_experiment(cfg)
         for res in rep.report["methods"].values():
             assert set(res["orders"].values()) == {12}

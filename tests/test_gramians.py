@@ -20,6 +20,7 @@ from icmor import (
 )
 from icmor.errors import IllConditionedBalancing
 from icmor.model import unit_vector_basis
+from icmor.reduction import augmented_system
 
 from conftest import dense_h2_error, h2_quadrature, kron_lyapunov, random_system
 
@@ -79,6 +80,16 @@ class TestSharedFactors:
         fresh = StateSpaceModel(self.M.A.copy(), self.X0.copy(), self.M.C.copy())
         F = gramian_factors(fresh)
         assert np.array_equal(Fa.L, F.L) and np.array_equal(Fa.U, F.U)
+
+    def test_reachability_factors_share_one_real_schur_form(self, schur_calls):
+        Maug, _ = augmented_system(self.M, self.X0)
+        systems = (self.M, self.M.with_input(self.X0), Maug)
+        factors = [S.reach_factor for S in systems]
+        assert schur_calls == [24]
+        for S, U in zip(systems, factors):
+            fresh = StateSpaceModel(S.A.copy(), S.B.copy(), S.C.copy())
+            assert np.array_equal(U, fresh.reach_factor)
+        assert schur_calls == [24] * 4
 
     def test_another_state_matrix_shares_nothing(self, lyapunov_orders):
         M2 = StateSpaceModel(2.0 * self.M.A, self.M.B, self.M.C)

@@ -3,6 +3,7 @@ Kronecker and eigendecomposition oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from icmor import (
     build_msd,
@@ -65,10 +66,22 @@ class TestSolveLyapunov:
 
     def test_unstable_rejected(self):
         # a real eigenvalue, a complex pair 0.1 +- 1i, and the pair +-1i on
-        # the imaginary axis (2x2 blocks of the real Schur form)
+        # the imaginary axis (2x2 blocks of the real Schur form), each also
+        # with its real Schur form and norm given
         for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]):
+            A = np.array(A)
             with pytest.raises(NotStable):
-                solve_lyapunov(np.array(A), np.eye(len(A)))
+                solve_lyapunov(A, np.eye(len(A)))
+            with pytest.raises(NotStable):
+                solve_lyapunov(A, np.eye(len(A)), sla.schur(A, output="real"),
+                               np.linalg.norm(A, 2))
+
+    def test_given_schur_form_and_norm_change_nothing(self, rng):
+        A = make_stable(rng, 7)
+        R = rng.standard_normal((7, 2))
+        P = solve_lyapunov(A, R @ R.T)
+        Ps = solve_lyapunov(A, R @ R.T, sla.schur(A, output="real"), np.linalg.norm(A, 2))
+        assert np.array_equal(P, Ps)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -193,8 +206,6 @@ class TestSqrtFactor:
 
 
 def test_schur_block_eigenvalues(rng):
-    import scipy.linalg as sla
-
     for A in (make_stable(rng, 12), np.array([[0.1, 1.0], [-1.0, 0.1]]),
               np.diag([-1.0, -2.0])):
         T, _ = sla.schur(A, output="real")

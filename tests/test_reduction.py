@@ -1,5 +1,7 @@
 """Reduction algorithms: order selection, BT, augmented BT, IRKA, split."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -215,6 +217,18 @@ class TestIrkaReduce:
             R = irka_reduce(aux, 86, max_iters=8, warm_start=warm)
         assert len(scorings) == 2
         assert not R.converged
+        assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
+
+    def test_full_order_returns_at_once(self):
+        # the x0 map of the 6-mass chain with six inputs: BT keeps r = n = 12
+        M = build_msd(6, m_inputs=6)
+        aux = M.with_input(unit_vector_basis(M.n, [12]).X0)
+        warm = bt_reduce(aux, OrderSelection.tolerance(1e-2))
+        assert warm.r == aux.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = irka_reduce(aux, warm.r, warm_start=warm)
+        assert R.converged
         assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
 
     def test_collapse_without_warm_start_raises(self):
