@@ -34,7 +34,7 @@ from .experiment import (
 )
 from .model import build_msd, save_model, unit_vector_basis
 from .reduction import abt_reduce, split_reduce
-from .simulation import l2_norm, linf_norm, simulate
+from .simulation import SimulationTrace, l2_norm, linf_norm, simulate
 
 
 def _load(args):
@@ -85,7 +85,8 @@ def cmd_simulate(args):
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
     tr = simulate(M, u, x0, t_f, dt)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    _write_trace_csv(args.out, tr)
+    # the output alone: a trace of both parts also carries each part
+    _write_trace_csv(args.out, SimulationTrace(t=tr.t, y=tr.y))
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
           f"L2={l2_norm(tr):.6g} Linf={linf_norm(tr):.6g}; wrote {args.out}")
     return 0

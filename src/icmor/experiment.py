@@ -157,6 +157,17 @@ def _scaled_trace(tr, factor):
     return SimulationTrace(t=tr.t, y=tr.y * factor, provenance=dict(tr.provenance))
 
 
+def _bound_holds(abs_l2, bound, y_full_l2):
+    """Whether a measured error norm respects its a priori bound.
+
+    The norm is measured by quadrature on a finite grid, so the check
+    carries a small relative slack for the near-equality cases where the
+    bound is essentially attained, and an absolute floor of rounding size
+    relative to the full output: at r = n the bound is exactly 0.
+    """
+    return bool(abs_l2 <= bound * (1.0 + 1e-3) + 1e-12 * y_full_l2)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     """Run the full workflow for every configured method.
 
@@ -176,12 +187,14 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     t_f, dt = _grid(M, cfg.horizon, cfg.dt)
     timings["setup"] = time.perf_counter() - t0
 
-    # Full-order component responses; rescale the initial condition so both
-    # components carry comparable energy when calibration is on.
+    # Full-order component responses, stepped in one run; rescale the initial
+    # condition so both components carry comparable energy when calibration
+    # is on.
     t0 = time.perf_counter()
     u_l2 = u.l2_norm(t_f, dt) if u.kind != "zero" else 0.0
-    tr_u = simulate(M, u, None, t_f, dt)
-    tr_x0 = simulate(M, None, basis.X0 @ z0, t_f, dt)
+    both = simulate(M, u, basis.X0 @ z0, t_f, dt)
+    tr_u = SimulationTrace(t=both.t, y=both.components["y_u"], provenance=both.provenance)
+    tr_x0 = SimulationTrace(t=both.t, y=both.components["y_x0"], provenance=both.provenance)
     cal = 1.0
     nu, nx = l2_norm(tr_u), l2_norm(tr_x0)
     if cfg.calibrate and nu > 0 and nx > 0:
@@ -241,10 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
             "abs_l2_error": abs_l2,
             "bound": bound,
             "budget": budget,
-            # the error norm is measured by quadrature on a finite grid, so
-            # the check carries a small relative slack for the near-equality
-            # cases where the a priori bound is essentially attained
-            "bound_ok": bool(abs_l2 <= bound * (1.0 + 1e-3) + 1e-300),
+            "bound_ok": _bound_holds(abs_l2, bound, ref),
         }
         if ref > 1e-300:
             res.update(relative_errors(tr_full, tr))

@@ -126,12 +126,24 @@ def lyapunov_orders(monkeypatch):
     binds the function."""
     from icmor import linalg
 
-    orders = []
-    original = linalg.solve_lyapunov
+    return _recorded_orders(monkeypatch, linalg.solve_lyapunov)
 
-    def counted(A, G, *args, **kwargs):
+
+@pytest.fixture()
+def expm_orders(monkeypatch):
+    """The order of every ``matrix_exponential`` call, wherever an icmor
+    module binds the function."""
+    from icmor import linalg
+
+    return _recorded_orders(monkeypatch, linalg.matrix_exponential)
+
+
+def _recorded_orders(monkeypatch, original):
+    orders = []
+
+    def counted(A, *args, **kwargs):
         orders.append(np.shape(A)[0])
-        return original(A, G, *args, **kwargs)
+        return original(A, *args, **kwargs)
 
     _rebind_in_icmor(monkeypatch, original, counted)
     return orders

@@ -10,7 +10,7 @@ import pytest
 from icmor import build_msd, load_model, save_model, unit_vector_basis
 from icmor.cli import main
 from icmor.errors import ConfigError, MaxItersExceeded
-from icmor.experiment import ExperimentConfig, emit_report, run_experiment
+from icmor.experiment import ExperimentConfig, _bound_holds, emit_report, run_experiment
 
 
 def small_config(tmp_path, **overrides):
@@ -102,6 +102,20 @@ class TestRunExperiment:
         for res in rep.report["methods"].values():
             assert set(res["orders"].values()) == {12}
             assert res["rel_l2"] <= 1e-12
+            # the bound is 0 here: the check's floor admits the rounding
+            assert res["bound"] == 0.0 and res["bound_ok"]
+
+    def test_bound_floor_is_rounding_size(self):
+        assert _bound_holds(1e-12, 0.0, 1.0)
+        assert not _bound_holds(2e-12, 0.0, 1.0)
+        assert not _bound_holds(1.0 + 2e-3, 1.0, 1.0)
+
+    def test_one_full_order_exponential(self, tmp_path, expm_orders):
+        run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        # both full-order parts share one FOH set-up (order n + 2m = 30), and
+        # Phi comes from its E by squaring, not from an order-n exponential;
+        # the reduced models (order 22) take blocks of order 22 and 28
+        assert [k for k in expm_orders if k in (24, 30)] == [30]
 
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))

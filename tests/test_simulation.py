@@ -27,7 +27,8 @@ from icmor.errors import (
     InvalidParameter,
     TailWarning,
 )
-from icmor.simulation import SimulationTrace, foh_weights
+from icmor.linalg import matrix_exponential
+from icmor.simulation import SimulationTrace, _flush, _power, foh_weights
 
 from conftest import random_system, step_simulate
 
@@ -112,6 +113,14 @@ class TestLiftedStepping:
         assert tr.t.shape == ref.t.shape and tr.y.shape == ref.y.shape
         assert tr.provenance == ref.provenance
         assert _rel_l2(tr, ref) <= tol
+        if u is None or x0 is None:
+            assert tr.components is None
+            return
+        # one run steps both parts; each matches its own per-step run
+        parts = {"y_u": step_simulate(M, u, None, t_f, dt),
+                 "y_x0": step_simulate(M, None, x0, t_f, dt)}
+        for key, part in parts.items():
+            assert _rel_l2(SimulationTrace(t=tr.t, y=tr.components[key]), part) <= tol
 
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("with_x0", [False, True])
@@ -148,6 +157,22 @@ class TestLiftedStepping:
         x0 = np.zeros(M.n)
         x0[299] = 1.0
         self._check(M, None, x0, t_f, dt, tol=1e-11)
+
+    def test_far_end_chain_both_parts(self):
+        M = build_msd(150, m_inputs=10)
+        t_f, dt = suggest_grid(M)
+        x0 = np.zeros(M.n)
+        x0[299] = 1.0
+        self._check(M, InputSignal.decaying_pulses(10), x0, t_f, dt, tol=1e-11)
+
+    def test_phi_by_squaring(self):
+        # the n = 600 chain at its block length, L = ceil(sqrt(4000 / 11))
+        M = build_msd(300, m_inputs=10)
+        t_f, dt = suggest_grid(M)
+        L = 20
+        Phi = _power(_flush(foh_weights(M.A, M.B, dt)[0]), L)
+        ref = matrix_exponential(M.A, L * dt)
+        assert np.linalg.norm(Phi - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestSuperpose:
