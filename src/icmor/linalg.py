@@ -64,10 +64,18 @@ def _schur_eigvals(T):
 
 class ComplexSchur:
     """``A = Z T Z^H`` (``T`` upper triangular) of a real ``A``: shifted
-    solves with ``A`` or ``A^T`` and Sylvester equations as one ``ztrsyl``."""
+    solves with ``A`` or ``A^T`` and Sylvester equations as one ``ztrsyl``.
 
-    def __init__(self, A):
-        self.T, self.Z = sla.schur(A, output="complex")
+    ``T`` and ``Z`` come from the real Schur form ``(T, U)`` of ``A`` by
+    ``rsf2csf``, which splits each 2x2 block with one Givens rotation
+    (O(n^2) work); ``real_schur`` is that form as
+    ``scipy.linalg.schur(A, output="real")`` gives it, computed when not
+    given.  Any unitary triangularization serves the solves, and this one
+    costs a real Schur form instead of a complex one."""
+
+    def __init__(self, A, real_schur=None):
+        T, U = sla.schur(A, output="real") if real_schur is None else real_schur
+        self.T, self.Z = sla.rsf2csf(T, U)
 
     def shifted_solve(self, shifts, R, transpose=False):
         """Columns ``(s_k I - A)^{-1} R[:, k]``, or with ``A^T`` (``= A^H``)
@@ -140,11 +148,16 @@ def solve_lyapunov(A, G, schur=None, anorm=None):
     return (P + P.T) / 2.0
 
 
-def solve_sylvester(A, M, K):
+def solve_sylvester(A, M, K, schur=None, anorm=None):
     """Solve ``A^T Y + Y M + K = 0`` for ``Y`` (n x r).
 
     Requires the spectra of ``-A^T`` and ``M`` to be disjoint, which holds
-    automatically when both ``A`` and ``M`` are stable.
+    automatically when both ``A`` and ``M`` are stable; ``SpectraOverlap``
+    is raised when their separation is below ``1e-12 max(||A||_2,
+    ||M||_F, 1)``.  ``schur``, the real Schur form ``(T, U)`` of ``A`` (not
+    of ``A^T``), and ``anorm = ||A||_2`` are computed when not given, as
+    in ``solve_lyapunov``; with ``A^T = U T^T U^T`` the quasi-triangular
+    equation is solved by ``dtrsyl`` with ``T`` transposed.
     """
     A = _as_square(A)
     M = _as_square(M, "M")
@@ -154,19 +167,21 @@ def solve_sylvester(A, M, K):
         raise DimensionMismatch(f"K must be {(n, r)}, got {K.shape}")
     if n == 0 or r == 0:
         return np.zeros((n, r))
-    Ta, Ua = sla.schur(A.T, output="real")
+    Ta, Ua = sla.schur(A, output="real") if schur is None else schur
     Tm, Um = sla.schur(M, output="real")
     ea = _schur_eigvals(Ta)
     em = _schur_eigvals(Tm)
     sep = np.min(np.abs(ea[:, None] + em[None, :]))
-    scale_ref = max(np.linalg.norm(A, 2), np.linalg.norm(M, 2), 1.0)
+    # ||M||_F bounds ||M||_2 and needs no SVD
+    scale_ref = max(np.linalg.norm(A, 2) if anorm is None else anorm,
+                    np.linalg.norm(M), 1.0)
     if sep < 1e-12 * scale_ref:
         raise SpectraOverlap(
             f"spectra of -A^T and M nearly intersect (separation {sep:.3e})"
         )
     Kt = Ua.T @ K @ Um
-    # Ta Z + Z Tm = -Kt  with Ta quasi-triangular (Schur of A^T)
-    return Ua @ _trsyl(lapack.dtrsyl, Ta, Tm, -Kt) @ Um.T
+    # Ta^T Z + Z Tm = -Kt  with Ta quasi-triangular (Schur of A)
+    return Ua @ _trsyl(lapack.dtrsyl, Ta, Tm, -Kt, trana="T") @ Um.T
 
 
 def matrix_exponential(A, t=1.0):

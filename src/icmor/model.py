@@ -54,9 +54,12 @@ class StateSpaceModel:
 
     ``A`` must be asymptotically stable; this is checked on construction,
     which keeps ``abscissa`` and ``anorm = ||A||_2``.  Instances are
-    immutable and safe to share.  ``schur`` (complex Schur form of ``A``),
-    ``h2_squared``, the Gramian factors and the real Schur form of ``A``
-    they are solved on are computed on first use and kept.
+    immutable and safe to share.  The real Schur form of ``A``
+    (``real_schur``), the Gramian factors solved on it, ``schur`` (the
+    complex Schur form of ``A``, converted from the real one) and
+    ``h2_squared`` are computed on first use and kept.  ``schur`` takes
+    the real form only if it is already there: a model whose Gramians are
+    never solved, such as an IRKA candidate, keeps no real form.
     Nothing guards that first use: two threads that use a model for the
     first time at once may each compute a factor, and one result is kept.
     """
@@ -111,9 +114,18 @@ class StateSpaceModel:
     def p(self):
         return self.C.shape[0]
 
+    @property
+    def real_schur(self):
+        """``(T, U) = scipy.linalg.schur(A, output="real")``, shared with
+        the models ``with_input`` derives from this one."""
+        S = self._shared
+        if S.real_schur is None:
+            S.real_schur = sla.schur(self.A, output="real")
+        return S.real_schur
+
     @cached_property
     def schur(self):
-        return ComplexSchur(self.A)
+        return ComplexSchur(self.A, self._shared.real_schur)
 
     @cached_property
     def h2_squared(self):
@@ -123,10 +135,7 @@ class StateSpaceModel:
     def reach_factor(self):
         """``U`` with ``P = U U^T``, ``A P + P A^T + B B^T = 0``, solved on
         the real Schur form of ``A`` that this model shares."""
-        S = self._shared
-        if S.real_schur is None:
-            S.real_schur = sla.schur(self.A, output="real")
-        P = solve_lyapunov(self.A, self.B @ self.B.T, S.real_schur, self.anorm)
+        P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur, self.anorm)
         return _sqrt_factor(P, "reachability")
 
     @property

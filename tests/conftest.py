@@ -149,16 +149,25 @@ def _recorded_orders(monkeypatch, original):
     return orders
 
 
+class SchurOrders(list):
+    """Orders of the real Schur forms; ``complex`` lists those of the
+    complex ones."""
+
+    def __init__(self):
+        super().__init__()
+        self.complex = []
+
+
 @pytest.fixture()
 def schur_calls(monkeypatch):
-    """The order of every real Schur form ``scipy.linalg.schur`` computes,
-    called as ``sla.schur`` or wherever an icmor module binds the function."""
-    orders = []
+    """The order of every Schur form ``scipy.linalg.schur`` computes, called
+    as ``sla.schur`` or wherever an icmor module binds the function: the
+    real forms as the list, the complex ones as its ``complex``."""
+    orders = SchurOrders()
     original = sla.schur
 
     def counted(a, output="real", *args, **kwargs):
-        if output == "real":
-            orders.append(np.shape(a)[0])
+        (orders if output in ("real", "r") else orders.complex).append(np.shape(a)[0])
         return original(a, output, *args, **kwargs)
 
     monkeypatch.setattr(sla, "schur", counted)

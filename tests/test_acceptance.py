@@ -5,6 +5,7 @@ initial-condition cases) run once as session fixtures and are shared by
 the criteria that inspect them.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -43,7 +44,7 @@ from icmor import (
     superpose,
     unit_vector_basis,
 )
-from icmor.errors import MaxItersExceeded
+from icmor.errors import MaxItersExceeded, TailWarning
 from icmor.experiment import ExperimentConfig, run_experiment
 from icmor.reduction import augmented_system
 from icmor.simulation import SimulationTrace
@@ -56,6 +57,17 @@ ISS_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "iss")
 @pytest.fixture(scope="module")
 def msd300():
     return build_msd(150, m_inputs=10)
+
+
+@contextlib.contextmanager
+def expected_warnings(*categories):
+    """Record the warnings of a block; each must be one of ``categories``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+    unexpected = {w.category for w in caught} - set(categories)
+    assert not unexpected, [f"{w.category.__name__}: {w.message}" for w in caught
+                            if w.category in unexpected]
 
 
 def _run_case(x0_index):
@@ -92,8 +104,7 @@ class TestCriterion1Superposition:
             u = InputSignal.decaying_sinusoid(3)
             x0 = rng.standard_normal(20)
             t_f, dt = suggest_grid(M)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with expected_warnings(TailWarning):
                 combined = simulate(M, u, x0, t_f, dt)
                 parts = superpose(simulate(M, u, None, t_f, dt),
                                   simulate(M, None, x0, t_f, dt))
@@ -141,8 +152,7 @@ class TestCriterion3BtBound:
             R = bt_reduce(M, OrderSelection.fixed(r))
             u = InputSignal.decaying_sinusoid(2)
             t_f, dt = suggest_grid(M)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with expected_warnings(TailWarning):
                 tr = simulate(M, u, None, t_f, dt)
                 tr_r = simulate(R.sys, u, None, t_f, dt)
                 err = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_r.y))
@@ -210,8 +220,7 @@ class TestCriterion5SplitBound:
         R = abt_reduce(M, basis, OrderSelection.fixed(r))
         z0 = np.ones(1)
         t_f, dt = suggest_grid(M)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with expected_warnings(TailWarning):
             tr = simulate(M, None, basis.X0 @ z0, t_f, dt)
             tr_r = simulate(R.sys, None, R.X0til @ z0, t_f, dt)
             err = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_r.y))
@@ -313,8 +322,7 @@ class TestCriterion10Iss:
         S = split_reduce(M, basis, OrderSelection.tolerance(1e-2),
                          OrderSelection.tolerance(1e-2), x0_method="bt")
         Rabt = abt_reduce(M, basis, OrderSelection.tolerance(1e-2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with expected_warnings(TailWarning):
             tr = simulate(M, None, x0, t_f, dt)
             jump = S.sxy.sys.B @ z0
             tr_split = simulate(S.sxy.sys, None, jump, t_f, dt)
@@ -335,8 +343,7 @@ class TestCriterion11Determinism:
         }
         reports = []
         for _ in range(2):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with expected_warnings(TailWarning, MaxItersExceeded):
                 rep = run_experiment(ExperimentConfig.from_dict(dict(cfg_dict)))
             reports.append(json.dumps(rep.report, sort_keys=True))
         assert reports[0] == reports[1]

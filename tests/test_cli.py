@@ -117,6 +117,15 @@ class TestRunExperiment:
         # the reduced models (order 22) take blocks of order 22 and 28
         assert [k for k in expm_orders if k in (24, 30)] == [30]
 
+    def test_one_schur_form_per_state_matrix(self, tmp_path, schur_calls):
+        run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        # the real forms of A and A^T; IRKA and aca_bound work on the one
+        # of A, so no complex form and none of the balanced A (order 24
+        # here, as nothing is deflated) is computed.  The order-22 forms
+        # are of A11 and of IRKA's candidates.
+        assert schur_calls.count(24) == 2
+        assert schur_calls.complex == []
+
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
         # P of the input map, of aux and of the augmented system, and the Q

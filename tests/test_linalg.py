@@ -120,6 +120,20 @@ class TestSolveSylvester:
         with pytest.raises(SpectraOverlap):
             solve_sylvester(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
+    def test_given_schur_form(self, rng):
+        for n, r in ((5, 2), (12, 4), (20, 7)):
+            A = make_stable(rng, n)
+            M = make_stable(rng, r)
+            K = rng.standard_normal((n, r))
+            Y = solve_sylvester(A, M, K)
+            Ys = solve_sylvester(A, M, K, sla.schur(A, output="real"), np.linalg.norm(A, 2))
+            assert np.linalg.norm(Ys - Y) <= 1e-12 * np.linalg.norm(Y)
+        # a complex pair -0.5 +- 2i of A^T against 0.5 +- 2i of M: overlap
+        A = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+        with pytest.raises(SpectraOverlap):
+            solve_sylvester(A, -A, np.ones((2, 2)), sla.schur(A, output="real"),
+                            np.linalg.norm(A, 2))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_sylvester(-np.eye(2), -np.eye(2), np.zeros((3, 2)))
@@ -179,6 +193,27 @@ class TestComplexSchur:
         for j, s in enumerate(self.SHIFTS):
             ref = np.linalg.solve(s * np.eye(n) - Aop, R[:, j])
             assert np.linalg.norm(X[:, j] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("system", ["msd", "random"])
+    def test_from_real_schur_form(self, rng, system):
+        # the n = 300 chain (150 complex pairs) and a random matrix with
+        # complex pairs, both through the real Schur form
+        A = build_msd(150).A if system == "msd" else rng.standard_normal((20, 20))
+        real = sla.schur(A, output="real")
+        assert np.any(np.diag(real[0], -1))
+        for S in (ComplexSchur(A), ComplexSchur(A, real)):
+            T, Z = S.T, S.Z
+            assert np.all(np.tril(T, -1) == 0)
+            assert np.linalg.norm(Z @ T @ Z.conj().T - A) <= 1e-13 * np.linalg.norm(A)
+            assert np.linalg.norm(Z.conj().T @ Z - np.eye(len(A))) <= 1e-12
+
+    def test_model_form_reuses_the_real_schur_form(self, schur_calls):
+        M = build_msd(20, m_inputs=2)
+        M.reach_factor
+        assert schur_calls == [40] and schur_calls.complex == []
+        S = M.schur
+        assert schur_calls == [40] and schur_calls.complex == []
+        assert np.allclose(S.Z @ S.T @ S.Z.conj().T, M.A, rtol=0.0, atol=1e-13)
 
     def test_real_right_hand_side(self, rng):
         A = make_stable(rng, 10)
