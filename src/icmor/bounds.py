@@ -107,17 +107,13 @@ def abt_bound(M: StateSpaceModel, R_abt, basis, u_l2, z0_norm):
 def aca_bound(Sx0y: StateSpaceModel, r_x0):
     """H2 norm of the balanced-truncation error, by the Hankel-trace formula.
 
-    Balances the system, partitions at ``r_x0``, solves the coupling
-    Sylvester equation, and returns ``sqrt(trace(T Theta2))`` (clamped at
-    zero) together with the partition.  The coupling equation ``Ab^T Y +
-    Y A11 + Cb^T C1 = 0`` is solved in the original coordinates, ``A^T X +
-    X A11 + C^T C1 = 0`` on the real Schur form of ``A`` that the Gramians
-    were solved on, and ``Y = Tbal^T X``; this is exact when balancing
-    deflated nothing, and otherwise off by terms of the size of the
-    deflated Hankel values.  The trace is the squared H2 error
-    itself, not only a bound on it: it agrees with ``h2_error_norm`` to
-    1.6e-13 relative on case 2's x0 map, and to 2e-8 on random MIMO systems
-    wherever that subtraction form is accurate (error >= 1e-4 ||H||).
+    Balances the system, partitions at ``r_x0``, and returns
+    ``sqrt(trace(T Theta2))`` (clamped at zero), the squared H2 error
+    itself (README), together with the partition.  The coupling equation
+    ``Ab^T Y + Y A11 + Cb^T C1 = 0`` is solved as ``A^T X + X A11 + C^T C1
+    = 0`` on the Gramians' real Schur form of ``A``, ``Y = Tbal^T X``:
+    exact when balancing deflated nothing, else off by terms of the size
+    of the deflated Hankel values.
     """
     bal = balance_realization(Sx0y)
     Ab, Bb, Cb, theta = bal.Ab, bal.Bb, bal.Cb, bal.Theta

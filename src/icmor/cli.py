@@ -59,7 +59,7 @@ def cmd_reduce(args):
     os.makedirs(args.out, exist_ok=True)
     sel_u = _selection(args.order_u, args.tol)
     if args.method == "augbt":
-        R = abt_reduce(M, basis, sel_u)
+        R = abt_reduce(M, M.with_input(basis.X0), sel_u)
         systems = {"red": R.sys}
         write_matrix(os.path.join(args.out, "X0_red.mtx"), R.X0til)
         orders = {"r_aug": R.r}

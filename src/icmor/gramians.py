@@ -57,8 +57,9 @@ class BalancedRealization:
 
 
 def gramian_factors(M: StateSpaceModel) -> GramianFactors:
-    """Square-root factors of both Gramians.  Each Lyapunov equation is
-    solved once: ``P`` per model, ``Q`` per ``A`` and ``C`` (README)."""
+    """Square-root factors of both Gramians, solved on first use and kept:
+    ``P`` per model, ``Q`` per ``A`` and ``C``.  ``abt_reduce`` sums its
+    augmented ``P`` from two of them instead of solving it (README)."""
     return GramianFactors(U=M.reach_factor, L=M.obs_factor)
 
 

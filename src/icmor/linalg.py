@@ -65,13 +65,9 @@ def _schur_eigvals(T):
 class ComplexSchur:
     """``A = Z T Z^H`` (``T`` upper triangular) of a real ``A``: shifted
     solves with ``A`` or ``A^T`` and Sylvester equations as one ``ztrsyl``.
-
-    ``T`` and ``Z`` come from the real Schur form ``(T, U)`` of ``A`` by
-    ``rsf2csf``, which splits each 2x2 block with one Givens rotation
-    (O(n^2) work); ``real_schur`` is that form as
-    ``scipy.linalg.schur(A, output="real")`` gives it, computed when not
-    given.  Any unitary triangularization serves the solves, and this one
-    costs a real Schur form instead of a complex one."""
+    ``T`` and ``Z`` come by ``rsf2csf`` from ``real_schur``, the form
+    ``scipy.linalg.schur(A, output="real")`` gives, computed when not
+    given."""
 
     def __init__(self, A, real_schur=None):
         T, U = sla.schur(A, output="real") if real_schur is None else real_schur
@@ -106,10 +102,8 @@ def _sqrt_factor(P, name):
         return np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         pass
-    # Eigendecomposition fallback with negative eigenvalues clipped at zero:
-    # semidefinite Gramians (uncontrollable or unobservable directions) get
-    # exactly-zero factor columns this way, which keeps the corresponding
-    # Hankel values at zero instead of at noise level.
+    # semidefinite Gramians: negative eigenvalues clipped, so their
+    # directions get zero factor columns and zero Hankel values
     w, V = np.linalg.eigh((P + P.T) / 2.0)
     if np.all(np.isfinite(w)) and w.min() >= -1e-8 * max(abs(w.max()), 1e-300):
         w = np.clip(w, 0.0, None)
@@ -119,15 +113,11 @@ def _sqrt_factor(P, name):
 
 
 def solve_lyapunov(A, G, schur=None, anorm=None):
-    """Solve ``A P + P A^T + G = 0`` for symmetric PSD ``P``.
-
-    ``A`` must be asymptotically stable and ``G`` symmetric.  The result is
-    symmetrized before returning.  ``schur``, the real Schur form ``(T, U)``
-    of ``A`` as ``scipy.linalg.schur(A, output="real")`` gives it, and
-    ``anorm = ||A||_2``, which sets the stability tolerance, are computed
-    when not given; a caller that solves several equations on one ``A``
-    passes them.  The stability verdict is read off ``diag(T)`` and raises
-    ``NotStable``.
+    """Solve ``A P + P A^T + G = 0`` (``A`` stable, ``G`` symmetric) for
+    the symmetrized ``P``.  ``schur``, the real Schur form ``(T, U)`` of
+    ``A`` as ``scipy.linalg.schur(A, output="real")`` gives it, and ``anorm
+    = ||A||_2``, which sets the stability tolerance, are computed when not
+    given.  ``NotStable`` is raised off ``diag(T)``.
     """
     A = _as_square(A)
     G = _as_square(G, "G")
@@ -151,13 +141,10 @@ def solve_lyapunov(A, G, schur=None, anorm=None):
 def solve_sylvester(A, M, K, schur=None, anorm=None):
     """Solve ``A^T Y + Y M + K = 0`` for ``Y`` (n x r).
 
-    Requires the spectra of ``-A^T`` and ``M`` to be disjoint, which holds
-    automatically when both ``A`` and ``M`` are stable; ``SpectraOverlap``
-    is raised when their separation is below ``1e-12 max(||A||_2,
-    ||M||_F, 1)``.  ``schur``, the real Schur form ``(T, U)`` of ``A`` (not
-    of ``A^T``), and ``anorm = ||A||_2`` are computed when not given, as
-    in ``solve_lyapunov``; with ``A^T = U T^T U^T`` the quasi-triangular
-    equation is solved by ``dtrsyl`` with ``T`` transposed.
+    ``SpectraOverlap`` is raised when the spectra of ``-A^T`` and ``M`` are
+    closer than ``1e-12 max(||A||_2, ||M||_F, 1)``.  ``schur`` (of ``A``,
+    not ``A^T``) and ``anorm`` are as in ``solve_lyapunov``; ``dtrsyl``
+    takes ``T`` transposed.
     """
     A = _as_square(A)
     M = _as_square(M, "M")

@@ -138,6 +138,10 @@ class StateSpaceModel:
         P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur, self.anorm)
         return _sqrt_factor(P, "reachability")
 
+    def drop_reach_factor(self):
+        """Forget the kept ``reach_factor``; its next use solves it again."""
+        self.__dict__.pop("reach_factor", None)
+
     @property
     def obs_factor(self):
         """``L`` with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``, solved on

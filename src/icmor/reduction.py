@@ -16,6 +16,7 @@ from .gramians import (
     h2_error_norm,
     hankel_spectrum,
 )
+from .linalg import _sqrt_factor
 from .model import InitialConditionBasis, StateSpaceModel
 
 __all__ = [
@@ -175,35 +176,53 @@ def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
                         hankel=spec.sigma, projection=proj)
 
 
-def augmented_system(M: StateSpaceModel, X0, scaling=True):
-    """The system with input ``[B, gamma X0]``, and ``gamma``.
-
-    With ``scaling`` on, ``gamma`` brings ``||X0||_2`` to the largest
-    input-column norm; it is 1 otherwise, or when either side is empty or
-    zero.
-    """
-    gamma = 1.0
-    if scaling and X0.shape[1] > 0 and M.m > 0:
-        bmax = float(np.max(np.linalg.norm(M.B, axis=0)))
+def _x0_scale(B, X0, scaling):
+    """``gamma`` that brings ``||X0||_2`` to the largest column norm of
+    ``B`` with ``scaling`` on; 1 otherwise, or when either side is empty or
+    zero."""
+    if scaling and X0.shape[1] > 0 and B.shape[1] > 0:
+        bmax = float(np.max(np.linalg.norm(B, axis=0)))
         xnorm = float(np.linalg.norm(X0, 2))
         if bmax > 0 and xnorm > 0:
-            gamma = bmax / xnorm
+            return bmax / xnorm
+    return 1.0
+
+
+def augmented_system(M: StateSpaceModel, X0, scaling=True):
+    """The system with input ``[B, gamma X0]``, and ``gamma`` (as in
+    ``abt_reduce``).  ``abt_reduce`` never solves its Gramian; the tests
+    take its direct solve as the oracle of the summed one."""
+    gamma = _x0_scale(M.B, X0, scaling)
     return M.with_input(np.hstack([M.B, gamma * X0])), gamma
 
 
-def abt_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
+def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
                sel: OrderSelection, scaling=True) -> ReducedModel:
-    """Balanced truncation of the system with augmented input ``[B X0]``.
+    """Balanced truncation of the system with augmented input ``[B, gamma
+    X0]``, from ``M = (A, B, C)`` and the x0 map ``aux = (A, X0, C)``,
+    as ``M.with_input(basis.X0)`` builds it.
 
-    With ``scaling`` on, ``X0`` is rescaled so its 2-norm matches the
-    largest input-column norm before augmenting; the returned ``X0til`` is
-    the projection of the unscaled basis.
+    The augmented Gramian is not solved: the Lyapunov operator is linear
+    in the input term, so ``P_aug = P_B + gamma^2 P_X0``, summed from
+    ``M.reach_factor`` and ``aux.reach_factor`` (which the BT of each map
+    solves too) and factored.  ``M``'s factor is dropped after the sum.
+    With ``scaling`` on, ``gamma`` brings ``||X0||_2`` to the largest
+    input-column norm; the returned ``X0til`` is the projection of the
+    unscaled basis.
     """
-    X0 = basis.X0
-    if X0.shape[0] != M.n:
-        raise InvalidParameter("basis dimension does not match the model")
-    Maug, gamma = augmented_system(M, X0, scaling)
-    F = gramian_factors(Maug)
+    X0 = aux.B
+    if not (np.array_equal(aux.A, M.A) and np.array_equal(aux.C, M.C)):
+        raise InvalidParameter("the x0 map does not share the model's A and C")
+    gamma = _x0_scale(M.B, X0, scaling)
+    Ux = aux.reach_factor
+    P = Ux @ Ux.T
+    P *= gamma * gamma
+    P += M.reach_factor @ M.reach_factor.T
+    # M's factor is not needed past the sum: dropped, it is not part of the
+    # Hankel SVD's memory peak
+    M.drop_reach_factor()
+    F = GramianFactors(U=_sqrt_factor(P, "reachability"), L=M.obs_factor)
+    del P
     spec = hankel_spectrum(F)
     r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
     proj = _bt_projection(F, spec, r)

@@ -147,11 +147,7 @@ def suggest_grid(M: StateSpaceModel, decay_target=1e-8, samples=GRID_SAMPLES):
 
 def _flush(Z):
     """Set the subnormal entries of ``Z`` to 0, in place; returns ``Z``.
-
-    They change no digit of a product with ``Z`` but put it on the slow path
-    (x86: 0.75 against 0.11 ms per matvec with ``e^{A L dt}`` of the n = 600
-    chain, whose far corners underflow).
-    """
+    They change no digit of a product with ``Z`` but slow it (README)."""
     Z[np.abs(Z) < np.finfo(float).tiny] = 0.0
     return Z
 
@@ -176,24 +172,15 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     ``x0`` are stepped side by side, as the two columns of one ``n x 2``
     state, and the trace carries them as ``components`` (``y_u``,
     ``y_x0``, the keys ``superpose`` uses); ``y`` is their sum.  Every
-    model takes one FOH step per output sample, so every trace holds the
-    same piecewise-linear interpolant of the input samples, and ``dt``
-    alone sets the input resolution.  The step is exact on that
-    interpolant for any ``dt``.
+    model takes one FOH step per output sample, exact on the
+    piecewise-linear interpolant of the input samples for any ``dt``.
 
     In ``xi_k = x_k - F1 u_k`` the recursion reads ``xi_{k+1} = E xi_k + G
     u_k``, ``G = E F1 + F0``, ``y_k = C xi_k + C F1 u_k``.  It is stepped in
-    blocks of ``L`` steps: ``xi`` moves by ``Phi = E^L`` plus a map of the
-    block's ``L`` input samples, and the block's outputs are ``C E^l xi``
-    plus a block-Toeplitz map (``C E^l G``, ``C F1``) of them.  Setting up
-    takes one ``foh_weights`` exponential, about ``2 log2 L`` products of
-    ``n x n`` matrices for ``Phi`` (squaring, not a second exponential), and
-    ``L`` products with ``E`` of ``m + p`` columns or rows; each of the
-    ``N / L`` blocks is one product of ``Phi`` with the state, and the
-    sample maps of all blocks are one GEMM each.  ``L ~ sqrt(N / (m + p))``
-    balances the two.  It matches stepping one sample at a time to 1e-12
-    relative L2 in the tests (1.8e-13 on the x0 response of the n = 600
-    chain).
+    blocks of ``L ~ sqrt(N / (m + p))`` steps: ``xi`` moves by ``Phi = E^L``
+    (by squaring) plus a map of the block's ``L`` input samples, and the
+    block's outputs are ``C E^l xi`` plus a block-Toeplitz map (``C E^l G``,
+    ``C F1``) of them; the sample maps of all blocks are one GEMM each.
     """
     A, B, C = M.A, M.B, M.C
     n, m, p = A.shape[0], B.shape[1], C.shape[0]

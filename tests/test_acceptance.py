@@ -193,14 +193,18 @@ class TestSharedReductions:
         # feed the methods; they must be the standalone spectra bit for bit
         rep, _, _ = request.getfixturevalue(case_name)
         X0 = unit_vector_basis(msd300.n, [x0_index]).X0
-        systems = {
-            "sigma": msd300,
-            "theta": StateSpaceModel(msd300.A, X0, msd300.C),
-            "eta": augmented_system(msd300, X0)[0],
-        }
-        for key, sys in systems.items():
+        aux = StateSpaceModel(msd300.A, X0, msd300.C)
+        for key, sys in (("sigma", msd300), ("theta", aux)):
             want = hankel_spectrum(gramian_factors(sys)).sigma
             assert rep.hsv[key].tobytes() == want.tobytes(), key
+        eta = rep.hsv["eta"]
+        assert eta.tobytes() == abt_reduce(msd300, aux, OrderSelection.fixed(1)).hankel.tobytes()
+        # the summed augmented Gramian against its direct solve, on the
+        # values the tolerance retains
+        r = rep.report["methods"]["augbt"]["orders"]["r_aug"]
+        direct = hankel_spectrum(gramian_factors(augmented_system(msd300, X0)[0])).sigma
+        assert order_from_tolerance(direct, 1e-2) == r
+        assert np.max(np.abs(eta[:r] - direct[:r]) / direct[:r]) <= 1e-12
 
 
 class TestCriterion5SplitBound:
@@ -217,7 +221,7 @@ class TestCriterion5SplitBound:
         # u = 0, z0 = 1: only the x0 term of the augmented bound is left
         M = msd300
         basis = unit_vector_basis(M.n, [x0_index])
-        R = abt_reduce(M, basis, OrderSelection.fixed(r))
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(r))
         z0 = np.ones(1)
         t_f, dt = suggest_grid(M)
         with expected_warnings(TailWarning):
@@ -232,7 +236,7 @@ class TestCriterion6AugmentedStructure:
     def test_duplicated_input_scales_spectrum(self):
         M = build_msd(12, m_inputs=4)
         basis = InitialConditionBasis(M.B.copy())
-        R = abt_reduce(M, basis, OrderSelection.fixed(5), scaling=False)
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(5), scaling=False)
         sigma = hankel_spectrum(gramian_factors(M)).sigma
         k = min(10, len(sigma))
         assert np.allclose(R.hankel[:k], np.sqrt(2.0) * sigma[:k], rtol=1e-8)
@@ -321,7 +325,7 @@ class TestCriterion10Iss:
         t_f, dt = suggest_grid(M)
         S = split_reduce(M, basis, OrderSelection.tolerance(1e-2),
                          OrderSelection.tolerance(1e-2), x0_method="bt")
-        Rabt = abt_reduce(M, basis, OrderSelection.tolerance(1e-2))
+        Rabt = abt_reduce(M, M.with_input(basis.X0), OrderSelection.tolerance(1e-2))
         with expected_warnings(TailWarning):
             tr = simulate(M, None, x0, t_f, dt)
             jump = S.sxy.sys.B @ z0

@@ -90,7 +90,7 @@ class TestAbtBound:
     def test_zero_initial_condition_collapses(self, msd20):
         M = msd20
         basis = unit_vector_basis(M.n, [M.n])
-        R = abt_reduce(M, basis, OrderSelection.fixed(6))
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(6))
         total, term_u, term_x0 = abt_bound(M, R, basis, u_l2=2.0, z0_norm=0.0)
         assert term_x0 == 0.0
         assert total == pytest.approx(2.0 * np.sum(R.hankel[R.r:]) * 2.0)
@@ -98,7 +98,7 @@ class TestAbtBound:
     def test_full_order_zero(self, rng):
         M = random_system(rng, 5, 2, 1)
         basis = InitialConditionBasis(rng.standard_normal((5, 1)))
-        R = abt_reduce(M, basis, OrderSelection.fixed(5))
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(5))
         total, _, _ = abt_bound(M, R, basis, u_l2=1.0, z0_norm=1.0)
         assert total <= 1e-10
 
@@ -112,7 +112,7 @@ class TestAbtBound:
     def test_msd_simulation(self, msd20):
         M = msd20
         basis = unit_vector_basis(M.n, [M.n])
-        R = abt_reduce(M, basis, OrderSelection.fixed(12))
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(12))
         u = InputSignal.decaying_pulses(M.m)
         z0 = np.array([0.5])
         t_f, dt = 400.0, 0.1

@@ -7,10 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from icmor import build_msd, load_model, save_model, unit_vector_basis
+from icmor import (
+    OrderSelection, build_msd, experiment, load_model, reduction, save_model,
+    unit_vector_basis,
+)
+from icmor._mmio import read_matrix
 from icmor.cli import main
 from icmor.errors import ConfigError, MaxItersExceeded
 from icmor.experiment import ExperimentConfig, _bound_holds, emit_report, run_experiment
+from icmor.linalg import solve_lyapunov
+from icmor.simulation import l2_norm
+
+from conftest import _rebind_in_icmor
 
 
 def small_config(tmp_path, **overrides):
@@ -128,9 +136,42 @@ class TestRunExperiment:
 
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
-        # P of the input map, of aux and of the augmented system, and the Q
-        # that all three share
-        assert lyapunov_orders.count(24) == 4
+        # P of the input map and of aux, and the Q they share; the augmented
+        # P is their sum, not a third solve
+        assert lyapunov_orders.count(24) == 3
+
+    def test_gramians_solved_inside_the_reductions(self, tmp_path, monkeypatch):
+        # offline time is measured on bt_reduce and abt_reduce, so every
+        # Lyapunov solve of an experiment must happen inside one of them
+        depth, inside, outside = [0], [], []
+
+        def entered(fn):
+            def call(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        def solve(A, *args, **kwargs):
+            (inside if depth[0] else outside).append(np.shape(A)[0])
+            return solve_lyapunov(A, *args, **kwargs)
+
+        for fn in (reduction.bt_reduce, reduction.abt_reduce):
+            _rebind_in_icmor(monkeypatch, fn, entered(fn))
+        _rebind_in_icmor(monkeypatch, solve_lyapunov, solve)
+        run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        assert outside == [] and inside.count(24) == 3
+
+    def test_each_norm_measured_once(self, tmp_path, monkeypatch):
+        # the input and x0 responses (calibration), the full output and one
+        # error per method
+        calls = []
+        monkeypatch.setattr(experiment, "l2_norm",
+                            lambda tr: calls.append(1) or l2_norm(tr))
+        rep = run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        assert len(calls) == 3 + len(rep.report["methods"])
 
     def test_determinism(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -189,6 +230,20 @@ class TestCliVerbs:
             info = json.load(fh)
         assert info["method"] == "bt-bt"
         assert set(info["orders"]) == {"r_u", "r_x0"}
+
+    def test_reduce_augbt(self, tmp_path):
+        model_dir = str(tmp_path / "model")
+        M = build_msd(8, m_inputs=2)
+        basis = unit_vector_basis(M.n, [16])
+        save_model(M, model_dir, basis=basis)
+        out = str(tmp_path / "red")
+        assert main(["reduce", "--model", model_dir, "--method", "augbt",
+                     "--tol", "1e-2", "--out", out]) == 0
+        with open(os.path.join(out, "offline.json")) as fh:
+            r = json.load(fh)["orders"]["r_aug"]
+        want = reduction.abt_reduce(M, M.with_input(basis.X0), OrderSelection.tolerance(1e-2))
+        assert r == want.r
+        assert np.allclose(read_matrix(os.path.join(out, "X0_red.mtx")), want.X0til)
 
     def test_reduce_augbt_requires_basis(self, tmp_path, capsys):
         model_dir = str(tmp_path / "model")

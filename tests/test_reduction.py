@@ -23,6 +23,7 @@ from icmor import (
     unit_vector_basis,
 )
 from icmor import reduction
+from icmor.reduction import augmented_system
 from icmor.errors import InvalidParameter, MaxItersExceeded, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
 
@@ -118,7 +119,7 @@ class TestAbtReduce:
     def test_duplicated_columns_scale_hankel(self):
         M = build_msd(8, m_inputs=3)
         basis = InitialConditionBasis(M.B.copy())
-        R = abt_reduce(M, basis, OrderSelection.fixed(4), scaling=False)
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(4), scaling=False)
         sig = hankel_spectrum(gramian_factors(M)).sigma
         k = min(10, len(sig))
         assert np.allclose(R.hankel[:k], np.sqrt(2.0) * sig[:k], rtol=1e-8)
@@ -126,7 +127,7 @@ class TestAbtReduce:
     def test_empty_basis_equals_bt(self, rng):
         M = random_system(rng, 6, 2, 1)
         basis = InitialConditionBasis(np.zeros((6, 0)))
-        Ra = abt_reduce(M, basis, OrderSelection.fixed(3))
+        Ra = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(3))
         Rb = bt_reduce(M, OrderSelection.fixed(3))
         assert np.allclose(Ra.sys.A, Rb.sys.A, atol=1e-10)
         assert np.allclose(Ra.sys.B, Rb.sys.B, atol=1e-10)
@@ -135,15 +136,83 @@ class TestAbtReduce:
     def test_x0til_is_projected_basis(self, rng):
         M = random_system(rng, 6, 2, 1)
         basis = InitialConditionBasis(rng.standard_normal((6, 2)))
-        R = abt_reduce(M, basis, OrderSelection.fixed(4))
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.fixed(4))
         assert np.allclose(R.X0til, R.projection.W.T @ basis.X0, atol=1e-12)
 
     def test_case2_order_near_input_order(self, msd_small):
         M, _ = msd_small
         basis = unit_vector_basis(M.n, [M.n // 10])
-        R = abt_reduce(M, basis, OrderSelection.tolerance(1e-2))
+        R = abt_reduce(M, M.with_input(basis.X0), OrderSelection.tolerance(1e-2))
         Ru = bt_reduce(M, OrderSelection.tolerance(1e-2))
         assert R.r <= 2 * Ru.r
+
+
+class TestSummedAugmentedGramian:
+    """abt_reduce sums P_B + gamma^2 P_X0 from the two maps' factors; the
+    direct solve on augmented_system is the oracle."""
+
+    def _check(self, M, X0, sel=OrderSelection.tolerance(1e-2), scaling=True):
+        Maug, gamma = augmented_system(M, X0, scaling)
+        want = hankel_spectrum(gramian_factors(Maug)).sigma
+        R = abt_reduce(M, M.with_input(X0), sel, scaling)
+        r = min(sel.resolve(want), reduction._numerical_rank(want))
+        assert R.r == r and R.x0_scale == gamma
+        assert np.allclose(R.hankel[:r], want[:r], rtol=1e-10, atol=0.0)
+        return R
+
+    @pytest.mark.parametrize("m,p,n0", [(1, 1, 1), (3, 2, 2), (2, 3, 4)])
+    def test_random_mimo(self, rng, m, p, n0):
+        for _ in range(5):
+            M = random_system(rng, 12, m, p)
+            X0 = rng.standard_normal((12, n0))
+            for sel in (OrderSelection.tolerance(1e-3), OrderSelection.fixed(5)):
+                self._check(M, X0, sel)
+
+    def test_twelve_mass_chain(self):
+        M = build_msd(12, m_inputs=3)
+        R = self._check(M, unit_vector_basis(M.n, [24]).X0)
+        assert R.r == 22
+
+    def test_empty_basis(self, rng):
+        self._check(random_system(rng, 10, 2, 2), np.zeros((10, 0)))
+
+    def test_no_scaling(self, rng):
+        M = random_system(rng, 10, 2, 1)
+        R = self._check(M, 5.0 * rng.standard_normal((10, 2)), scaling=False)
+        assert R.x0_scale == 1.0
+
+    def test_no_input(self, rng):
+        A = random_system(rng, 10).A
+        M = StateSpaceModel(A, np.zeros((10, 0)), rng.standard_normal((2, 10)))
+        self._check(M, rng.standard_normal((10, 2)))
+
+    def test_semidefinite_gramian(self, rng):
+        # the second block is reached by neither B nor X0, so P_aug is
+        # singular and its factor comes from the eigendecomposition
+        A = np.zeros((10, 10))
+        A[:6, :6], A[6:, 6:] = random_system(rng, 6).A, random_system(rng, 4).A
+        B, X0 = np.zeros((10, 2)), np.zeros((10, 1))
+        B[:6], X0[:6] = rng.standard_normal((6, 2)), rng.standard_normal((6, 1))
+        M = StateSpaceModel(A, B, rng.standard_normal((1, 10)))
+        Ub, Ux = M.reach_factor, M.with_input(X0).reach_factor
+        gamma = augmented_system(M, X0)[1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(Ub @ Ub.T + gamma**2 * Ux @ Ux.T)
+        assert self._check(M, X0, OrderSelection.fixed(8)).r == 6
+
+    def test_input_map_factor_dropped(self, rng):
+        M = random_system(rng, 8, 2, 1)
+        Mu, aux = M.with_input(M.B), M.with_input(rng.standard_normal((8, 1)))
+        bt_reduce(Mu, OrderSelection.fixed(3))
+        assert "reach_factor" in vars(Mu)
+        abt_reduce(Mu, aux, OrderSelection.fixed(3))
+        assert "reach_factor" not in vars(Mu) and "reach_factor" in vars(aux)
+
+    def test_x0_map_must_share_a_and_c(self, rng):
+        M = random_system(rng, 6, 1, 1)
+        other = StateSpaceModel(2.0 * M.A, np.ones((6, 1)), M.C)
+        with pytest.raises(InvalidParameter, match="share"):
+            abt_reduce(M, other, OrderSelection.fixed(2))
 
 
 class TestIrkaReduce:
