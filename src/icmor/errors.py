@@ -70,8 +70,8 @@ class ConfigError(IcmorError):
 
 
 class MaxItersExceeded(UserWarning):
-    """Fixed-point iteration stopped short of its fixed point (iteration cap
-    or collapsed basis); best iterate returned."""
+    """Fixed-point iteration stopped short of its fixed point (iteration
+    cap, collapsed basis or stall); best iterate returned."""
 
 
 class IllConditionedBalancing(UserWarning):

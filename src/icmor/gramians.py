@@ -108,12 +108,10 @@ def h2_norm(M: StateSpaceModel) -> float:
 
 
 def h2_error_norm(M: StateSpaceModel, R: StateSpaceModel) -> float:
-    """H2 norm of the error system between ``M`` and a reduced model ``R``.
-
-    ``||H||^2 - 2 tr(C X Cr^T) + ||Hr||^2`` with ``A X + X Ar^T + B Br^T
-    = 0``, on the complex Schur forms the models keep.  The squared error
-    has relative accuracy about ``eps ||C||^2 ||P|| / ||H - Hr||^2`` (README).
-    """
+    """H2 norm of the error system between ``M`` and a reduced model ``R``:
+    ``||H||^2 - 2 tr(C X Cr^T) + ||Hr||^2`` from the models' ``h2_squared``
+    and ``A X + X Ar^T + B Br^T = 0`` on their complex Schur forms; relative
+    accuracy about ``eps ||C||^2 ||P|| / ||H - Hr||^2`` (README)."""
     if R.m != M.m or R.p != M.p:
         raise DimensionMismatch("input/output dimensions differ between models")
     cross = M.schur.gramian_trace(M.B, M.C, R.schur, R.B, R.C)

@@ -55,11 +55,11 @@ class StateSpaceModel:
     ``A`` must be asymptotically stable; this is checked on construction,
     which keeps ``abscissa`` and ``anorm = ||A||_2``.  Instances are
     immutable and safe to share.  The real Schur form of ``A``
-    (``real_schur``), the Gramian factors solved on it, ``schur`` (the
-    complex Schur form of ``A``, converted from the real one) and
-    ``h2_squared`` are computed on first use and kept.  ``schur`` takes
-    the real form only if it is already there: a model whose Gramians are
-    never solved, such as an IRKA candidate, keeps no real form.
+    (``real_schur``), ``schur`` (the complex Schur form of ``A``, converted
+    from the real one) and the Gramian factors are computed on first use
+    and kept.  ``P`` is solved once: ``h2_squared = tr(C P C^T)`` and
+    ``reach_factor`` both come from it, and a model asked only for
+    ``h2_squared``, such as an IRKA candidate, never factors it.
     Nothing guards that first use: two threads that use a model for the
     first time at once may each compute a factor, and one result is kept.
     """
@@ -125,18 +125,26 @@ class StateSpaceModel:
 
     @cached_property
     def schur(self):
-        return ComplexSchur(self.A, self._shared.real_schur)
+        return ComplexSchur(self.A, self.real_schur)
+
+    @cached_property
+    def _reach_gramian(self):
+        """``P``, ``A P + P A^T + B B^T = 0``, solved on the shared real Schur
+        form of ``A``; kept until ``reach_factor`` factors it."""
+        return solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur, self.anorm)
 
     @cached_property
     def h2_squared(self):
-        return self.schur.gramian_trace(self.B, self.C, self.schur, self.B, self.C)
+        return float(np.sum((self.C @ self._reach_gramian) * self.C))
 
     @cached_property
     def reach_factor(self):
-        """``U`` with ``P = U U^T``, ``A P + P A^T + B B^T = 0``, solved on
-        the real Schur form of ``A`` that this model shares."""
-        P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur, self.anorm)
-        return _sqrt_factor(P, "reachability")
+        """``U`` with ``P = U U^T``; ``h2_squared`` is read off ``P`` before
+        ``P`` is dropped."""
+        self.h2_squared
+        U = _sqrt_factor(self._reach_gramian, "reachability")
+        del self.__dict__["_reach_gramian"]
+        return U
 
     def drop_reach_factor(self):
         """Forget the kept ``reach_factor``; its next use solves it again."""

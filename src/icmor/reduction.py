@@ -189,9 +189,8 @@ def _x0_scale(B, X0, scaling):
 
 
 def augmented_system(M: StateSpaceModel, X0, scaling=True):
-    """The system with input ``[B, gamma X0]``, and ``gamma`` (as in
-    ``abt_reduce``).  ``abt_reduce`` never solves its Gramian; the tests
-    take its direct solve as the oracle of the summed one."""
+    """The system with input ``[B, gamma X0]``, and ``gamma``, as in
+    ``abt_reduce``, which sums this system's Gramian instead of solving it."""
     gamma = _x0_scale(M.B, X0, scaling)
     return M.with_input(np.hstack([M.B, gamma * X0])), gamma
 
@@ -199,16 +198,12 @@ def augmented_system(M: StateSpaceModel, X0, scaling=True):
 def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
                sel: OrderSelection, scaling=True) -> ReducedModel:
     """Balanced truncation of the system with augmented input ``[B, gamma
-    X0]``, from ``M = (A, B, C)`` and the x0 map ``aux = (A, X0, C)``,
-    as ``M.with_input(basis.X0)`` builds it.
+    X0]``, from ``M = (A, B, C)`` and the x0 map ``aux = (A, X0, C)``.
 
-    The augmented Gramian is not solved: the Lyapunov operator is linear
-    in the input term, so ``P_aug = P_B + gamma^2 P_X0``, summed from
-    ``M.reach_factor`` and ``aux.reach_factor`` (which the BT of each map
-    solves too) and factored.  ``M``'s factor is dropped after the sum.
-    With ``scaling`` on, ``gamma`` brings ``||X0||_2`` to the largest
-    input-column norm; the returned ``X0til`` is the projection of the
-    unscaled basis.
+    ``P_aug = P_B + gamma^2 P_X0`` is summed from ``M.reach_factor`` and
+    ``aux.reach_factor``, not solved, and ``M``'s factor is dropped after
+    the sum.  With ``scaling`` on, ``gamma`` brings ``||X0||_2`` to the
+    largest column norm of ``B``; ``X0til`` projects the unscaled basis.
     """
     X0 = aux.B
     if not (np.array_equal(aux.A, M.A) and np.array_equal(aux.C, M.C)):
@@ -329,25 +324,25 @@ def _regularized_inverse(E, rel_tol=1e-13):
     return (Vt.T * s_inv) @ U.T
 
 
+_STALL_SCORINGS = 3
+
+
 def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
                 warm_start: ReducedModel = None) -> ReducedModel:
     """H2-targeted reduction by iterated tangential interpolation.
 
-    Interpolation shifts are updated to the mirrored reduced poles until
-    the relative shift change drops below ``shift_tol``.  They start from
-    the mirrored poles of ``warm_start`` when one is given, otherwise
-    log-spaced over the Gershgorin estimate of the spectrum magnitude
-    range.  The iteration has no descent guarantee, so every iterate that
-    is stable (after reflecting unstable poles across the imaginary axis
-    if needed) is scored by its actual H2 error and the best one wins if
-    the fixed point is not reached.  A start also ends when a tangential
-    basis collapses to rank < ``r``.  If no iterate is usable the warm
-    start itself is returned, flagged via ``interp_residuals['fallback']``;
-    without a warm start ``UnstableReduction`` is raised.  The warnings and
-    the error say where and why each start stopped.
-    Shifted solves and H2 scorings share ``M.schur``, computed once.
-    At ``r = n`` ``M`` itself is returned at once: its H2 error is 0, so
-    no iterate can do better.
+    The shifts move to the mirrored reduced poles until their relative
+    change drops below ``shift_tol``, starting from the mirrored poles of
+    ``warm_start``, or else from three log-spaced sets over the Gershgorin
+    range of the spectrum.  IRKA has no descent guarantee, so each stable
+    iterate (unstable poles reflected) is scored by its H2 error and,
+    without a fixed point, the best one wins.  A start also ends at a basis
+    of rank < ``r``, or after ``_STALL_SCORINGS`` scorings in a row that do
+    not beat its own best.  A candidate whose Lyapunov solve raises
+    ``NotStable`` goes unscored.  With no scored iterate the warm start is
+    returned, flagged by ``interp_residuals['fallback']``, or else
+    ``UnstableReduction`` is raised; warnings and errors name each start's
+    stop.  At ``r = n`` ``M`` itself is returned at once (H2 error 0).
     """
     if r < 1 or r > M.n:
         raise InvalidParameter(f"need 1 <= r <= n, got r={r}, n={M.n}")
@@ -385,13 +380,12 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
                 else rng.standard_normal((M.p, r)).astype(complex)
             starts.append((sh, bd, cd))
 
-    best_err = np.inf
-    best = None
-    final = None
-    final_err = np.inf
+    best = final = None
+    best_err = final_err = np.inf
     stops = []
     for shifts, bdirs, cdirs in starts:
         prev_change = np.inf
+        start_best, stale = np.inf, 0
         stop = f"no fixed point in {max_iters} iterations"
         for it in range(1, max_iters + 1):
             V = _tangential_basis(M.schur, B, shifts, bdirs, r)
@@ -410,21 +404,18 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
                 stop = f"non-finite reduced matrix at iteration {it}"
                 break
             Ars, reflected, (new_shifts, new_b, new_c) = _pole_data(Ar, Br, Cr)
-            candidate = None
-            err = np.inf
+            candidate, err = None, np.inf
             try:
                 candidate = (StateSpaceModel(Ars, Br, Cr), reflected,
                              shifts.copy(), bdirs.copy(), cdirs.copy())
-            except (NonFinite, NotStable):
+                err = h2_error_norm(M, candidate[0])
+            except (NonFinite, NotStable, np.linalg.LinAlgError):
                 pass
             if candidate is not None:
-                try:
-                    err = h2_error_norm(M, candidate[0])
-                except (NonFinite, np.linalg.LinAlgError):
-                    err = np.inf
+                stale = 0 if err < start_best else stale + 1
+                start_best = min(start_best, err)
                 if err < best_err:
-                    best_err = err
-                    best = candidate
+                    best, best_err = candidate, err
             order_old = np.lexsort((shifts.imag, shifts.real))
             order_new = np.lexsort((new_shifts.imag, new_shifts.real))
             change = np.linalg.norm(
@@ -432,9 +423,11 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
             ) / max(np.linalg.norm(shifts[order_old]), 1e-300)
             if change < shift_tol:
                 if candidate is not None and err < final_err:
-                    final = candidate
-                    final_err = err
+                    final, final_err = candidate, err
                 stop = f"fixed point at iteration {it}"
+                break
+            if stale == _STALL_SCORINGS:
+                stop = f"no gain in {stale} scorings at iteration {it}"
                 break
             # the plain fixed-point map can be locally repelling (shift
             # oscillation); damp the update whenever the change stops

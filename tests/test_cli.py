@@ -141,8 +141,9 @@ class TestRunExperiment:
         assert lyapunov_orders.count(24) == 3
 
     def test_gramians_solved_inside_the_reductions(self, tmp_path, monkeypatch):
-        # offline time is measured on bt_reduce and abt_reduce, so every
-        # Lyapunov solve of an experiment must happen inside one of them
+        # offline time is measured on bt_reduce, abt_reduce and
+        # irka_reduce, so every Lyapunov solve of an experiment, the order-r
+        # ones of IRKA's candidates too, must happen inside one of them
         depth, inside, outside = [0], [], []
 
         def entered(fn):
@@ -158,7 +159,7 @@ class TestRunExperiment:
             (inside if depth[0] else outside).append(np.shape(A)[0])
             return solve_lyapunov(A, *args, **kwargs)
 
-        for fn in (reduction.bt_reduce, reduction.abt_reduce):
+        for fn in (reduction.bt_reduce, reduction.abt_reduce, reduction.irka_reduce):
             _rebind_in_icmor(monkeypatch, fn, entered(fn))
         _rebind_in_icmor(monkeypatch, solve_lyapunov, solve)
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))

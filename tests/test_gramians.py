@@ -18,7 +18,9 @@ from icmor import (
     h2_norm,
     hankel_spectrum,
 )
+from icmor import model
 from icmor.errors import IllConditionedBalancing
+from icmor.linalg import ComplexSchur, _sqrt_factor
 from icmor.model import unit_vector_basis
 from icmor.reduction import augmented_system
 
@@ -90,6 +92,22 @@ class TestSharedFactors:
             fresh = StateSpaceModel(S.A.copy(), S.B.copy(), S.C.copy())
             assert np.array_equal(U, fresh.reach_factor)
         assert schur_calls == [24] * 4
+
+    def test_h2_squared_and_factor_from_one_solve_in_either_order(
+            self, lyapunov_orders, monkeypatch):
+        factored = []
+        monkeypatch.setattr(model, "_sqrt_factor",
+                            lambda P, name: factored.append(name) or _sqrt_factor(P, name))
+        h2_first, factor_first = (StateSpaceModel(self.M.A, self.X0, self.M.C)
+                                  for _ in range(2))
+        h2 = h2_first.h2_squared
+        # a model asked only for its H2 norm, as an IRKA candidate is, does
+        # not factor P
+        assert factored == [] and lyapunov_orders == [24]
+        U = factor_first.reach_factor
+        assert factor_first.h2_squared == h2
+        assert np.array_equal(h2_first.reach_factor, U)
+        assert factored == ["reachability"] * 2 and lyapunov_orders == [24, 24]
 
     def test_another_state_matrix_shares_nothing(self, lyapunov_orders):
         M2 = StateSpaceModel(2.0 * self.M.A, self.M.B, self.M.C)
@@ -210,6 +228,21 @@ class TestH2Norms:
         M = random_system(rng, 5, 2, 2, margin=0.5)
         oracle = h2_quadrature(M.A, M.B, M.C)
         assert h2_norm(M) == pytest.approx(oracle, rel=1e-6)
+
+    @staticmethod
+    def complex_form(M):
+        S = ComplexSchur(M.A)
+        return S.gramian_trace(M.B, M.C, S, M.B, M.C)
+
+    def test_h2_squared_matches_the_complex_form(self, rng):
+        for _ in range(10):
+            M = random_system(rng, 12, 3, 2)
+            assert M.h2_squared == pytest.approx(self.complex_form(M), rel=1e-12)
+
+    def test_h2_squared_case2_aux_matches_the_complex_form(self):
+        M = build_msd(150, m_inputs=10)
+        aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
+        assert aux.h2_squared == pytest.approx(self.complex_form(aux), rel=1e-12)
 
     def test_error_norm_identical_models(self, rng):
         M = random_system(rng, 5, 1, 1)

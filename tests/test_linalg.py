@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from icmor import (
+    StateSpaceModel,
     build_msd,
     matrix_exponential,
     solve_lyapunov,
@@ -214,6 +215,12 @@ class TestComplexSchur:
         S = M.schur
         assert schur_calls == [40] and schur_calls.complex == []
         assert np.allclose(S.Z @ S.T @ S.Z.conj().T, M.A, rtol=0.0, atol=1e-13)
+        # asked first, the complex form computes the real one, and the
+        # Gramians are solved on it
+        fresh = StateSpaceModel(M.A.copy(), M.B, M.C)
+        fresh.schur
+        fresh.reach_factor
+        assert schur_calls == [40, 40] and schur_calls.complex == []
 
     def test_real_right_hand_side(self, rng):
         A = make_stable(rng, 10)

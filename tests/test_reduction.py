@@ -22,9 +22,9 @@ from icmor import (
     split_reduce,
     unit_vector_basis,
 )
-from icmor import reduction
+from icmor import model, reduction
 from icmor.reduction import augmented_system
-from icmor.errors import InvalidParameter, MaxItersExceeded, UnstableReduction
+from icmor.errors import InvalidParameter, MaxItersExceeded, NotStable, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
 
 from conftest import random_system
@@ -287,6 +287,50 @@ class TestIrkaReduce:
         assert len(scorings) == 2
         assert not R.converged
         assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
+
+    @staticmethod
+    def case2_x0_map(monkeypatch):
+        """The x0 map of the order-300 chain, x0 at state index 30, its BT
+        warm start at r = 20, and the list of IRKA's scored H2 errors."""
+        M = build_msd(150, m_inputs=10)
+        aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
+        warm = bt_reduce(aux, OrderSelection.fixed(20))
+        errors = []
+
+        def scored(*args):
+            errors.append(h2_error_norm(*args))
+            return errors[-1]
+
+        monkeypatch.setattr(reduction, "h2_error_norm", scored)
+        return aux, warm, errors
+
+    def test_stall_ends_a_warm_started_start(self, monkeypatch):
+        # iterates 1 and 2 each beat the best so far, 3 to 5 do not
+        aux, warm, errors = self.case2_x0_map(monkeypatch)
+        with pytest.warns(MaxItersExceeded, match=r"no gain in 3 scorings at iteration 5"):
+            R = irka_reduce(aux, 20, warm_start=warm)
+        best = int(np.argmin(errors)) + 1
+        assert best == 2 and len(errors) == best + 3
+        assert h2_error_norm(aux, R.sys) == min(errors)
+        assert min(errors) < h2_error_norm(aux, warm.sys)
+
+    def test_unstable_candidate_solve_is_not_scored(self, monkeypatch):
+        # the first candidate's Lyapunov solve fails: that iterate goes
+        # unscored and the run goes on to the same stall and iterate
+        aux, warm, errors = self.case2_x0_map(monkeypatch)
+        solves, original = [], model.solve_lyapunov
+
+        def solve(A, *args, **kwargs):
+            solves.append(len(A))
+            if len(solves) == 1:
+                raise NotStable("injected")
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(model, "solve_lyapunov", solve)
+        with pytest.warns(MaxItersExceeded, match=r"no gain in 3 scorings at iteration 5"):
+            R = irka_reduce(aux, 20, warm_start=warm)
+        assert solves == [20] * 5 and len(errors) == 4
+        assert h2_error_norm(aux, R.sys) == min(errors)
 
     def test_full_order_returns_at_once(self):
         # the x0 map of the 6-mass chain with six inputs: BT keeps r = n = 12
