@@ -427,7 +427,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
                 stop = f"fixed point at iteration {it}"
                 break
             if stale == _STALL_SCORINGS:
-                stop = f"no gain in {stale} scorings at iteration {it}"
+                stop = (f"no fixed point in {it} iterations: "
+                        f"no gain in {stale} scorings at iteration {it}")
                 break
             # the plain fixed-point map can be locally repelling (shift
             # oscillation); damp the update whenever the change stops

@@ -292,7 +292,8 @@ class TestCriterion9Case2:
 class TestIrkaStopReported:
     @pytest.mark.parametrize("case_name,reason", [
         ("case1", r"basis rank \d+ < r = 86 at iteration \d+"),
-        ("case2", "no gain in 3 scorings at iteration 5"),
+        ("case2", "no fixed point in 5 iterations: "
+                  "no gain in 3 scorings at iteration 5"),
     ])
     def test_one_warning_names_the_stop(self, case_name, reason, request):
         _, _, caught = request.getfixturevalue(case_name)
