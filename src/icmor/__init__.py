@@ -6,15 +6,7 @@ independently, with computable output error bounds and an exact-in-scheme
 simulation engine.
 """
 
-from .bounds import (
-    BalancedPartition,
-    ErrorBudget,
-    abt_bound,
-    aca_bound,
-    bt_bound,
-    irka_linf_bound,
-    split_bound,
-)
+from .bounds import ErrorBudget, abt_bound, aca_bound, bt_bound, split_bound
 from .gramians import (
     BalancedRealization,
     GramianFactors,
@@ -52,7 +44,6 @@ from .simulation import (
     l2_norm,
     linf_norm,
     online_phase,
-    relative_errors,
     simulate,
     suggest_grid,
     superpose,

@@ -131,8 +131,10 @@ def build_parser():
                    help="model directory with A.mtx/B.mtx/C.mtx, or builtin:msd")
     r.add_argument("--method", choices=["augbt", "bt-bt", "bt-irka"], default="bt-bt")
     r.add_argument("--tol", type=float, default=1e-2)
-    r.add_argument("--order-u", type=int, default=None)
-    r.add_argument("--order-x0", type=int, default=None)
+    r.add_argument("--order-u", type=int, default=None,
+                   help="order of the input map; with augbt, the augmented order r_aug")
+    r.add_argument("--order-x0", type=int, default=None,
+                   help="order of the initial-condition map; augbt ignores it")
     r.add_argument("--x0-indices", type=int, nargs="*", default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_reduce)

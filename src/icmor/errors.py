@@ -57,10 +57,6 @@ class GridMismatch(IcmorError):
     pass
 
 
-class DegenerateReference(IcmorError):
-    pass
-
-
 class UnstableReduction(IcmorError):
     pass
 

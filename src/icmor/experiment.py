@@ -233,7 +233,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
             tr = simulate(abt.sys, u, abt.X0til @ z0, t_f, dt)
             mt["simulate"] = time.perf_counter() - t1
             t1 = time.perf_counter()
-            bound, term_u, term_x0 = abt_bound(M, abt, basis, u_l2, z0_norm)
+            bound, term_u, term_x0 = abt_bound(abt, u_l2, z0_norm)
             budget = {"input_term": term_u, "x0_term": term_x0}
             mt["bounds"] = time.perf_counter() - t1
         else:

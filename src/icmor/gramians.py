@@ -58,8 +58,7 @@ class BalancedRealization:
 
 def gramian_factors(M: StateSpaceModel) -> GramianFactors:
     """Square-root factors of both Gramians, solved on first use and kept:
-    ``P`` per model, ``Q`` per ``A`` and ``C``.  ``abt_reduce`` sums its
-    augmented ``P`` from two of them instead of solving it (README)."""
+    ``P`` per model, ``Q`` per ``A`` and ``C``."""
     return GramianFactors(U=M.reach_factor, L=M.obs_factor)
 
 
@@ -71,21 +70,24 @@ def hankel_spectrum(F: GramianFactors) -> HankelSpectrum:
     return HankelSpectrum(sigma=s, Z=Z, Y=Yt.T)
 
 
-def balance_realization(M: StateSpaceModel, deflation_tol=1e-12) -> BalancedRealization:
+def _numerical_rank(sigma):
+    """Number of Hankel values above ``1e-12 sigma_1``."""
+    if len(sigma) == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > 1e-12 * sigma[0]))
+
+
+def balance_realization(M: StateSpaceModel) -> BalancedRealization:
     """Contragredient balancing transform from the Gramian factors.
 
-    Numerically-zero Hankel values (``sigma_i <= deflation_tol * sigma_1``)
-    are truncated first, so non-minimal models come back at their numerical
+    Hankel values beyond the numerical rank (``_numerical_rank``) are
+    truncated first, so non-minimal models come back at their numerical
     minimal order.
     """
     F = gramian_factors(M)
     spec = hankel_spectrum(F)
-    s = spec.sigma
-    if s.size == 0 or s[0] == 0.0:
-        k = 0
-    else:
-        k = int(np.sum(s > deflation_tol * s[0]))
-    sk = s[:k]
+    k = _numerical_rank(spec.sigma)
+    sk = spec.sigma[:k]
     Zk, Yk = spec.Z[:, :k], spec.Y[:, :k]
     d = 1.0 / np.sqrt(sk)
     T = (F.U @ Zk) * d          # n x k

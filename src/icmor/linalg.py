@@ -38,10 +38,11 @@ def stability_margin(A):
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def _is_stable(abscissa, anorm):
+def _is_stable(abscissa, A):
     """Whether the spectral abscissa of ``A`` clears the stability
-    tolerance, ``-1e-12 max(1, ||A||_2)`` (``anorm = ||A||_2``)."""
-    return abscissa < -1e-12 * max(1.0, anorm)
+    tolerance ``-1e-12 max(1, ||A||_F)``; ``A`` may be any orthogonally
+    similar matrix, such as its real Schur form."""
+    return abscissa < -1e-12 * max(1.0, np.linalg.norm(A))
 
 
 def _trsyl(trsyl, *args, **kwargs):
@@ -112,12 +113,12 @@ def _sqrt_factor(P, name):
     raise FactorizationFailure(f"{name} Gramian is indefinite")
 
 
-def solve_lyapunov(A, G, schur=None, anorm=None):
+def solve_lyapunov(A, G, schur=None):
     """Solve ``A P + P A^T + G = 0`` (``A`` stable, ``G`` symmetric) for
     the symmetrized ``P``.  ``schur``, the real Schur form ``(T, U)`` of
-    ``A`` as ``scipy.linalg.schur(A, output="real")`` gives it, and ``anorm
-    = ||A||_2``, which sets the stability tolerance, are computed when not
-    given.  ``NotStable`` is raised off ``diag(T)``.
+    ``A`` as ``scipy.linalg.schur(A, output="real")`` gives it, is computed
+    when not given.  ``NotStable`` is raised off ``diag(T)``, with the
+    tolerance ``-1e-12 max(1, ||T||_F)``.
     """
     A = _as_square(A)
     G = _as_square(G, "G")
@@ -130,7 +131,7 @@ def solve_lyapunov(A, G, schur=None, anorm=None):
     # equal diagonal entries, so the diagonal holds the real parts of the
     # whole spectrum and is the stability verdict.
     abscissa = float(np.max(np.diag(T)))
-    if not _is_stable(abscissa, np.linalg.norm(A, 2) if anorm is None else anorm):
+    if not _is_stable(abscissa, T):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
     # T Y + Y T^T = -Gt
@@ -138,13 +139,13 @@ def solve_lyapunov(A, G, schur=None, anorm=None):
     return (P + P.T) / 2.0
 
 
-def solve_sylvester(A, M, K, schur=None, anorm=None):
+def solve_sylvester(A, M, K, schur=None):
     """Solve ``A^T Y + Y M + K = 0`` for ``Y`` (n x r).
 
     ``SpectraOverlap`` is raised when the spectra of ``-A^T`` and ``M`` are
-    closer than ``1e-12 max(||A||_2, ||M||_F, 1)``.  ``schur`` (of ``A``,
-    not ``A^T``) and ``anorm`` are as in ``solve_lyapunov``; ``dtrsyl``
-    takes ``T`` transposed.
+    closer than ``1e-12 max(||Ta||_F, ||M||_F, 1)``.  ``schur = (Ta, Ua)``
+    (of ``A``, not ``A^T``) is as in ``solve_lyapunov``; ``dtrsyl`` takes
+    ``Ta`` transposed.
     """
     A = _as_square(A)
     M = _as_square(M, "M")
@@ -159,10 +160,7 @@ def solve_sylvester(A, M, K, schur=None, anorm=None):
     ea = _schur_eigvals(Ta)
     em = _schur_eigvals(Tm)
     sep = np.min(np.abs(ea[:, None] + em[None, :]))
-    # ||M||_F bounds ||M||_2 and needs no SVD
-    scale_ref = max(np.linalg.norm(A, 2) if anorm is None else anorm,
-                    np.linalg.norm(M), 1.0)
-    if sep < 1e-12 * scale_ref:
+    if sep < 1e-12 * max(np.linalg.norm(Ta), np.linalg.norm(M), 1.0):
         raise SpectraOverlap(
             f"spectra of -A^T and M nearly intersect (separation {sep:.3e})"
         )

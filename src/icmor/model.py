@@ -37,14 +37,14 @@ def _mat(x, name):
 
 
 class _Shared:
-    """The stability verdict and real Schur form of ``A`` and the
+    """The spectral abscissa and real Schur form of ``A`` and the
     observability factor ``L`` of ``(A, C)``, for a model and those
     ``with_input`` derives from it.  It refers to no model, so a dropped
     model is freed at once (no cycle)."""
 
     def __init__(self, A, C):
         self.A, self.C = A, C
-        self.abscissa, self.anorm = stability_margin(A), np.linalg.norm(A, 2)
+        self.abscissa = stability_margin(A)
         self.real_schur = self.L = None
 
 
@@ -52,25 +52,19 @@ class _Shared:
 class StateSpaceModel:
     """Continuous-time LTI system ``x' = A x + B u``, ``y = C x``.
 
-    ``A`` must be asymptotically stable; this is checked on construction,
-    which keeps ``abscissa`` and ``anorm = ||A||_2``.  Instances are
-    immutable and safe to share.  The real Schur form of ``A``
-    (``real_schur``), ``schur`` (the complex Schur form of ``A``, converted
-    from the real one) and the Gramian factors are computed on first use
-    and kept.  ``P`` is solved once: ``h2_squared = tr(C P C^T)`` and
-    ``reach_factor`` both come from it, and a model asked only for
-    ``h2_squared``, such as an IRKA candidate, never factors it.
-    Nothing guards that first use: two threads that use a model for the
-    first time at once may each compute a factor, and one result is kept.
+    ``A`` must be asymptotically stable: on construction its spectral
+    abscissa, kept as ``abscissa``, must lie below ``-1e-12 max(1,
+    ||A||_F)``.  Instances are immutable and safe to share.  The Schur
+    forms of ``A`` (``real_schur``, ``schur``), ``h2_squared`` and the
+    Gramian factors are computed on first use and kept.  Nothing guards
+    that first use: two threads may each compute a value, and one is kept.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    labels: dict = field(default_factory=dict, compare=False)
     _shared: _Shared = field(default=None, repr=False, compare=False)
     abscissa: float = field(init=False, repr=False, compare=False)
-    anorm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _mat(self.A, "A")
@@ -90,15 +84,15 @@ class StateSpaceModel:
         shared = self._shared
         if shared is None or shared.A is not A or shared.C is not C:
             shared = _Shared(A, C)
-        if n > 0 and not _is_stable(shared.abscissa, shared.anorm):
+        if n > 0 and not _is_stable(shared.abscissa, A):
             raise NotStable(f"A has stability margin {shared.abscissa:.3e}")
         for name, value in (("A", A), ("B", B), ("C", C), ("_shared", shared),
-                            ("abscissa", shared.abscissa), ("anorm", shared.anorm)):
+                            ("abscissa", shared.abscissa)):
             object.__setattr__(self, name, value)
 
     def with_input(self, B):
         """``(A, B, C)`` on this model's ``A`` and ``C``: checks ``B`` and
-        shares this model's stability verdict, the real Schur form of ``A``
+        shares this model's spectral abscissa, the real Schur form of ``A``
         and ``obs_factor``."""
         return StateSpaceModel(self.A, B, self.C, _shared=self._shared)
 
@@ -131,7 +125,7 @@ class StateSpaceModel:
     def _reach_gramian(self):
         """``P``, ``A P + P A^T + B B^T = 0``, solved on the shared real Schur
         form of ``A``; kept until ``reach_factor`` factors it."""
-        return solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur, self.anorm)
+        return solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur)
 
     @cached_property
     def h2_squared(self):
@@ -156,7 +150,7 @@ class StateSpaceModel:
         the real Schur form of ``A^T``."""
         S = self._shared
         if S.L is None:
-            Q = solve_lyapunov(self.A.T, self.C.T @ self.C, anorm=self.anorm)
+            Q = solve_lyapunov(self.A.T, self.C.T @ self.C)
             S.L = _sqrt_factor(Q, "observability")
         return S.L
 
@@ -241,7 +235,7 @@ def build_msd(n_masses, mass=1.0, stiffness=2.0, damping=0.1, m_inputs=10):
         B[2 * j + 1, j] = 1.0
     C = np.zeros((1, n))
     C[0, 1] = 1.0
-    return StateSpaceModel(A, B, C, labels={"kind": "msd", "n_masses": N})
+    return StateSpaceModel(A, B, C)
 
 
 def unit_vector_basis(n, indices):

@@ -12,6 +12,7 @@ from .errors import InvalidParameter, MaxItersExceeded, NonFinite, NotStable, Un
 from .gramians import (
     GramianFactors,
     HankelSpectrum,
+    _numerical_rank,
     gramian_factors,
     h2_error_norm,
     hankel_spectrum,
@@ -88,7 +89,6 @@ class ReducedModel:
     projection: ProjectionPair = None
     obs_x0: np.ndarray = None
     x0_scale: float = 1.0
-    shifts: np.ndarray = None
     interp_residuals: dict = field(default_factory=dict)
     converged: bool = True
 
@@ -141,12 +141,6 @@ def order_from_tolerance(sigma, tau):
             break
         r += 1
     return r
-
-
-def _numerical_rank(sigma, tol=1e-12):
-    if len(sigma) == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > tol * sigma[0]))
 
 
 def _bt_projection(F: GramianFactors, spec: HankelSpectrum, r):
@@ -325,14 +319,15 @@ def _regularized_inverse(E, rel_tol=1e-13):
 
 
 _STALL_SCORINGS = 3
+_SHIFT_TOL = 1e-6
 
 
-def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
+def irka_reduce(M: StateSpaceModel, r, max_iters=100,
                 warm_start: ReducedModel = None) -> ReducedModel:
     """H2-targeted reduction by iterated tangential interpolation.
 
     The shifts move to the mirrored reduced poles until their relative
-    change drops below ``shift_tol``, starting from the mirrored poles of
+    change drops below ``_SHIFT_TOL``, starting from the mirrored poles of
     ``warm_start``, or else from three log-spaced sets over the Gershgorin
     range of the spectrum.  IRKA has no descent guarantee, so each stable
     iterate (unstable poles reflected) is scored by its H2 error and,
@@ -421,7 +416,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
             change = np.linalg.norm(
                 new_shifts[order_new] - shifts[order_old]
             ) / max(np.linalg.norm(shifts[order_old]), 1e-300)
-            if change < shift_tol:
+            if change < _SHIFT_TOL:
                 if candidate is not None and err < final_err:
                     final, final_err = candidate, err
                 stop = f"fixed point at iteration {it}"
@@ -458,14 +453,14 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100, shift_tol=1e-6,
             "warm-start model",
             MaxItersExceeded,
         )
-        return ReducedModel(sys=warm_start.sys, method="irka", shifts=shifts,
-                            converged=False, interp_residuals={"fallback": True})
+        return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
+                            interp_residuals={"fallback": True})
     else:
         raise UnstableReduction(
             f"IRKA found no stable iterate ({why}) and has no warm start to "
             "fall back on")
 
-    R = ReducedModel(sys=sys, method="irka", shifts=shifts, converged=converged)
+    R = ReducedModel(sys=sys, method="irka", converged=converged)
     R.interp_residuals = tangential_residuals(M, sys, shifts, bdirs, cdirs)
     R.interp_residuals["pole_reflection"] = bool(reflected)
     R.interp_residuals["fallback"] = False
@@ -495,9 +490,7 @@ def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
     if x0_method == "irka":
         if sxy.r == 0:
-            irka = ReducedModel(sys=sxy.sys, method="irka")
+            sxy = ReducedModel(sys=sxy.sys, method="irka")
         else:
-            irka = irka_reduce(aux, sxy.r, warm_start=sxy)
-        irka.hankel = sxy.hankel
-        sxy = irka
+            sxy = irka_reduce(aux, sxy.r, warm_start=sxy)
     return SplitReducedModel(suy=suy, sxy=sxy, basis=basis, aux_system=aux)

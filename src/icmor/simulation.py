@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateReference,
-    GridMismatch,
-    InvalidParameter,
-    NonFinite,
-    TailWarning,
-)
+from .errors import GridMismatch, InvalidParameter, NonFinite, TailWarning
 from .linalg import matrix_exponential
 from .model import StateSpaceModel, coordinates_of
 
@@ -32,7 +26,6 @@ __all__ = [
     "online_phase",
     "l2_norm",
     "linf_norm",
-    "relative_errors",
 ]
 
 
@@ -137,12 +130,14 @@ def foh_weights(A, B, dt):
 
 
 GRID_SAMPLES = 4000
+_DECAY_TARGET = 1e-8
 
 
-def suggest_grid(M: StateSpaceModel, decay_target=1e-8, samples=GRID_SAMPLES):
-    """Horizon covering the full transient decay, with a default step."""
-    t_f = np.log(1.0 / decay_target) / max(-M.abscissa, 1e-12)
-    return float(t_f), float(t_f / samples)
+def suggest_grid(M: StateSpaceModel):
+    """Horizon over which ``exp(abscissa t)`` decays to ``_DECAY_TARGET``,
+    and the step that divides it into ``GRID_SAMPLES`` steps."""
+    t_f = np.log(1.0 / _DECAY_TARGET) / max(-M.abscissa, 1e-12)
+    return float(t_f), float(t_f / GRID_SAMPLES)
 
 
 def _flush(Z):
@@ -171,9 +166,8 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     both are given, the input response from rest and the response to
     ``x0`` are stepped side by side, as the two columns of one ``n x 2``
     state, and the trace carries them as ``components`` (``y_u``,
-    ``y_x0``, the keys ``superpose`` uses); ``y`` is their sum.  Every
-    model takes one FOH step per output sample, exact on the
-    piecewise-linear interpolant of the input samples for any ``dt``.
+    ``y_x0``, the keys ``superpose`` uses); ``y`` is their sum.  One FOH
+    step is taken per output sample.
 
     In ``xi_k = x_k - F1 u_k`` the recursion reads ``xi_{k+1} = E xi_k + G
     u_k``, ``G = E F1 + F0``, ``y_k = C xi_k + C F1 u_k``.  It is stepped in
@@ -295,18 +289,3 @@ def linf_norm(tr: SimulationTrace) -> float:
     if tr.y.size == 0:
         return 0.0
     return float(np.max(np.abs(tr.y)))
-
-
-def relative_errors(y_full: SimulationTrace, y_red: SimulationTrace) -> dict:
-    """Relative L2 and Linf output errors of a reduced trace."""
-    if y_full.t.shape != y_red.t.shape or not np.allclose(y_full.t, y_red.t, rtol=1e-12, atol=0.0):
-        raise GridMismatch("traces live on different time grids")
-    diff = SimulationTrace(t=y_full.t, y=y_full.y - y_red.y)
-    ref_l2 = l2_norm(y_full)
-    ref_linf = linf_norm(y_full)
-    if ref_l2 < 1e-300 or ref_linf < 1e-300:
-        raise DegenerateReference("reference trace is numerically zero")
-    return {
-        "rel_l2": l2_norm(diff) / ref_l2,
-        "rel_linf": linf_norm(diff) / ref_linf,
-    }

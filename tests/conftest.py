@@ -24,6 +24,16 @@ def make_stable(rng, n, margin=0.3):
     return A - (shift + margin) * np.eye(n)
 
 
+def near_margin(ratio):
+    """Diagonal state matrix with spectral abscissa ``-ratio 1e-12
+    ||A||_F``.  Its ``||A||_F`` is three times its ``||A||_2``, so the
+    stability tolerance ``-1e-12 max(1, ||A||_F)`` rejects ``ratio = 0.5``,
+    which a tolerance on ``||A||_2`` would accept."""
+    d = np.full(10, -2.0)
+    d[-1] = -ratio * 1e-12 * np.linalg.norm(d[:-1])
+    return np.diag(d)
+
+
 def random_system(rng, n, m=1, p=1, margin=0.3):
     A = make_stable(rng, n, margin)
     B = rng.standard_normal((n, m))

@@ -179,7 +179,7 @@ class TestCriterion4TraceBound:
             M = random_system(rng, 8, 1, 1, margin=0.4)
             scale = h2_norm(M)
             for r in range(1, 8):
-                bound, _ = aca_bound(M, r)
+                bound = aca_bound(M, r)
                 err = h2_error_norm(M, bt_reduce(M, OrderSelection.fixed(r)).sys)
                 # floor at the cancellation noise of the trace computations
                 assert bound >= err * (1.0 - 1e-6) - 1e-7 * scale
@@ -228,7 +228,7 @@ class TestCriterion5SplitBound:
             tr = simulate(M, None, basis.X0 @ z0, t_f, dt)
             tr_r = simulate(R.sys, None, R.X0til @ z0, t_f, dt)
             err = l2_norm(SimulationTrace(t=tr.t, y=tr.y - tr_r.y))
-        bound, _, _ = abt_bound(M, R, basis, 0.0, 1.0)
+        bound, _, _ = abt_bound(R, 0.0, 1.0)
         assert err <= bound
 
 

@@ -1,0 +1,36 @@
+"""The public names: each module's ``__all__`` and the package re-exports."""
+
+import ast
+import importlib
+import pkgutil
+
+import pytest
+
+import icmor
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(icmor.__path__))
+
+
+def _reexports():
+    """``(module, name)`` for every ``from .module import name`` in the
+    package's ``__init__``."""
+    with open(icmor.__file__) as fh:
+        tree = ast.parse(fh.read())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist(module):
+    mod = importlib.import_module(f"icmor.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_reexports_are_in_their_modules_all():
+    pairs = _reexports()
+    assert pairs
+    stray = [(module, name) for module, name in pairs
+             if name not in importlib.import_module(f"icmor.{module}").__all__]
+    assert stray == []

@@ -22,7 +22,7 @@ from icmor.errors import (
 )
 from icmor.linalg import ComplexSchur, _schur_eigvals, _sqrt_factor
 
-from conftest import kron_lyapunov, kron_sylvester, make_stable
+from conftest import kron_lyapunov, kron_sylvester, make_stable, near_margin
 
 
 class TestSolveLyapunov:
@@ -66,22 +66,27 @@ class TestSolveLyapunov:
         assert w.min() >= -1e-10 * np.linalg.norm(P, 2)
 
     def test_unstable_rejected(self):
-        # a real eigenvalue, a complex pair 0.1 +- 1i, and the pair +-1i on
-        # the imaginary axis (2x2 blocks of the real Schur form), each also
-        # with its real Schur form and norm given
-        for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]):
+        # a real eigenvalue, a complex pair 0.1 +- 1i, the pair +-1i on the
+        # imaginary axis (2x2 blocks of the real Schur form) and an abscissa
+        # of -0.5e-12 ||A||_F, inside the tolerance, each also with its real
+        # Schur form given
+        for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]],
+                  near_margin(0.5)):
             A = np.array(A)
             with pytest.raises(NotStable):
                 solve_lyapunov(A, np.eye(len(A)))
             with pytest.raises(NotStable):
-                solve_lyapunov(A, np.eye(len(A)), sla.schur(A, output="real"),
-                               np.linalg.norm(A, 2))
+                solve_lyapunov(A, np.eye(len(A)), sla.schur(A, output="real"))
+        # at -2e-12 ||A||_F the same A clears the tolerance
+        A = near_margin(2.0)
+        for schur in (None, sla.schur(A, output="real")):
+            assert np.all(np.isfinite(solve_lyapunov(A, np.eye(len(A)), schur)))
 
     def test_given_schur_form_and_norm_change_nothing(self, rng):
         A = make_stable(rng, 7)
         R = rng.standard_normal((7, 2))
         P = solve_lyapunov(A, R @ R.T)
-        Ps = solve_lyapunov(A, R @ R.T, sla.schur(A, output="real"), np.linalg.norm(A, 2))
+        Ps = solve_lyapunov(A, R @ R.T, sla.schur(A, output="real"))
         assert np.array_equal(P, Ps)
 
     def test_dimension_mismatch(self):
@@ -127,13 +132,12 @@ class TestSolveSylvester:
             M = make_stable(rng, r)
             K = rng.standard_normal((n, r))
             Y = solve_sylvester(A, M, K)
-            Ys = solve_sylvester(A, M, K, sla.schur(A, output="real"), np.linalg.norm(A, 2))
+            Ys = solve_sylvester(A, M, K, sla.schur(A, output="real"))
             assert np.linalg.norm(Ys - Y) <= 1e-12 * np.linalg.norm(Y)
         # a complex pair -0.5 +- 2i of A^T against 0.5 +- 2i of M: overlap
         A = np.array([[-0.5, 2.0], [-2.0, -0.5]])
         with pytest.raises(SpectraOverlap):
-            solve_sylvester(A, -A, np.ones((2, 2)), sla.schur(A, output="real"),
-                            np.linalg.norm(A, 2))
+            solve_sylvester(A, -A, np.ones((2, 2)), sla.schur(A, output="real"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

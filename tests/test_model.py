@@ -25,6 +25,8 @@ from icmor.errors import (
     ParseError,
 )
 
+from conftest import near_margin
+
 
 class TestStateSpaceModel:
     def test_dimensions(self):
@@ -32,11 +34,17 @@ class TestStateSpaceModel:
         assert (M.n, M.m, M.p) == (3, 2, 1)
 
     def test_unstable_rejected(self):
-        # a real eigenvalue, a complex pair 0.1 +- 1i, and the pair +-1i on
-        # the imaginary axis
-        for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]]):
+        # a real eigenvalue, a complex pair 0.1 +- 1i, the pair +-1i on the
+        # imaginary axis and an abscissa of -0.5e-12 ||A||_F, inside the
+        # tolerance
+        for A in ([[1.0]], [[0.1, 1.0], [-1.0, 0.1]], [[0.0, 1.0], [-1.0, 0.0]],
+                  near_margin(0.5)):
             with pytest.raises(NotStable):
                 StateSpaceModel(A, np.ones((len(A), 1)), np.ones((1, len(A))))
+        # at -2e-12 ||A||_F the same A clears the tolerance
+        A = near_margin(2.0)
+        M = StateSpaceModel(A, np.ones((len(A), 1)), np.ones((1, len(A))))
+        assert M.abscissa == A[-1, -1]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -45,7 +53,6 @@ class TestStateSpaceModel:
     def test_keeps_its_spectral_abscissa(self):
         M = build_msd(6, m_inputs=2)
         assert M.abscissa == stability_margin(M.A)
-        assert M.anorm == np.linalg.norm(M.A, 2)
         assert StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
                                np.zeros((1, 0))).abscissa == -np.inf
 
@@ -57,7 +64,7 @@ class TestWithInput:
         aux = M.with_input(unit_vector_basis(M.n, [12]).X0)
         assert eigvals_calls == []
         assert (aux.A is M.A) and (aux.C is M.C) and aux.m == 1
-        assert (aux.abscissa, aux.anorm) == (M.abscissa, M.anorm)
+        assert aux.abscissa == M.abscissa
 
     def test_input_is_still_checked(self):
         M = build_msd(6, m_inputs=2)

@@ -1,7 +1,5 @@
 """Simulation engine, superposition, and signal norms."""
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,18 +13,12 @@ from icmor import (
     l2_norm,
     linf_norm,
     online_phase,
-    relative_errors,
     simulate,
     split_reduce,
     suggest_grid,
     superpose,
 )
-from icmor.errors import (
-    DegenerateReference,
-    GridMismatch,
-    InvalidParameter,
-    TailWarning,
-)
+from icmor.errors import GridMismatch, InvalidParameter, TailWarning
 from icmor.linalg import matrix_exponential
 from icmor.simulation import SimulationTrace, _flush, _power, foh_weights
 
@@ -273,31 +265,6 @@ class TestNorms:
         tr = SimulationTrace(t=t, y=np.ones((101, 1)))
         with pytest.warns(TailWarning):
             l2_norm(tr)
-
-
-class TestRelativeErrors:
-    def test_identical(self, rng):
-        t = np.linspace(0, 10, 101)
-        y = np.exp(-t)[:, None]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TailWarning)
-            out = relative_errors(SimulationTrace(t=t, y=y),
-                                  SimulationTrace(t=t, y=y.copy()))
-        assert out == {"rel_l2": 0.0, "rel_linf": 0.0}
-
-    def test_zero_reduction(self):
-        t = np.linspace(0, 40, 401)
-        y = np.exp(-t)[:, None]
-        out = relative_errors(SimulationTrace(t=t, y=y),
-                              SimulationTrace(t=t, y=np.zeros_like(y)))
-        assert out["rel_l2"] == pytest.approx(1.0)
-        assert out["rel_linf"] == pytest.approx(1.0)
-
-    def test_degenerate_reference(self):
-        t = np.linspace(0, 1, 11)
-        with pytest.raises(DegenerateReference):
-            relative_errors(SimulationTrace(t=t, y=np.zeros((11, 1))),
-                            SimulationTrace(t=t, y=np.ones((11, 1))))
 
 
 def test_suggest_grid_covers_decay(rng):
