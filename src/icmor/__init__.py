@@ -8,10 +8,8 @@ simulation engine.
 
 from .bounds import ErrorBudget, abt_bound, aca_bound, bt_bound, split_bound
 from .gramians import (
-    BalancedRealization,
     GramianFactors,
     HankelSpectrum,
-    balance_realization,
     gramian_factors,
     h2_error_norm,
     h2_norm,
@@ -29,7 +27,6 @@ from .model import (
 )
 from .reduction import (
     OrderSelection,
-    ProjectionPair,
     ReducedModel,
     SplitReducedModel,
     abt_reduce,

@@ -5,8 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingProvenance, NegativeTrace
-from .gramians import balance_realization, h2_error_norm
+from .errors import IllConditionedBalancing, MissingProvenance, NegativeTrace
+from .gramians import (
+    _balancing_transform,
+    _numerical_rank,
+    gramian_factors,
+    h2_error_norm,
+    hankel_spectrum,
+)
 from .linalg import solve_sylvester
 from .model import StateSpaceModel
 
@@ -72,24 +78,31 @@ def abt_bound(R_abt, u_l2, z0_norm):
 def aca_bound(Sx0y: StateSpaceModel, r_x0):
     """H2 norm of the balanced-truncation error, by the Hankel-trace formula.
 
-    Balances the system, partitions at ``r_x0`` and returns the float
-    ``sqrt(tr(T Theta2))``, ``T = B2 B2^T + 2 Y2 A12`` (clamped at zero),
-    which is the H2 error itself (README).  The coupling equation ``Ab^T Y
-    + Y A11 + Cb^T C1 = 0`` is solved as ``A^T X + X A11 + C^T C1 = 0`` on
-    the Gramians' real Schur form of ``A``, ``Y = Tbal^T X``: exact when
+    Balances with the first ``k`` columns ``T``, ``W`` of ``bt_reduce``'s
+    transform, ``k`` the numerical rank, partitions at ``r_x0`` and returns
+    the float ``sqrt(tr((B2 B2^T + 2 Y2 A12) Theta2))`` (clamped at zero),
+    which is the H2 error itself (README).  ``[A11 A12] = W1^T A T``, ``B2 =
+    W2^T B``, ``C1 = C T1`` and ``Y2 = T2^T X``, with ``A^T X + X A11 + C^T
+    C1 = 0`` solved on the Gramians' real Schur form of ``A``: exact when
     balancing deflated nothing, else off by terms of the size of the
     deflated Hankel values.
     """
-    bal = balance_realization(Sx0y)
-    k = len(bal.Theta)
+    F = gramian_factors(Sx0y)
+    spec = hankel_spectrum(F)
+    k = _numerical_rank(spec.sigma)
+    T, W = _balancing_transform(F, spec, k)
+    cond = float(np.linalg.norm(T, 2) * np.linalg.norm(W, 2)) if k else 1.0
+    if cond > 1e8:
+        warnings.warn(
+            f"balancing transform condition {cond:.2e}", IllConditionedBalancing
+        )
     r = min(int(r_x0), k)
-    A11, A12 = bal.Ab[:r, :r], bal.Ab[:r, r:]
-    B2, C1, Theta2 = bal.Bb[r:], bal.Cb[:, :r], bal.Theta[r:]
-    Y = bal.Tbal.T @ solve_sylvester(Sx0y.A, A11, Sx0y.C.T @ C1, Sx0y.real_schur)
-    Y2 = Y[r:]
-    linear = float(np.trace((B2 @ B2.T) * Theta2[None, :])) if k > r else 0.0
-    quad = float(np.trace((2.0 * Y2 @ A12) * Theta2[None, :])) if k > r else 0.0
-    total = linear + quad
+    W1A = W[:, :r].T @ Sx0y.A  # as bt_reduce projects: A11 is its A, bitwise
+    A11, A12 = W1A @ T[:, :r], W1A @ T[:, r:]
+    B2, C1, Theta2 = W[:, r:].T @ Sx0y.B, Sx0y.C @ T[:, :r], spec.sigma[r:k]
+    X = solve_sylvester(Sx0y.A, A11, Sx0y.C.T @ C1, Sx0y.real_schur)
+    Y2 = T[:, r:].T @ X
+    total = float(np.trace(B2 @ B2.T * Theta2) + np.trace(2.0 * Y2 @ A12 * Theta2))
     if total < 0.0:
         warnings.warn(
             f"trace bound came out negative ({total:.3e}); clamping to zero",

@@ -2,6 +2,7 @@
 the requested methods, simulate everything, and evaluate bounds against
 measured errors."""
 
+import inspect
 import json
 import os
 import time
@@ -55,6 +56,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config of a JSON object; a field of the wrong type or an
+        unknown field anywhere raises ``ConfigError`` naming it."""
+        if not isinstance(d, dict):
+            raise ConfigError("config: expected a JSON object")
         d = dict(d)
         if "model" not in d:
             raise ConfigError("model: required")
@@ -62,13 +67,19 @@ class ExperimentConfig:
         methods = d.get("methods")
         if not methods:
             raise ConfigError("methods: at least one method required")
+        fields = cls.__dataclass_fields__
+        for key, value in d.items():
+            if key not in fields:
+                raise ConfigError(f"{key}: unknown config field")
+            if value is not None or fields[key].default is not None:
+                _check(value, fields[key].type, key)
         for m in methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"methods: unknown method '{m}'")
-        known = set(cls.__dataclass_fields__)
-        for key in d:
-            if key not in known:
-                raise ConfigError(f"{key}: unknown config field")
+        for key, kind in (("x0_indices", int), ("z0", float)):
+            for value in d.get(key) or ():
+                _check(value, kind, f"{key} entry")
+        _input_factory(d.get("input", {}))
         return cls(**d)
 
     @classmethod
@@ -96,13 +107,29 @@ class ReductionReport:
         )
 
 
+def _check(value, kind, name):
+    """``ConfigError`` naming ``name`` unless the JSON value has the type
+    ``kind``; an int passes as a float, a bool only as a bool."""
+    if isinstance(value, bool) and kind is not bool \
+            or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+
+
+_MODEL_FIELDS = {"kind": str, "path": str, "n_masses": int, "mass": float,
+                 "stiffness": float, "damping": float, "m_inputs": int}
+
+
 def _model_spec(model):
     """Normalize a model entry: ``"builtin:msd"``, a model directory, or a
-    dict with ``kind`` or ``path``."""
+    dict with ``kind`` or ``path`` and ``build_msd``'s parameters."""
     if isinstance(model, str):
         model = {"kind": "msd"} if model == "builtin:msd" else {"path": model}
     if not isinstance(model, dict) or not ("kind" in model or "path" in model):
         raise ConfigError("model: need 'kind' or 'path'")
+    for key, value in model.items():
+        if key not in _MODEL_FIELDS:
+            raise ConfigError(f"model.{key}: unknown model field")
+        _check(value, _MODEL_FIELDS[key], f"model.{key}")
     return model
 
 
@@ -115,26 +142,32 @@ def _build_model(spec, x0_indices=None):
     elif spec.get("kind") != "msd":
         raise ConfigError(f"model.kind: unknown builtin '{spec.get('kind')}'")
     else:
-        kwargs = {k: spec[k] for k in ("n_masses", "mass", "stiffness", "damping", "m_inputs")
-                  if k in spec}
-        kwargs.setdefault("n_masses", 150)
-        kwargs.setdefault("m_inputs", 10)
-        M, basis = build_msd(**kwargs), None
+        kwargs = {k: v for k, v in spec.items() if k != "kind"}
+        M, basis = build_msd(**{"n_masses": 150, "m_inputs": 10, **kwargs}), None
     if x0_indices is not None:
         basis = unit_vector_basis(M.n, x0_indices)
     return M, basis
 
 
+def _input_factory(spec):
+    """The ``InputSignal`` constructor an input spec names and its keyword
+    arguments, each a parameter of that constructor and a number."""
+    kwargs = dict(spec)
+    kind = kwargs.pop("kind", "decaying_pulses")
+    if kind not in ("zero", "decaying_pulses", "decaying_sinusoid"):
+        raise ConfigError(f"input.kind: unknown kind '{kind}'")
+    factory = getattr(InputSignal, kind)
+    params = inspect.signature(factory).parameters
+    for key, value in kwargs.items():
+        if key == "m" or key not in params:
+            raise ConfigError(f"input.{key}: not a parameter of kind '{kind}'")
+        _check(value, float, f"input.{key}")
+    return factory, kwargs
+
+
 def _build_input(spec, m):
-    spec = dict(spec or {"kind": "decaying_pulses"})
-    kind = spec.pop("kind", "decaying_pulses")
-    if kind == "zero":
-        return InputSignal.zero(m)
-    if kind == "decaying_pulses":
-        return InputSignal.decaying_pulses(m, **spec)
-    if kind == "decaying_sinusoid":
-        return InputSignal.decaying_sinusoid(m, **spec)
-    raise ConfigError(f"input.kind: unknown kind '{kind}'")
+    factory, kwargs = _input_factory(spec or {})
+    return factory(m, **kwargs)
 
 
 def _selection(order, tol):

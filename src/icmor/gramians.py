@@ -1,20 +1,17 @@
 """Gramian square-root factors, Hankel spectra, balancing, H2 norms."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditionedBalancing
+from .errors import DimensionMismatch
 from .model import StateSpaceModel
 
 __all__ = [
     "GramianFactors",
     "HankelSpectrum",
-    "BalancedRealization",
     "gramian_factors",
     "hankel_spectrum",
-    "balance_realization",
     "h2_norm",
     "h2_error_norm",
 ]
@@ -38,24 +35,6 @@ class HankelSpectrum:
     Y: np.ndarray
 
 
-@dataclass(frozen=True)
-class BalancedRealization:
-    """System in coordinates where both Gramians equal ``diag(Theta)``.
-
-    ``Tbal`` maps balanced to original coordinates (x = Tbal x_b); if the
-    model had a numerically unreachable/unobservable tail, that tail was
-    deflated and ``Tbal`` is n x k with k < n.
-    """
-
-    Ab: np.ndarray
-    Bb: np.ndarray
-    Cb: np.ndarray
-    Theta: np.ndarray
-    Tbal: np.ndarray
-    Tbal_inv: np.ndarray
-    cond: float
-
-
 def gramian_factors(M: StateSpaceModel) -> GramianFactors:
     """Square-root factors of both Gramians, solved on first use and kept:
     ``P`` per model, ``Q`` per ``A`` and ``C``."""
@@ -77,31 +56,12 @@ def _numerical_rank(sigma):
     return int(np.sum(sigma > 1e-12 * sigma[0]))
 
 
-def balance_realization(M: StateSpaceModel) -> BalancedRealization:
-    """Contragredient balancing transform from the Gramian factors.
-
-    Hankel values beyond the numerical rank (``_numerical_rank``) are
-    truncated first, so non-minimal models come back at their numerical
-    minimal order.
-    """
-    F = gramian_factors(M)
-    spec = hankel_spectrum(F)
-    k = _numerical_rank(spec.sigma)
-    sk = spec.sigma[:k]
-    Zk, Yk = spec.Z[:, :k], spec.Y[:, :k]
-    d = 1.0 / np.sqrt(sk)
-    T = (F.U @ Zk) * d          # n x k
-    Tinv = (d[:, None] * (Yk.T @ F.L.T))  # k x n
-    Ab = Tinv @ M.A @ T
-    Bb = Tinv @ M.B
-    Cb = M.C @ T
-    cond = float(np.linalg.norm(T, 2) * np.linalg.norm(Tinv, 2)) if k else 1.0
-    if cond > 1e8:
-        warnings.warn(
-            f"balancing transform condition {cond:.2e}", IllConditionedBalancing
-        )
-    return BalancedRealization(Ab=Ab, Bb=Bb, Cb=Cb, Theta=sk,
-                               Tbal=T, Tbal_inv=Tinv, cond=cond)
+def _balancing_transform(F: GramianFactors, spec: HankelSpectrum, k):
+    """The first ``k`` columns of the balancing transform, ``T = U Z_k
+    S^{-1/2}`` (x = T x_b), and ``W = L Y_k S^{-1/2}``, whose transpose is
+    the first ``k`` rows of its inverse; ``S = diag(sigma_1..sigma_k)``."""
+    d = 1.0 / np.sqrt(spec.sigma[:k])
+    return (F.U @ spec.Z[:, :k]) * d, (F.L @ spec.Y[:, :k]) * d
 
 
 def h2_norm(M: StateSpaceModel) -> float:

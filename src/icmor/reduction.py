@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from .errors import InvalidParameter, MaxItersExceeded, NonFinite, NotStable, UnstableReduction
 from .gramians import (
     GramianFactors,
-    HankelSpectrum,
+    _balancing_transform,
     _numerical_rank,
     gramian_factors,
     h2_error_norm,
@@ -22,7 +22,6 @@ from .model import InitialConditionBasis, StateSpaceModel
 
 __all__ = [
     "OrderSelection",
-    "ProjectionPair",
     "ReducedModel",
     "SplitReducedModel",
     "augmented_system",
@@ -65,18 +64,12 @@ class OrderSelection:
         return order_from_tolerance(sigma, self.tol)
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    V: np.ndarray
-    W: np.ndarray
-
-
 @dataclass
 class ReducedModel:
     """Projected realization ``sys`` plus the data needed by the error bounds.
 
-    ``hankel`` holds the full Hankel spectrum of the system the projection
-    was computed from (``sigma`` for BT, ``eta`` for augmented BT); the
+    ``hankel`` holds the full Hankel spectrum of the system ``sys`` was
+    reduced from (``sigma`` for BT, ``eta`` for augmented BT); the
     truncated tail is ``spectrum_tail``.  Augmented-BT models additionally
     carry the projected basis ``X0til``, the basis scaling and ``obs_x0 =
     L^T A X0s`` (augmented ``Q = L L^T``), which the a-priori bound needs.
@@ -86,7 +79,6 @@ class ReducedModel:
     X0til: np.ndarray = None
     method: str = "bt"
     hankel: np.ndarray = None
-    projection: ProjectionPair = None
     obs_x0: np.ndarray = None
     x0_scale: float = 1.0
     interp_residuals: dict = field(default_factory=dict)
@@ -143,15 +135,7 @@ def order_from_tolerance(sigma, tau):
     return r
 
 
-def _bt_projection(F: GramianFactors, spec: HankelSpectrum, r):
-    d = 1.0 / np.sqrt(spec.sigma[:r])
-    V = (F.U @ spec.Z[:, :r]) * d
-    W = (F.L @ spec.Y[:, :r]) * d
-    return ProjectionPair(V=V, W=W)
-
-
-def _project(M: StateSpaceModel, proj: ProjectionPair) -> StateSpaceModel:
-    V, W = proj.V, proj.W
+def _project(M: StateSpaceModel, V, W) -> StateSpaceModel:
     return StateSpaceModel(W.T @ M.A @ V, W.T @ M.B, M.C @ V)
 
 
@@ -165,9 +149,8 @@ def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
     F = gramian_factors(M)
     spec = hankel_spectrum(F)
     r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
-    proj = _bt_projection(F, spec, r)
-    return ReducedModel(sys=_project(M, proj), method="bt",
-                        hankel=spec.sigma, projection=proj)
+    V, W = _balancing_transform(F, spec, r)
+    return ReducedModel(sys=_project(M, V, W), method="bt", hankel=spec.sigma)
 
 
 def _x0_scale(B, X0, scaling):
@@ -214,13 +197,12 @@ def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
     del P
     spec = hankel_spectrum(F)
     r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
-    proj = _bt_projection(F, spec, r)
+    V, W = _balancing_transform(F, spec, r)
     return ReducedModel(
-        sys=_project(M, proj),
-        X0til=proj.W.T @ X0,
+        sys=_project(M, V, W),
+        X0til=W.T @ X0,
         method="abt",
         hankel=spec.sigma,
-        projection=proj,
         obs_x0=F.L.T @ M.A @ (gamma * X0),
         x0_scale=gamma,
     )

@@ -142,6 +142,15 @@ class TestAcaBound:
         R = bt_reduce(M, OrderSelection.fixed(1))
         assert bound >= h2_error_norm(M, R.sys)
 
+    def test_equals_h2_error_on_a_deflated_system(self):
+        # the middle state is unreachable and unobservable, so the numerical
+        # rank is k = 2 < n = 3 and the transform has k columns
+        M = StateSpaceModel(np.diag([-1.0, -3.0, -2.0]), np.array([[1.0], [0.0], [1.0]]),
+                            np.array([[1.0, 0.0, 1.0]]))
+        R = bt_reduce(M, OrderSelection.fixed(1))
+        assert aca_bound(M, 1) == pytest.approx(h2_error_norm(M, R.sys), rel=1e-12)
+        assert aca_bound(M, 1) == pytest.approx(0.0339925223681, rel=1e-10)
+
     def test_monte_carlo_validity(self, rng):
         for _ in range(20):
             M = random_system(rng, 8, 1, 1, margin=0.4)

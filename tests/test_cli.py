@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +58,26 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="seed: unknown config field"):
             ExperimentConfig.from_dict(
                 {"model": {"kind": "msd"}, "methods": ["bt-irka"], "seed": 0})
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"input": {"kind": "decaying_pulses", "bogus": 1}}, "input.bogus"),
+        ({"input": "decaying_pulses"}, "input"),
+        ({"x0_indices": [12.0]}, "x0_indices"),
+        ({"x0_indices": "12"}, "x0_indices"),
+        ({"z0": ["a"]}, "z0"),
+        (None, "config"),  # the whole config is a list
+        ({"model": {"kind": "msd", "n_mass": 6}}, "model.n_mass"),
+    ])
+    def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
+        cfg = [small_config(tmp_path)] if overrides is None \
+            else small_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
+            ExperimentConfig.from_dict(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}")
 
     def test_string_model_shorthand(self):
         cfg = ExperimentConfig.from_dict(

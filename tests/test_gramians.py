@@ -10,7 +10,7 @@ import pytest
 from icmor import (
     OrderSelection,
     StateSpaceModel,
-    balance_realization,
+    aca_bound,
     bt_reduce,
     build_msd,
     gramian_factors,
@@ -166,43 +166,41 @@ class TestHankelSpectrum:
 
 
 class TestBalanceRealization:
+    # the balancing transform is the one bt_reduce projects with; at r = n
+    # (or the numerical rank) its model is the balanced realization
+
     def test_scalar_identity_up_to_sign(self):
-        bal = balance_realization(scalar_system(1.0, np.sqrt(2.0), np.sqrt(2.0)))
-        assert abs(abs(bal.Tbal[0, 0]) - 1.0) < 1e-10
+        M = scalar_system(1.0, np.sqrt(2.0), np.sqrt(2.0))
+        Mb = bt_reduce(M, OrderSelection.fixed(M.n)).sys
+        assert Mb.A[0, 0] == pytest.approx(-1.0, rel=1e-12)
+        assert abs(abs(Mb.B[0, 0]) - np.sqrt(2.0)) < 1e-10
+        assert Mb.B[0, 0] * Mb.C[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_gramians_become_diagonal(self):
         M = StateSpaceModel(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]),
                             np.array([[1.0, 1.0]]))
-        bal = balance_realization(M)
-        Mb = StateSpaceModel(bal.Ab, bal.Bb, bal.Cb)
-        F = gramian_factors(Mb)
+        R = bt_reduce(M, OrderSelection.fixed(M.n))
+        F = gramian_factors(R.sys)
         P = F.U @ F.U.T
         Q = F.L @ F.L.T
-        assert np.allclose(P, np.diag(bal.Theta), atol=1e-8)
-        assert np.allclose(Q, np.diag(bal.Theta), atol=1e-8)
+        assert np.allclose(P, np.diag(R.hankel), atol=1e-8)
+        assert np.allclose(Q, np.diag(R.hankel), atol=1e-8)
 
     def test_nonminimal_deflated(self):
         # second state unreachable and unobservable: minimal order is 2
         A = np.diag([-1.0, -3.0, -2.0])
         B = np.array([[1.0], [0.0], [1.0]])
         C = np.array([[1.0, 0.0, 1.0]])
-        bal = balance_realization(StateSpaceModel(A, B, C))
-        assert bal.Ab.shape == (2, 2)
-        assert len(bal.Theta) == 2
+        R = bt_reduce(StateSpaceModel(A, B, C), OrderSelection.fixed(3))
+        assert R.sys.A.shape == (2, 2)
+        assert R.r == 2
 
     def test_off_diagonal_mass_small(self, rng):
         M = random_system(rng, 8, 2, 2)
-        bal = balance_realization(M)
-        F = gramian_factors(StateSpaceModel(bal.Ab, bal.Bb, bal.Cb))
+        F = gramian_factors(bt_reduce(M, OrderSelection.fixed(M.n)).sys)
         for G in (F.U @ F.U.T, F.L @ F.L.T):
             off = G - np.diag(np.diag(G))
             assert np.linalg.norm(off) <= 1e-7 * np.linalg.norm(np.diag(G))
-
-    def test_balanced_spectrum_matches_theta(self, rng):
-        M = random_system(rng, 6, 1, 1)
-        bal = balance_realization(M)
-        sig = hankel_spectrum(gramian_factors(M)).sigma
-        assert np.allclose(bal.Theta, sig[: len(bal.Theta)], rtol=1e-8)
 
     def test_ill_conditioning_warns(self):
         # widely separated Hankel values force a badly conditioned transform
@@ -212,7 +210,7 @@ class TestBalanceRealization:
         C = np.logspace(-12, 0, n).reshape(1, n)
         with warnings.catch_warnings(record=True) as wl:
             warnings.simplefilter("always")
-            balance_realization(StateSpaceModel(A, B, C))
+            aca_bound(StateSpaceModel(A, B, C), 1)
         assert any(issubclass(w.category, IllConditionedBalancing) for w in wl)
 
 
