@@ -1,20 +1,12 @@
 """A-priori and a-posteriori error bounds for the reduction methods."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedBalancing, MissingProvenance, NegativeTrace
-from .gramians import (
-    _balancing_transform,
-    _numerical_rank,
-    gramian_factors,
-    h2_error_norm,
-    hankel_spectrum,
-)
-from .linalg import solve_sylvester
+from .errors import MissingProvenance
 from .model import StateSpaceModel
+from .reduction import OrderSelection, bt_reduce
 
 __all__ = [
     "ErrorBudget",
@@ -32,7 +24,6 @@ class ErrorBudget:
 
     e1: float
     e2: float
-    e2_is_h2_error: bool = False
 
     def total(self, u_norm, z0_norm):
         return self.e1 * u_norm + self.e2 * z0_norm
@@ -76,55 +67,16 @@ def abt_bound(R_abt, u_l2, z0_norm):
 
 
 def aca_bound(Sx0y: StateSpaceModel, r_x0):
-    """H2 norm of the balanced-truncation error, by the Hankel-trace formula.
-
-    Balances with the first ``k`` columns ``T``, ``W`` of ``bt_reduce``'s
-    transform, ``k`` the numerical rank, partitions at ``r_x0`` and returns
-    the float ``sqrt(tr((B2 B2^T + 2 Y2 A12) Theta2))`` (clamped at zero),
-    which is the H2 error itself (README).  ``[A11 A12] = W1^T A T``, ``B2 =
-    W2^T B``, ``C1 = C T1`` and ``Y2 = T2^T X``, with ``A^T X + X A11 + C^T
-    C1 = 0`` solved on the Gramians' real Schur form of ``A``: exact when
-    balancing deflated nothing, else off by terms of the size of the
-    deflated Hankel values.
-    """
-    F = gramian_factors(Sx0y)
-    spec = hankel_spectrum(F)
-    k = _numerical_rank(spec.sigma)
-    T, W = _balancing_transform(F, spec, k)
-    cond = float(np.linalg.norm(T, 2) * np.linalg.norm(W, 2)) if k else 1.0
-    if cond > 1e8:
-        warnings.warn(
-            f"balancing transform condition {cond:.2e}", IllConditionedBalancing
-        )
-    r = min(int(r_x0), k)
-    W1A = W[:, :r].T @ Sx0y.A  # as bt_reduce projects: A11 is its A, bitwise
-    A11, A12 = W1A @ T[:, :r], W1A @ T[:, r:]
-    B2, C1, Theta2 = W[:, r:].T @ Sx0y.B, Sx0y.C @ T[:, :r], spec.sigma[r:k]
-    X = solve_sylvester(Sx0y.A, A11, Sx0y.C.T @ C1, Sx0y.real_schur)
-    Y2 = T[:, r:].T @ X
-    total = float(np.trace(B2 @ B2.T * Theta2) + np.trace(2.0 * Y2 @ A12 * Theta2))
-    if total < 0.0:
-        warnings.warn(
-            f"trace bound came out negative ({total:.3e}); clamping to zero",
-            NegativeTrace,
-        )
-        total = 0.0
-    return float(np.sqrt(total))
+    """H2 norm of the balanced-truncation error of ``Sx0y`` at order
+    ``r_x0``: the ``h2_error`` of ``bt_reduce`` (README)."""
+    return bt_reduce(Sx0y, OrderSelection.fixed(r_x0)).h2_error
 
 
 def split_bound(S, u_l2, z0_norm):
     """Evaluate the split-method output bound and its budget.
 
     ``e1`` is twice the truncated Hankel sum of the input map; ``e2`` is
-    the H2 error of the initial-condition map, by the Hankel-trace formula
-    (``aca_bound``) when that map was reduced by BT and by ``h2_error_norm``
-    (flagged by ``e2_is_h2_error``) when it came from IRKA.
+    the H2 error of the reduced initial-condition map, its ``h2_error``.
     """
-    e1 = bt_bound(S.suy.spectrum_tail, 1.0)
-    if S.sxy.method == "irka":
-        e2 = float(h2_error_norm(S.aux_system, S.sxy.sys))
-        budget = ErrorBudget(e1=e1, e2=e2, e2_is_h2_error=True)
-    else:
-        e2 = aca_bound(S.aux_system, S.sxy.r)
-        budget = ErrorBudget(e1=e1, e2=e2, e2_is_h2_error=False)
+    budget = ErrorBudget(e1=bt_bound(S.suy.spectrum_tail, 1.0), e2=S.sxy.h2_error)
     return budget.total(u_l2, z0_norm), budget

@@ -70,13 +70,5 @@ class MaxItersExceeded(UserWarning):
     cap, collapsed basis or stall); best iterate returned."""
 
 
-class IllConditionedBalancing(UserWarning):
-    pass
-
-
 class TailWarning(UserWarning):
-    pass
-
-
-class NegativeTrace(UserWarning):
     pass

@@ -279,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
             mt["simulate"] = time.perf_counter() - t1
             t1 = time.perf_counter()
             bound, eb = split_bound(S, u_l2, z0_norm)
-            budget = {"e1": eb.e1, "e2": eb.e2, "e2_is_h2_error": eb.e2_is_h2_error}
+            budget = {"e1": eb.e1, "e2": eb.e2}
             mt["bounds"] = time.perf_counter() - t1
 
         diff = SimulationTrace(t=tr_full.t, y=tr_full.y - tr.y)

@@ -14,8 +14,8 @@ from .gramians import (
     _balancing_transform,
     _numerical_rank,
     gramian_factors,
-    h2_error_norm,
     hankel_spectrum,
+    projected_h2_error,
 )
 from .linalg import _sqrt_factor
 from .model import InitialConditionBasis, StateSpaceModel
@@ -73,6 +73,8 @@ class ReducedModel:
     truncated tail is ``spectrum_tail``.  Augmented-BT models additionally
     carry the projected basis ``X0til``, the basis scaling and ``obs_x0 =
     L^T A X0s`` (augmented ``Q = L L^T``), which the a-priori bound needs.
+    ``h2_error`` is the H2 norm of the error against the reduced system, set
+    by ``bt_reduce`` and ``irka_reduce``; the split bound's ``e2`` reads it.
     """
 
     sys: StateSpaceModel
@@ -83,6 +85,7 @@ class ReducedModel:
     x0_scale: float = 1.0
     interp_residuals: dict = field(default_factory=dict)
     converged: bool = True
+    h2_error: float = None
 
     @property
     def r(self):
@@ -98,16 +101,11 @@ class ReducedModel:
 @dataclass
 class SplitReducedModel:
     """Independent reductions of the input map (``suy``) and of the
-    initial-condition map (``sxy``), recombined by superposition.
-
-    ``aux_system`` is the full-order system driven by the basis columns,
-    kept so bounds can be evaluated after the fact.
-    """
+    initial-condition map (``sxy``), recombined by superposition."""
 
     suy: ReducedModel
     sxy: ReducedModel
     basis: InitialConditionBasis
-    aux_system: StateSpaceModel = None
 
 
 def order_from_tolerance(sigma, tau):
@@ -150,7 +148,9 @@ def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
     spec = hankel_spectrum(F)
     r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
     V, W = _balancing_transform(F, spec, r)
-    return ReducedModel(sys=_project(M, V, W), method="bt", hankel=spec.sigma)
+    sys = _project(M, V, W)
+    return ReducedModel(sys=sys, method="bt", hankel=spec.sigma,
+                        h2_error=projected_h2_error(M, V, sys.A, sys.B))
 
 
 def _x0_scale(B, X0, scaling):
@@ -312,14 +312,16 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
     change drops below ``_SHIFT_TOL``, starting from the mirrored poles of
     ``warm_start``, or else from three log-spaced sets over the Gershgorin
     range of the spectrum.  IRKA has no descent guarantee, so each stable
-    iterate (unstable poles reflected) is scored by its H2 error and,
-    without a fixed point, the best one wins.  A start also ends at a basis
-    of rank < ``r``, or after ``_STALL_SCORINGS`` scorings in a row that do
-    not beat its own best.  A candidate whose Lyapunov solve raises
-    ``NotStable`` goes unscored.  With no scored iterate the warm start is
-    returned, flagged by ``interp_residuals['fallback']``, or else
-    ``UnstableReduction`` is raised; warnings and errors name each start's
-    stop.  At ``r = n`` ``M`` itself is returned at once (H2 error 0).
+    iterate (unstable poles reflected) is scored by its H2 error
+    (``projected_h2_error`` on its tangential basis) and, without a fixed
+    point, the best one wins; its score is kept as ``h2_error``.  A start
+    also ends at a basis of rank < ``r``, or after ``_STALL_SCORINGS``
+    scorings in a row that do not beat its own best.  A candidate whose
+    solves raise ``NotStable`` goes unscored.  With no scored iterate the
+    warm start is returned, with its ``h2_error`` and flagged by
+    ``interp_residuals['fallback']``, or else ``UnstableReduction`` is
+    raised; warnings and errors name each start's stop.  At ``r = n`` ``M``
+    itself is returned at once (H2 error 0).
     """
     if r < 1 or r > M.n:
         raise InvalidParameter(f"need 1 <= r <= n, got r={r}, n={M.n}")
@@ -327,7 +329,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         raise InvalidParameter(
             f"warm start has order {warm_start.r}, requested {r}")
     if r == M.n:
-        return ReducedModel(sys=M, method="irka", interp_residuals={
+        return ReducedModel(sys=M, method="irka", h2_error=0.0, interp_residuals={
             "value": 0.0, "derivative": 0.0, "pole_reflection": False, "fallback": False})
     A, B, C = M.A, M.B, M.C
     if warm_start is not None:
@@ -385,7 +387,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             try:
                 candidate = (StateSpaceModel(Ars, Br, Cr), reflected,
                              shifts.copy(), bdirs.copy(), cdirs.copy())
-                err = h2_error_norm(M, candidate[0])
+                err = projected_h2_error(M, V, Ars, Br)
             except (NonFinite, NotStable, np.linalg.LinAlgError):
                 pass
             if candidate is not None:
@@ -421,14 +423,14 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
     why = "; ".join(dict.fromkeys(stops))
     converged = final is not None
     if converged:
-        sys, reflected, shifts, bdirs, cdirs = final
+        (sys, reflected, shifts, bdirs, cdirs), h2_error = final, final_err
     elif best is not None:
         warnings.warn(
             f"IRKA stopped ({why}); returning the stable iterate with the "
             "smallest H2 error",
             MaxItersExceeded,
         )
-        sys, reflected, shifts, bdirs, cdirs = best
+        (sys, reflected, shifts, bdirs, cdirs), h2_error = best, best_err
     elif warm_start is not None:
         warnings.warn(
             f"IRKA found no stable iterate ({why}); falling back to the "
@@ -436,13 +438,14 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             MaxItersExceeded,
         )
         return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
+                            h2_error=warm_start.h2_error,
                             interp_residuals={"fallback": True})
     else:
         raise UnstableReduction(
             f"IRKA found no stable iterate ({why}) and has no warm start to "
             "fall back on")
 
-    R = ReducedModel(sys=sys, method="irka", converged=converged)
+    R = ReducedModel(sys=sys, method="irka", converged=converged, h2_error=h2_error)
     R.interp_residuals = tangential_residuals(M, sys, shifts, bdirs, cdirs)
     R.interp_residuals["pole_reflection"] = bool(reflected)
     R.interp_residuals["fallback"] = False
@@ -472,7 +475,7 @@ def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
     if x0_method == "irka":
         if sxy.r == 0:
-            sxy = ReducedModel(sys=sxy.sys, method="irka")
+            sxy = ReducedModel(sys=sxy.sys, method="irka", h2_error=sxy.h2_error)
         else:
             sxy = irka_reduce(aux, sxy.r, warm_start=sxy)
-    return SplitReducedModel(suy=suy, sxy=sxy, basis=basis, aux_system=aux)
+    return SplitReducedModel(suy=suy, sxy=sxy, basis=basis)

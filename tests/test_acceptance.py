@@ -181,7 +181,10 @@ class TestCriterion4TraceBound:
             for r in range(1, 8):
                 bound = aca_bound(M, r)
                 err = h2_error_norm(M, bt_reduce(M, OrderSelection.fixed(r)).sys)
-                # floor at the cancellation noise of the trace computations
+                # floor at the cancellation noise of the subtraction in
+                # h2_error_norm: on these 140 (system, order) pairs it
+                # differs from aca_bound by up to 5.1e-8 ||H||, so the floor
+                # cannot be tightened
                 assert bound >= err * (1.0 - 1e-6) - 1e-7 * scale
         assert time.perf_counter() - t_start < 60.0
 

@@ -22,7 +22,8 @@ from icmor import (
     split_reduce,
     unit_vector_basis,
 )
-from icmor import model, reduction
+from icmor import gramians, reduction
+from icmor.gramians import projected_h2_error
 from icmor.reduction import augmented_system
 from icmor.errors import InvalidParameter, MaxItersExceeded, NotStable, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
@@ -269,17 +270,18 @@ class TestIrkaReduce:
         M = build_msd(150, m_inputs=10)
         aux = M.with_input(unit_vector_basis(M.n, [300]).X0)
         warm = bt_reduce(aux, OrderSelection.fixed(86))
-        scorings = []
+        scores = []
 
         def counted(*args):
-            scorings.append(args)
-            return h2_error_norm(*args)
+            scores.append(projected_h2_error(*args))
+            return scores[-1]
 
-        monkeypatch.setattr(reduction, "h2_error_norm", counted)
+        monkeypatch.setattr(reduction, "projected_h2_error", counted)
         with pytest.warns(MaxItersExceeded, match=r"basis rank \d+ < r = 86 at iteration 3"):
             R = irka_reduce(aux, 86, max_iters=8, warm_start=warm)
-        assert len(scorings) == 2
+        assert len(scores) == 2
         assert not R.converged
+        assert R.h2_error == min(scores)
         assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
 
     @staticmethod
@@ -292,10 +294,10 @@ class TestIrkaReduce:
         errors = []
 
         def scored(*args):
-            errors.append(h2_error_norm(*args))
+            errors.append(projected_h2_error(*args))
             return errors[-1]
 
-        monkeypatch.setattr(reduction, "h2_error_norm", scored)
+        monkeypatch.setattr(reduction, "projected_h2_error", scored)
         return aux, warm, errors
 
     def test_stall_ends_a_warm_started_start(self, monkeypatch):
@@ -305,14 +307,15 @@ class TestIrkaReduce:
             R = irka_reduce(aux, 20, warm_start=warm)
         best = int(np.argmin(errors)) + 1
         assert best == 2 and len(errors) == best + 3
-        assert h2_error_norm(aux, R.sys) == min(errors)
-        assert min(errors) < h2_error_norm(aux, warm.sys)
+        assert R.h2_error == min(errors)
+        assert h2_error_norm(aux, R.sys) == pytest.approx(R.h2_error, rel=1e-9)
+        assert min(errors) < warm.h2_error
 
     def test_unstable_candidate_solve_is_not_scored(self, monkeypatch):
         # the first candidate's Lyapunov solve fails: that iterate goes
         # unscored and the run goes on to the same stall and iterate
         aux, warm, errors = self.case2_x0_map(monkeypatch)
-        solves, original = [], model.solve_lyapunov
+        solves, original = [], gramians.solve_lyapunov
 
         def solve(A, *args, **kwargs):
             solves.append(len(A))
@@ -320,11 +323,12 @@ class TestIrkaReduce:
                 raise NotStable("injected")
             return original(A, *args, **kwargs)
 
-        monkeypatch.setattr(model, "solve_lyapunov", solve)
+        monkeypatch.setattr(gramians, "solve_lyapunov", solve)
         with pytest.warns(MaxItersExceeded, match=r"no gain in 3 scorings at iteration 5"):
             R = irka_reduce(aux, 20, warm_start=warm)
         assert solves == [20] * 5 and len(errors) == 4
-        assert h2_error_norm(aux, R.sys) == min(errors)
+        assert R.h2_error == min(errors)
+        assert h2_error_norm(aux, R.sys) == pytest.approx(R.h2_error, rel=1e-9)
 
     def test_full_order_returns_at_once(self):
         # the x0 map of the 6-mass chain with six inputs: BT keeps r = n = 12
