@@ -14,6 +14,7 @@ from .errors import DimensionMismatch, FactorizationFailure, NonFinite, NotStabl
 
 __all__ = [
     "ComplexSchur",
+    "shifted_solve",
     "solve_lyapunov",
     "solve_sylvester",
     "matrix_exponential",
@@ -64,23 +65,14 @@ def _schur_eigvals(T):
 
 
 class ComplexSchur:
-    """``A = Z T Z^H`` (``T`` upper triangular) of a real ``A``: shifted
-    solves with ``A`` or ``A^T`` and Sylvester equations as one ``ztrsyl``.
-    ``T`` and ``Z`` come by ``rsf2csf`` from ``real_schur``, the form
-    ``scipy.linalg.schur(A, output="real")`` gives, computed when not
-    given."""
+    """``A = Z T Z^H`` (``T`` upper triangular) of a real ``A``, for
+    Sylvester equations as one ``ztrsyl``.  ``T`` and ``Z`` come by
+    ``rsf2csf`` from ``real_schur``, the form ``scipy.linalg.schur(A,
+    output="real")`` gives, computed when not given."""
 
     def __init__(self, A, real_schur=None):
         T, U = sla.schur(A, output="real") if real_schur is None else real_schur
         self.T, self.Z = sla.rsf2csf(T, U)
-
-    def shifted_solve(self, shifts, R, transpose=False):
-        """Columns ``(s_k I - A)^{-1} R[:, k]``, or with ``A^T`` (``= A^H``)
-        when ``transpose``: ``op(T) Y - Y diag(s) = -Z^H R``, with ``Z^H R``
-        formed as ``conj(Z^T conj(R))`` to avoid a conjugated copy of ``Z``."""
-        return self.Z @ _trsyl(
-            lapack.ztrsyl, self.T, np.diag(np.asarray(shifts, dtype=complex)),
-            -(self.Z.T @ R.conj()).conj(), trana="C" if transpose else "N", isgn=-1)
 
     def gramian_trace(self, B, C, other, Bo, Co):
         """``tr(C X Co^T)`` with ``A X + X Ao^T + B Bo^T = 0`` for real
@@ -92,6 +84,38 @@ class ComplexSchur:
         K = -((other.Z.T @ Bo) @ (self.Z.T @ B).conj().T).T
         Y = _trsyl(lapack.ztrsyl, self.T, other.T, K, tranb="C", overwrite_c=True)
         return float(np.sum(((C @ self.Z) @ Y) * (Co @ other.Z).conj()).real)
+
+
+def _real_columns(R, shifts):
+    """``[Re r_k, Im r_k]`` for each complex ``shifts[k]``, ``Re r_k`` for
+    each real one: the right-hand side of ``shifted_solve``."""
+    cols = []
+    for r, s in zip(R.T, shifts):
+        cols += [r.real, r.imag] if s.imag else [r.real]
+    return np.column_stack(cols)
+
+
+def _complex_columns(X, shifts):
+    """The columns ``x_k`` whose real columns ``_real_columns`` gives."""
+    cols, j = [], 0
+    for s in shifts:
+        cols.append(X[:, j] + 1j * X[:, j + 1] if s.imag else X[:, j] + 0j)
+        j += 2 if s.imag else 1
+    return np.column_stack(cols)
+
+
+def shifted_solve(T, shifts, K, transpose=False):
+    """``Y`` with ``op(T) Y - Y S = -K``, ``op(T) = T`` or ``T^T`` when
+    ``transpose``, by one ``dtrsyl`` call in real arithmetic.  ``S`` is block
+    diagonal: ``s`` for a real shift, ``[[a, b], [-b, a]]`` for a complex
+    ``s = a + ib``, which stands for its conjugate pair.  For ``(T, U)``, the
+    real Schur form of ``A``, and ``K = U^T _real_columns(R, shifts)``, ``U
+    Y`` holds the real columns ``[Re x_k, Im x_k]`` (``[Re x_k]`` for a real
+    shift) of ``x_k = (s_k I - op(A))^{-1} r_k``."""
+    blocks = [[[s.real, s.imag], [-s.imag, s.real]] if s.imag else [[s.real]]
+              for s in shifts]
+    return _trsyl(lapack.dtrsyl, T, sla.block_diag(*blocks), -K,
+                  trana="T" if transpose else "N", isgn=-1)
 
 
 def _sqrt_factor(P, name):

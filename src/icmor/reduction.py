@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidParameter, MaxItersExceeded, NonFinite, NotStable, UnstableReduction
 from .gramians import (
@@ -17,7 +16,7 @@ from .gramians import (
     hankel_spectrum,
     projected_h2_error,
 )
-from .linalg import _sqrt_factor
+from .linalg import _complex_columns, _real_columns, _sqrt_factor, shifted_solve
 from .model import InitialConditionBasis, StateSpaceModel
 
 __all__ = [
@@ -218,11 +217,10 @@ def _gershgorin_shift_range(A):
     return lo, hi
 
 
-def _tangential_basis(schur, Bmat, shifts, dirs, r, transpose=False):
-    """Orthonormal basis of the span of (s_k I - A)^{-1} B b_k (``A^T`` when
-    ``transpose``), conjugate pairs merged into real/imaginary columns.  It
-    has fewer than ``r`` columns when that span has collapsed."""
-    keep, pair = [], []
+def _one_per_pair(shifts):
+    """Indices of the real shifts and of the first shift of each conjugate
+    pair, and those shifts, a real one with its imaginary part set to 0."""
+    keep, kept = [], []
     used = np.zeros(len(shifts), dtype=bool)
     for k in range(len(shifts)):
         if used[k]:
@@ -230,37 +228,58 @@ def _tangential_basis(schur, Bmat, shifts, dirs, r, transpose=False):
         used[k] = True
         s = shifts[k]
         keep.append(k)
-        pair.append(abs(s.imag) > 1e-12 * max(abs(s.real), 1.0))
-        if pair[-1]:
+        if abs(s.imag) > 1e-12 * max(abs(s.real), 1.0):
             # consume the conjugate partner
             rest = np.where(~used)[0]
             if len(rest):
                 j = rest[np.argmin(np.abs(shifts[rest] - np.conj(s)))]
                 used[j] = True
-    X = schur.shifted_solve(shifts[keep], Bmat @ dirs[:, keep], transpose)
-    cols = []
-    for x, is_pair in zip(X.T, pair):
-        cols += [x.real, x.imag] if is_pair else [x.real]
-    return sla.orth(np.column_stack(cols)[:, :r])
+        else:
+            s = s.real
+        kept.append(s)
+    return keep, np.array(kept, dtype=complex)
+
+
+def _tangential_basis(real_schur, Bmat, shifts, dirs, r, transpose=False):
+    """Orthonormal basis of the span of (s_k I - A)^{-1} B b_k (``A^T`` when
+    ``transpose``), conjugate pairs merged into real/imaginary columns, on
+    ``(T, U)``, the real Schur form of ``A``.  It has fewer than ``r``
+    columns when that span has collapsed; ``NonFinite`` is raised when the
+    solve is not finite.  Singular values up to ``eps max(n, k) sigma_1``
+    count as 0, the rule of ``scipy.linalg.orth``, here on numpy's SVD."""
+    keep, s = _one_per_pair(shifts)
+    T, U = real_schur
+    X = (U @ shifted_solve(T, s, U.T @ _real_columns(Bmat @ dirs[:, keep], s),
+                           transpose))[:, :r]
+    if not np.all(np.isfinite(X)):
+        raise NonFinite("non-finite tangential basis")
+    Q, sv, _ = np.linalg.svd(X, full_matrices=False)
+    return Q[:, :np.sum(sv > np.finfo(float).eps * max(X.shape) * sv[0])]
 
 
 def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, shifts, bdirs, cdirs):
     """Relative Hermite interpolation residuals of ``R`` against ``M`` at
-    the given shifts and tangential directions (``M`` solves on ``M.schur``)."""
-    X = M.schur.shifted_solve(shifts, M.B @ bdirs)
-    X2 = M.schur.shifted_solve(shifts, X)
+    the given shifts and tangential directions, one shift of each conjugate
+    pair (the other's residuals are the conjugates).  ``M`` solves on
+    ``M.real_schur``: ``Y`` for ``(s I - A)^{-1} B b`` and ``Y2`` for ``(s I
+    - A)^{-2} B b``, which solves ``T Y2 - Y2 S = -Y`` in Schur coordinates."""
+    keep, s = _one_per_pair(shifts)
+    T, U = M.real_schur
+    Y = shifted_solve(T, s, U.T @ _real_columns(M.B @ bdirs[:, keep], s))
+    CU = M.C @ U
+    H, H2 = _complex_columns(CU @ Y, s), _complex_columns(CU @ shifted_solve(T, s, Y), s)
     Ar, Br, Cr = R.A, R.B, R.C
     Ir = np.eye(Ar.shape[0])
     val = der = 0.0
-    for k in range(len(shifts)):
-        s, b, c = shifts[k], bdirs[:, k], cdirs[:, k]
-        xr = np.linalg.solve(s * Ir - Ar, Br @ b)
-        hb, hrb = M.C @ X[:, k], Cr @ xr
+    for i, k in enumerate(keep):
+        b, c = bdirs[:, k], cdirs[:, k]
+        xr = np.linalg.solve(s[i] * Ir - Ar, Br @ b)
+        hb, hrb = H[:, i], Cr @ xr
         ref = max(np.linalg.norm(hb), 1e-300)
         val = max(val, np.linalg.norm(hb - hrb) / ref)
         # Hermite condition: c^T H'(s) b with H'(s) = -C (sI-A)^{-2} B
-        xr2 = np.linalg.solve(s * Ir - Ar, xr)
-        hd, hrd = -(c @ (M.C @ X2[:, k])), -(c @ (Cr @ xr2))
+        xr2 = np.linalg.solve(s[i] * Ir - Ar, xr)
+        hd, hrd = -(c @ H2[:, i]), -(c @ (Cr @ xr2))
         dref = max(abs(hd), 1e-300)
         der = max(der, abs(hd - hrd) / dref)
     return {"value": float(val), "derivative": float(der)}
@@ -367,8 +386,12 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         start_best, stale = np.inf, 0
         stop = f"no fixed point in {max_iters} iterations"
         for it in range(1, max_iters + 1):
-            V = _tangential_basis(M.schur, B, shifts, bdirs, r)
-            W = _tangential_basis(M.schur, C.T, shifts, cdirs, r, transpose=True)
+            try:
+                V = _tangential_basis(M.real_schur, B, shifts, bdirs, r)
+                W = _tangential_basis(M.real_schur, C.T, shifts, cdirs, r, transpose=True)
+            except NonFinite:
+                stop = f"non-finite basis at iteration {it}"
+                break
             rank = min(V.shape[1], W.shape[1])
             if rank < r:
                 # the tangential directions no longer span r dimensions, so

@@ -141,9 +141,12 @@ def suggest_grid(M: StateSpaceModel):
 
 
 def _flush(Z):
-    """Set the subnormal entries of ``Z`` to 0, in place; returns ``Z``.
-    They change no digit of a product with ``Z`` but slow it (README)."""
-    Z[np.abs(Z) < np.finfo(float).tiny] = 0.0
+    """Set the entries of ``Z`` below ``1e-150 max|Z|``, and the subnormal
+    ones, to 0, in place; returns ``Z``.  Products of two entries below
+    about 1e-154 underflow and put a GEMM with ``Z`` on its slow path, and
+    the flushed entries move no output digit (README)."""
+    absZ = np.abs(Z)
+    Z[absZ < max(1e-150 * absZ.max(initial=0.0), np.finfo(float).tiny)] = 0.0
     return Z
 
 

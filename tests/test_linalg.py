@@ -20,7 +20,13 @@ from icmor.errors import (
     NotStable,
     SpectraOverlap,
 )
-from icmor.linalg import ComplexSchur, _schur_eigvals, _sqrt_factor
+from icmor.linalg import (
+    ComplexSchur,
+    _real_columns,
+    _schur_eigvals,
+    _sqrt_factor,
+    shifted_solve,
+)
 
 from conftest import kron_lyapunov, kron_sylvester, make_stable, near_margin
 
@@ -183,21 +189,36 @@ def test_stability_margin_matches_eigenvalues(rng):
 
 
 class TestComplexSchur:
-    """Batched shifted solves against one dense solve per shift."""
+    """The complex Schur form, and the real shifted solve on the real one
+    against one dense solve per shift."""
 
-    SHIFTS = np.array([0.5, 2.0, 1.0 + 3.0j, 1.0 - 3.0j, 0.2 + 0.7j, 0.2 - 0.7j])
+    SHIFTS = np.array([0.5, 2.0, 1.0 + 3.0j, 0.2 + 0.7j, 1.5])
+
+    @staticmethod
+    def _solve(A, shifts, R, transpose=False):
+        T, U = sla.schur(A, output="real")
+        return U @ shifted_solve(T, shifts, U.T @ _real_columns(R, shifts), transpose)
 
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("system", ["random", "msd"])
     def test_shifted_solves_match_dense(self, rng, system, transpose):
+        # each complex shift stands for its conjugate pair: its two columns
+        # are the real and imaginary parts of the solve at that shift
         A = make_stable(rng, 25) if system == "random" else build_msd(40).A
         n, k = A.shape[0], len(self.SHIFTS)
         R = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        X = ComplexSchur(A).shifted_solve(self.SHIFTS, R, transpose)
+        X = self._solve(A, self.SHIFTS, R, transpose)
+        assert X.shape == (n, k + 2) and X.dtype == float
         Aop = A.T if transpose else A
-        for j, s in enumerate(self.SHIFTS):
-            ref = np.linalg.solve(s * np.eye(n) - Aop, R[:, j])
-            assert np.linalg.norm(X[:, j] - ref) <= 1e-10 * np.linalg.norm(ref)
+        j = 0
+        for s, r in zip(self.SHIFTS, R.T):
+            if s.imag:
+                x, j = X[:, j] + 1j * X[:, j + 1], j + 2
+                ref = np.linalg.solve(s * np.eye(n) - Aop, r)
+            else:
+                x, j = X[:, j], j + 1
+                ref = np.linalg.solve(s.real * np.eye(n) - Aop, r.real)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("system", ["msd", "random"])
     def test_from_real_schur_form(self, rng, system):
@@ -227,11 +248,14 @@ class TestComplexSchur:
         assert schur_calls == [40, 40] and schur_calls.complex == []
 
     def test_real_right_hand_side(self, rng):
+        # a repeated real shift, and a complex one on a real column, whose
+        # solve splits into (a I - A) Re x - b Im x = r, (a I - A) Im x + b Re x = 0
         A = make_stable(rng, 10)
-        B = rng.standard_normal((10, 2))
-        X = ComplexSchur(A).shifted_solve(np.array([1.5, 1.5]), B)
-        assert np.allclose(X.imag, 0.0, atol=1e-12)
-        assert np.allclose((1.5 * np.eye(10) - A) @ X.real, B, atol=1e-10)
+        B = rng.standard_normal((10, 3))
+        X = self._solve(A, np.array([1.5, 1.5, 1.0 + 2.0j]), B)
+        assert np.allclose((1.5 * np.eye(10) - A) @ X[:, :2], B[:, :2], atol=1e-10)
+        assert np.allclose((np.eye(10) - A) @ X[:, 2] - 2.0 * X[:, 3], B[:, 2], atol=1e-10)
+        assert np.allclose((np.eye(10) - A) @ X[:, 3] + 2.0 * X[:, 2], 0.0, atol=1e-10)
 
 
 class TestSqrtFactor:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from icmor import (
@@ -342,12 +343,80 @@ class TestIrkaReduce:
         assert R.converged
         assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
 
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_non_finite_basis_ends_the_start(self, rng, monkeypatch, warm):
+        M = random_system(rng, 8, 1, 1, margin=0.5)
+        warm_start = bt_reduce(M, OrderSelection.fixed(3)) if warm else None
+        monkeypatch.setattr(reduction, "shifted_solve",
+                            lambda T, shifts, K, transpose=False: np.full(K.shape, np.nan))
+        stop = "non-finite basis at iteration 1"
+        if warm:
+            with pytest.warns(MaxItersExceeded, match=f"{stop}.*falling back"):
+                R = irka_reduce(M, 3, warm_start=warm_start)
+            assert R.interp_residuals["fallback"] and R.sys is warm_start.sys
+        else:
+            with pytest.raises(UnstableReduction, match=stop):
+                irka_reduce(M, 3)
+
+    def test_kernels_of_a_warm_started_run(self, monkeypatch, schur_calls):
+        # the x0 map of the 12-mass config: IRKA solves on the real Schur
+        # form the warm start computed and orthonormalizes with numpy, so
+        # no complex Schur form, no scipy SVD and no Schur form of order n
+        M = build_msd(12, m_inputs=3)
+        aux = M.with_input(unit_vector_basis(M.n, [24]).X0)
+        warm = bt_reduce(aux, OrderSelection.tolerance(1e-2))
+        assert 0 < warm.r < aux.n
+        del schur_calls[:]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy kernel called")
+
+        for name in ("svd", "orth", "rsf2csf"):
+            monkeypatch.setattr(sla, name, forbidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MaxItersExceeded)
+            R = irka_reduce(aux, warm.r, warm_start=warm)
+        assert not R.interp_residuals["fallback"]
+        assert schur_calls.complex == []
+        assert "schur" not in aux.__dict__
+        assert schur_calls and set(schur_calls) == {warm.r}
+
     def test_collapse_without_warm_start_raises(self):
         # B reaches only a 2-dimensional subspace, so no order-3 basis exists
         M = StateSpaceModel(np.diag([-1.0, -2.0, -3.0, -4.0]),
                             [[1.0], [1.0], [0.0], [0.0]], np.ones((1, 4)))
         with pytest.raises(UnstableReduction, match="rank 2 < r = 3"):
             irka_reduce(M, 3)
+
+
+class TestTangentialBasis:
+    """``_tangential_basis`` keeps ``scipy.linalg.orth``'s rank rule and
+    span, against ``orth`` of the columns from one dense solve per shift."""
+
+    SHIFTS = np.array([0.5, 2.0, 1.0 + 3.0j, 1.0 - 3.0j, 0.2 + 0.7j, 0.2 - 0.7j])
+
+    @pytest.mark.parametrize("case, rank", [("full", 6), ("duplicated", 6), ("tiny", 5)])
+    def test_rank_and_span_match_scipy_orth(self, case, rank):
+        rng = np.random.default_rng(3)
+        M = random_system(rng, 30, 2, 1)
+        shifts = self.SHIFTS.copy()
+        dirs = rng.standard_normal((2, 6)) + 0j
+        dirs[:, 3], dirs[:, 5] = dirs[:, 2].conj(), dirs[:, 4].conj()
+        if case == "duplicated":
+            shifts, dirs = np.append(shifts, 2.0), np.column_stack([dirs, dirs[:, 1]])
+        elif case == "tiny":
+            dirs[:, 0] *= 1e-17
+        cols = []
+        for k, s in enumerate(shifts):
+            if s.imag < 0:
+                continue
+            x = np.linalg.solve(s * np.eye(M.n) - M.A, M.B @ dirs[:, k])
+            cols += [x.real, x.imag] if s.imag else [x.real]
+        ref = sla.orth(np.column_stack(cols))
+        V = reduction._tangential_basis(M.real_schur, M.B, shifts, dirs, len(shifts))
+        assert V.shape == ref.shape == (M.n, rank)
+        assert np.max(sla.subspace_angles(V, ref)) < 1e-12
+        assert np.allclose(V.T @ V, np.eye(rank), rtol=0.0, atol=1e-14)
 
 
 class TestSplitReduce:

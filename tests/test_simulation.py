@@ -20,6 +20,7 @@ from icmor import (
 )
 from icmor.errors import GridMismatch, InvalidParameter, TailWarning
 from icmor.linalg import matrix_exponential
+from icmor import simulation
 from icmor.simulation import SimulationTrace, _flush, _power, foh_weights
 
 from conftest import random_system, step_simulate
@@ -166,6 +167,26 @@ class TestLiftedStepping:
         ref = matrix_exponential(M.A, L * dt)
         assert np.linalg.norm(Phi - ref) <= 1e-13 * np.linalg.norm(ref)
 
+
+    def test_relative_flush_moves_no_output_digit(self, monkeypatch):
+        # the n = 600 chain, x0 at 600, decaying pulses: flushing the FOH
+        # powers below 1e-150 max|Z| gives y bit for bit as flushing only
+        # their subnormal entries, though it zeroes more of E
+        M = build_msd(300, m_inputs=10)
+        t_f, dt = suggest_grid(M)
+        u = InputSignal.decaying_pulses(10)
+        x0 = np.zeros(M.n)
+        x0[599] = 1.0
+
+        def subnormal_only(Z):
+            Z[np.abs(Z) < np.finfo(float).tiny] = 0.0
+            return Z
+
+        E = foh_weights(M.A, M.B, dt)[0]
+        assert np.count_nonzero(_flush(E.copy())) < np.count_nonzero(subnormal_only(E))
+        y = simulate(M, u, x0, t_f, dt).y
+        monkeypatch.setattr(simulation, "_flush", subnormal_only)
+        assert np.array_equal(simulate(M, u, x0, t_f, dt).y, y)
 
 class TestSuperpose:
     def test_zero_second_trace(self):
