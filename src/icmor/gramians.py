@@ -72,12 +72,13 @@ def h2_norm(M: StateSpaceModel) -> float:
 
 def h2_error_norm(M: StateSpaceModel, R: StateSpaceModel) -> float:
     """H2 norm of the error system between ``M`` and a reduced model ``R``:
-    ``||H||^2 - 2 tr(C X Cr^T) + ||Hr||^2`` from the models' ``h2_squared``
-    and ``A X + X Ar^T + B Br^T = 0`` on their complex Schur forms; relative
+    ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` from the models' ``h2_squared``
+    and ``A^T Y + Y Ar + C^T Cr = 0``, solved on ``M.real_schur``; relative
     accuracy about ``eps ||C||^2 ||P|| / ||H - Hr||^2`` (README)."""
     if R.m != M.m or R.p != M.p:
         raise DimensionMismatch("input/output dimensions differ between models")
-    cross = M.schur.gramian_trace(M.B, M.C, R.schur, R.B, R.C)
+    Y = solve_sylvester(M.A, R.A, M.C.T @ R.C, M.real_schur)
+    cross = np.sum(M.B * (Y @ R.B))
     return float(np.sqrt(max(M.h2_squared - 2.0 * cross + R.h2_squared, 0.0)))
 
 

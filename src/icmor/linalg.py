@@ -13,7 +13,6 @@ from scipy.linalg import lapack
 from .errors import DimensionMismatch, FactorizationFailure, NonFinite, NotStable, SpectraOverlap
 
 __all__ = [
-    "ComplexSchur",
     "shifted_solve",
     "solve_lyapunov",
     "solve_sylvester",
@@ -62,28 +61,6 @@ def _schur_eigvals(T):
     for i in np.flatnonzero(np.diag(T, -1)):
         ev[i:i + 2] += np.array([1j, -1j]) * np.sqrt(-T[i, i + 1] * T[i + 1, i])
     return ev
-
-
-class ComplexSchur:
-    """``A = Z T Z^H`` (``T`` upper triangular) of a real ``A``, for
-    Sylvester equations as one ``ztrsyl``.  ``T`` and ``Z`` come by
-    ``rsf2csf`` from ``real_schur``, the form ``scipy.linalg.schur(A,
-    output="real")`` gives, computed when not given."""
-
-    def __init__(self, A, real_schur=None):
-        T, U = sla.schur(A, output="real") if real_schur is None else real_schur
-        self.T, self.Z = sla.rsf2csf(T, U)
-
-    def gramian_trace(self, B, C, other, Bo, Co):
-        """``tr(C X Co^T)`` with ``A X + X Ao^T + B Bo^T = 0`` for real
-        ``B``, ``Bo``, where ``other`` is the form of ``Ao``: ``X = Z Y Zo^H``
-        and ``T Y + Y To^H = -(Z^H B)(Zo^H Bo)^H``."""
-        if 0 in B.shape + C.shape + Bo.shape + Co.shape:
-            return 0.0
-        # the right-hand side, built transposed (Fortran order, overwritten)
-        K = -((other.Z.T @ Bo) @ (self.Z.T @ B).conj().T).T
-        Y = _trsyl(lapack.ztrsyl, self.T, other.T, K, tranb="C", overwrite_c=True)
-        return float(np.sum(((C @ self.Z) @ Y) * (Co @ other.Z).conj()).real)
 
 
 def _real_columns(R, shifts):

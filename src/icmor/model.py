@@ -16,7 +16,7 @@ from .errors import (
     NotInSubspace,
     NotStable,
 )
-from .linalg import ComplexSchur, _is_stable, _sqrt_factor, solve_lyapunov, stability_margin
+from .linalg import _is_stable, _sqrt_factor, solve_lyapunov, stability_margin
 
 __all__ = [
     "StateSpaceModel",
@@ -54,10 +54,10 @@ class StateSpaceModel:
 
     ``A`` must be asymptotically stable: on construction its spectral
     abscissa, kept as ``abscissa``, must lie below ``-1e-12 max(1,
-    ||A||_F)``.  Instances are immutable and safe to share.  The Schur
-    forms of ``A`` (``real_schur``, ``schur``), ``h2_squared`` and the
-    Gramian factors are computed on first use and kept.  Nothing guards
-    that first use: two threads may each compute a value, and one is kept.
+    ||A||_F)``.  Instances are immutable and safe to share.  The real Schur
+    form of ``A`` (``real_schur``), ``h2_squared`` and the Gramian factors
+    are computed on first use and kept.  Nothing guards that first use: two
+    threads may each compute a value, and one is kept.
     """
 
     A: np.ndarray
@@ -118,27 +118,18 @@ class StateSpaceModel:
         return S.real_schur
 
     @cached_property
-    def schur(self):
-        return ComplexSchur(self.A, self.real_schur)
-
-    @cached_property
-    def _reach_gramian(self):
-        """``P``, ``A P + P A^T + B B^T = 0``, solved on the shared real Schur
-        form of ``A``; kept until ``reach_factor`` factors it."""
-        return solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur)
-
-    @cached_property
     def h2_squared(self):
-        return float(np.sum((self.C @ self._reach_gramian) * self.C))
+        """``tr(C P C^T)``, ``A P + P A^T + B B^T = 0``, from its own solve on
+        the shared real Schur form of ``A``."""
+        P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur)
+        return float(np.sum((self.C @ P) * self.C))
 
     @cached_property
     def reach_factor(self):
-        """``U`` with ``P = U U^T``; ``h2_squared`` is read off ``P`` before
-        ``P`` is dropped."""
-        self.h2_squared
-        U = _sqrt_factor(self._reach_gramian, "reachability")
-        del self.__dict__["_reach_gramian"]
-        return U
+        """``U`` with ``P = U U^T``, ``P`` solved on the shared real Schur form
+        of ``A``."""
+        P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur)
+        return _sqrt_factor(P, "reachability")
 
     def drop_reach_factor(self):
         """Forget the kept ``reach_factor``; its next use solves it again."""

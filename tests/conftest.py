@@ -6,6 +6,8 @@ systems, matrix functions against eigendecompositions, and H2 norms
 against time-domain quadrature of the impulse response.
 """
 
+import json
+import os
 import sys
 
 import numpy as np
@@ -15,6 +17,34 @@ import scipy.linalg as sla
 from icmor import InputSignal, StateSpaceModel
 from icmor.errors import InvalidParameter, NonFinite
 from icmor.simulation import SimulationTrace, foh_weights
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def golden_mismatches(report, name):
+    """Where ``report`` differs from ``golden/<name>.json``: floats beyond the
+    file's ``rtol``, any other value at all.  A change that moves a number on
+    purpose updates the file in the same diff."""
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
+        golden = json.load(fh)
+    out = []
+
+    def walk(want, got, path):
+        if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
+            for key in want:
+                walk(want[key], got[key], f"{path}/{key}")
+        elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+            for i, (w, g) in enumerate(zip(want, got)):
+                walk(w, g, f"{path}[{i}]")
+        elif isinstance(want, float) and type(got) is float:
+            if abs(got - want) > golden["rtol"] * abs(want):
+                out.append(f"{path}: {got!r} != {want!r}")
+        elif type(want) is not type(got) or want != got:
+            out.append(f"{path}: {got!r} != {want!r}")
+
+    walk(golden["report"], report, "")
+    return out
 
 
 def make_stable(rng, n, margin=0.3):

@@ -162,8 +162,8 @@ class TestAcaBound:
                 err = h2_error_norm(M, R.sys)
                 # relative slack plus a floor at the cancellation noise of
                 # the subtraction in h2_error_norm, which differs from
-                # aca_bound by up to 5.1e-8 of the system norm here
-                assert bound >= err * (1.0 - 1e-6) - 1e-7 * scale
+                # aca_bound by up to 3.7e-8 of the system norm here
+                assert bound >= err * (1.0 - 1e-6) - 5e-8 * scale
 
     def test_equals_h2_error_on_case2_x0_map(self):
         # the trace formula is the H2 error of BT itself, not only a bound

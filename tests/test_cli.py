@@ -3,11 +3,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import icmor
 from icmor import (
     OrderSelection, build_msd, experiment, load_model, reduction, save_model,
     unit_vector_basis,
@@ -19,7 +22,7 @@ from icmor.experiment import ExperimentConfig, _bound_holds, emit_report, run_ex
 from icmor.linalg import solve_lyapunov
 from icmor.simulation import l2_norm
 
-from conftest import _rebind_in_icmor
+from conftest import _rebind_in_icmor, golden_mismatches
 
 
 def small_config(tmp_path, **overrides):
@@ -109,6 +112,30 @@ class TestRunExperiment:
         assert rep.report["signals"]["u_l2"] == 0.0
         for res in rep.report["methods"].values():
             assert res["bound_ok"]
+
+    # calls of order >= n (n + 2m for the FOH step) in one run_experiment of
+    # the 12-mass config (n = 24); a change that raises a count updates this
+    # table and says why
+    KERNEL_BUDGET = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
+                     "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1}
+
+    def test_order_n_kernel_budget(self, tmp_path, monkeypatch, schur_calls,
+                                   lyapunov_orders, expm_orders, eigvals_calls):
+        svd_shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: svd_shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        n, m = 24, 3
+        assert {
+            "real Schur form": sum(k >= n for k in schur_calls),
+            "complex Schur form": len(schur_calls.complex),
+            "solve_lyapunov": sum(k >= n for k in lyapunov_orders),
+            "Hankel SVD": sum(min(shape) >= n for shape in svd_shapes),
+            "eigvals": sum(shape[0] >= n for shape in eigvals_calls),
+            "FOH expm": sum(k >= n + 2 * m for k in expm_orders),
+        } == self.KERNEL_BUDGET
 
     def test_empty_basis_collapses_to_bt(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -201,6 +228,23 @@ class TestRunExperiment:
         r2 = run_experiment(ExperimentConfig.from_dict(cfg))
         assert json.dumps(r1.report, sort_keys=True) == \
             json.dumps(r2.report, sort_keys=True)
+
+
+class TestGoldenNumbers:
+    def test_report_matches_golden(self, tmp_path):
+        rep = run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        assert golden_mismatches(rep.report, "mass12") == []
+
+    def test_one_blas_thread_matches_golden(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(icmor.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "icmor.cli", "report", "--config", str(cfg_path)],
+                       env=env, check=True, capture_output=True)
+        report = json.loads((tmp_path / "results" / "report.json").read_text())
+        assert golden_mismatches(report, "mass12") == []
 
 
 class TestEmitReport:

@@ -18,7 +18,7 @@ from icmor import (
     irka_reduce,
 )
 from icmor import model
-from icmor.linalg import ComplexSchur, _sqrt_factor
+from icmor.linalg import _sqrt_factor
 from icmor.model import unit_vector_basis
 from icmor.reduction import augmented_system
 
@@ -107,13 +107,14 @@ class TestSharedFactors:
         h2_first, factor_first = (StateSpaceModel(self.M.A, self.X0, self.M.C)
                                   for _ in range(2))
         h2 = h2_first.h2_squared
-        # a model asked only for its H2 norm, as an IRKA candidate is, does
-        # not factor P
         assert factored == [] and lyapunov_orders == [24]
         U = factor_first.reach_factor
+        assert factored == ["reachability"] and lyapunov_orders == [24, 24]
+        # each value is the same bits whichever is asked first, and only
+        # reach_factor factors P
         assert factor_first.h2_squared == h2
         assert np.array_equal(h2_first.reach_factor, U)
-        assert factored == ["reachability"] * 2 and lyapunov_orders == [24, 24]
+        assert factored == ["reachability"] * 2 and lyapunov_orders == [24] * 4
 
     def test_another_state_matrix_shares_nothing(self, lyapunov_orders):
         M2 = StateSpaceModel(2.0 * self.M.A, self.M.B, self.M.C)
@@ -223,19 +224,20 @@ class TestH2Norms:
         assert h2_norm(M) == pytest.approx(oracle, rel=1e-6)
 
     @staticmethod
-    def complex_form(M):
-        S = ComplexSchur(M.A)
-        return S.gramian_trace(M.B, M.C, S, M.B, M.C)
+    def observability_side(M):
+        # ||H||^2 = tr(B^T Q B) = ||L^T B||_F^2, from the other Gramian
+        LB = M.obs_factor.T @ M.B
+        return np.sum(LB * LB)
 
     def test_h2_squared_matches_the_complex_form(self, rng):
         for _ in range(10):
             M = random_system(rng, 12, 3, 2)
-            assert M.h2_squared == pytest.approx(self.complex_form(M), rel=1e-12)
+            assert M.h2_squared == pytest.approx(self.observability_side(M), rel=1e-12)
 
     def test_h2_squared_case2_aux_matches_the_complex_form(self):
         M = build_msd(150, m_inputs=10)
         aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
-        assert aux.h2_squared == pytest.approx(self.complex_form(aux), rel=1e-12)
+        assert aux.h2_squared == pytest.approx(self.observability_side(aux), rel=1e-12)
 
     def test_error_norm_identical_models(self, rng):
         M = random_system(rng, 5, 1, 1)
@@ -247,6 +249,20 @@ class TestH2Norms:
         M = random_system(rng, 4, 1, 1)
         R = StateSpaceModel([[-1.0]], [[0.0]], [[0.0]])
         assert h2_error_norm(M, R) == pytest.approx(h2_norm(M), rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["r=0", "m=0", "p=0"])
+    def test_error_norm_degenerate_dimensions(self, rng, case):
+        # an order-0 reduced model leaves all of H; no input or no output
+        # leaves no error
+        M = random_system(rng, 6, 2, 3)
+        R = bt_reduce(M, OrderSelection.fixed(3)).sys
+        Ms, Rs = {
+            "r=0": (M, StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)))),
+            "m=0": (M.with_input(np.zeros((6, 0))), StateSpaceModel(R.A, np.zeros((3, 0)), R.C)),
+            "p=0": (StateSpaceModel(M.A, M.B, np.zeros((0, 6))),
+                    StateSpaceModel(R.A, R.B, np.zeros((0, 3)))),
+        }[case]
+        assert h2_error_norm(Ms, Rs) == (h2_norm(M) if case == "r=0" else 0.0)
 
     def test_error_norm_against_dense_block_oracle(self, rng):
         for _ in range(10):

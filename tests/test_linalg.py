@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg as sla
 
 from icmor import (
-    StateSpaceModel,
     build_msd,
     matrix_exponential,
     solve_lyapunov,
@@ -21,7 +20,6 @@ from icmor.errors import (
     SpectraOverlap,
 )
 from icmor.linalg import (
-    ComplexSchur,
     _real_columns,
     _schur_eigvals,
     _sqrt_factor,
@@ -188,9 +186,9 @@ def test_stability_margin_matches_eigenvalues(rng):
     )
 
 
-class TestComplexSchur:
-    """The complex Schur form, and the real shifted solve on the real one
-    against one dense solve per shift."""
+class TestShiftedSolve:
+    """The real shifted solve on the real Schur form against one dense solve
+    per shift."""
 
     SHIFTS = np.array([0.5, 2.0, 1.0 + 3.0j, 0.2 + 0.7j, 1.5])
 
@@ -219,33 +217,6 @@ class TestComplexSchur:
                 x, j = X[:, j], j + 1
                 ref = np.linalg.solve(s.real * np.eye(n) - Aop, r.real)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("system", ["msd", "random"])
-    def test_from_real_schur_form(self, rng, system):
-        # the n = 300 chain (150 complex pairs) and a random matrix with
-        # complex pairs, both through the real Schur form
-        A = build_msd(150).A if system == "msd" else rng.standard_normal((20, 20))
-        real = sla.schur(A, output="real")
-        assert np.any(np.diag(real[0], -1))
-        for S in (ComplexSchur(A), ComplexSchur(A, real)):
-            T, Z = S.T, S.Z
-            assert np.all(np.tril(T, -1) == 0)
-            assert np.linalg.norm(Z @ T @ Z.conj().T - A) <= 1e-13 * np.linalg.norm(A)
-            assert np.linalg.norm(Z.conj().T @ Z - np.eye(len(A))) <= 1e-12
-
-    def test_model_form_reuses_the_real_schur_form(self, schur_calls):
-        M = build_msd(20, m_inputs=2)
-        M.reach_factor
-        assert schur_calls == [40] and schur_calls.complex == []
-        S = M.schur
-        assert schur_calls == [40] and schur_calls.complex == []
-        assert np.allclose(S.Z @ S.T @ S.Z.conj().T, M.A, rtol=0.0, atol=1e-13)
-        # asked first, the complex form computes the real one, and the
-        # Gramians are solved on it
-        fresh = StateSpaceModel(M.A.copy(), M.B, M.C)
-        fresh.schur
-        fresh.reach_factor
-        assert schur_calls == [40, 40] and schur_calls.complex == []
 
     def test_real_right_hand_side(self, rng):
         # a repeated real shift, and a complex one on a real column, whose

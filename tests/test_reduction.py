@@ -341,7 +341,8 @@ class TestIrkaReduce:
             warnings.simplefilter("error")
             R = irka_reduce(aux, warm.r, warm_start=warm)
         assert R.converged
-        assert h2_error_norm(aux, R.sys) <= h2_error_norm(aux, warm.sys)
+        assert R.sys is aux and R.h2_error == 0.0
+        assert h2_error_norm(aux, R.sys) <= 1e-7 * h2_norm(aux)
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_non_finite_basis_ends_the_start(self, rng, monkeypatch, warm):
@@ -378,7 +379,6 @@ class TestIrkaReduce:
             R = irka_reduce(aux, warm.r, warm_start=warm)
         assert not R.interp_residuals["fallback"]
         assert schur_calls.complex == []
-        assert "schur" not in aux.__dict__
         assert schur_calls and set(schur_calls) == {warm.r}
 
     def test_collapse_without_warm_start_raises(self):
