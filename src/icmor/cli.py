@@ -22,6 +22,10 @@ import numpy as np
 from ._mmio import write_matrix
 from .errors import IcmorError
 from .experiment import (
+    INPUT_KINDS,
+    KNOWN_METHODS,
+    MSD_FIELDS,
+    SPLIT_METHODS,
     ExperimentConfig,
     _build_input,
     _build_model,
@@ -32,7 +36,7 @@ from .experiment import (
     emit_report,
     run_experiment,
 )
-from .model import build_msd, save_model, unit_vector_basis
+from .model import save_model
 from .reduction import abt_reduce, split_reduce
 from .simulation import SimulationTrace, l2_norm, linf_norm, simulate
 
@@ -42,9 +46,8 @@ def _load(args):
 
 
 def cmd_bench(args):
-    M = build_msd(args.n_masses, mass=args.mass, stiffness=args.stiffness,
-                  damping=args.damping, m_inputs=args.m_inputs)
-    basis = unit_vector_basis(M.n, args.x0_indices) if args.x0_indices else None
+    spec = {key: value for key, value in vars(args).items() if key in MSD_FIELDS}
+    M, basis = _build_model({"kind": "msd", **spec}, args.x0_indices or None)
     save_model(M, args.out, basis=basis)
     print(f"wrote order-{M.n} benchmark model to {args.out}")
     return 0
@@ -58,17 +61,16 @@ def cmd_reduce(args):
         return 1
     os.makedirs(args.out, exist_ok=True)
     sel_u = _selection(args.order_u, args.tol)
-    if args.method == "augbt":
+    if args.method in SPLIT_METHODS:
+        S = split_reduce(M, basis, sel_u, _selection(args.order_x0, args.tol),
+                         x0_method=SPLIT_METHODS[args.method])
+        systems = {"u": S.suy.sys, "x0": S.sxy.sys}
+        orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
+    else:
         R = abt_reduce(M, M.with_input(basis.X0), sel_u)
         systems = {"red": R.sys}
         write_matrix(os.path.join(args.out, "X0_red.mtx"), R.X0til)
         orders = {"r_aug": R.r}
-    else:
-        x0_method = "irka" if args.method == "bt-irka" else "bt"
-        S = split_reduce(M, basis, sel_u, _selection(args.order_x0, args.tol),
-                         x0_method=x0_method)
-        systems = {"u": S.suy.sys, "x0": S.sxy.sys}
-        orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
     for tag, red in systems.items():
         for name in ("A", "B", "C"):
             write_matrix(os.path.join(args.out, f"{name}_{tag}.mtx"), getattr(red, name))
@@ -117,11 +119,9 @@ def build_parser():
     b = sub.add_parser("bench", help="generate a benchmark model")
     bsub = b.add_subparsers(dest="bench_kind", required=True)
     msd = bsub.add_parser("msd", help="coupled mass-spring-damper chain")
-    msd.add_argument("--n-masses", type=int, default=150)
-    msd.add_argument("--m-inputs", type=int, default=10)
-    msd.add_argument("--mass", type=float, default=1.0)
-    msd.add_argument("--stiffness", type=float, default=2.0)
-    msd.add_argument("--damping", type=float, default=0.1)
+    # build_msd's parameters; one not given keeps build_msd's default
+    for key, kind in MSD_FIELDS.items():
+        msd.add_argument("--" + key.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     msd.add_argument("--x0-indices", type=int, nargs="*", default=None)
     msd.add_argument("--out", required=True)
     msd.set_defaults(func=cmd_bench)
@@ -129,12 +129,12 @@ def build_parser():
     r = sub.add_parser("reduce", help="offline phase: reduce a model")
     r.add_argument("--model", required=True,
                    help="model directory with A.mtx/B.mtx/C.mtx, or builtin:msd")
-    r.add_argument("--method", choices=["augbt", "bt-bt", "bt-irka"], default="bt-bt")
+    r.add_argument("--method", choices=KNOWN_METHODS, default=KNOWN_METHODS[0])
     r.add_argument("--tol", type=float, default=1e-2)
     r.add_argument("--order-u", type=int, default=None,
-                   help="order of the input map; with augbt, the augmented order r_aug")
+                   help="order of the input map, or of the augmented system")
     r.add_argument("--order-x0", type=int, default=None,
-                   help="order of the initial-condition map; augbt ignores it")
+                   help="order of the initial-condition map of a split method")
     r.add_argument("--x0-indices", type=int, nargs="*", default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_reduce)
@@ -142,8 +142,7 @@ def build_parser():
     s = sub.add_parser("simulate", help="simulate a full model")
     s.add_argument("--model", required=True)
     s.add_argument("--x0-indices", type=int, nargs="*", default=None)
-    s.add_argument("--input", choices=["decaying_pulses", "decaying_sinusoid", "zero"],
-                   default="decaying_pulses")
+    s.add_argument("--input", choices=INPUT_KINDS, default=INPUT_KINDS[0])
     s.add_argument("--tf", type=float, default=None)
     s.add_argument("--dt", type=float, default=None)
     s.add_argument("--out", required=True)

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,17 @@ from .simulation import (
     online_phase,
     simulate,
     suggest_grid,
-    superpose,
 )
 
 __all__ = ["ExperimentConfig", "ReductionReport", "run_experiment", "emit_report"]
 
-KNOWN_METHODS = ("augbt", "bt-bt", "bt-irka")
+# the split methods and the reduction of their x0 map (split_from_bt);
+# augbt reduces the augmented system instead.  The first method is
+# ``icmor reduce``'s default.
+SPLIT_METHODS = {"bt-bt": "bt", "bt-irka": "irka"}
+KNOWN_METHODS = (*SPLIT_METHODS, "augbt")
+# the InputSignal constructors a config may name; the first is the default
+INPUT_KINDS = ("decaying_pulses", "decaying_sinusoid", "zero")
 
 
 @dataclass
@@ -47,7 +53,7 @@ class ExperimentConfig:
     order_u: int = None
     order_x0: int = None
     order_aug: int = None
-    input: dict = field(default_factory=lambda: {"kind": "decaying_pulses"})
+    input: dict = field(default_factory=lambda: {"kind": INPUT_KINDS[0]})
     horizon: float = None
     dt: float = None
     out: str = "results"
@@ -56,8 +62,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """The config of a JSON object; a field of the wrong type or an
-        unknown field anywhere raises ``ConfigError`` naming it."""
+        """The config of a JSON object; a field anywhere that is unknown, of
+        the wrong type or out of range raises ``ConfigError`` naming it."""
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
         d = dict(d)
@@ -80,7 +86,18 @@ class ExperimentConfig:
             for value in d.get(key) or ():
                 _check(value, kind, f"{key} entry")
         _input_factory(d.get("input", {}))
-        return cls(**d)
+        cfg = cls(**d)
+        if not 0.0 < cfg.tol < 1.0:
+            raise ConfigError(f"tol: must lie in (0, 1), got {cfg.tol!r}")
+        for key in ("order_u", "order_x0", "order_aug"):
+            value = getattr(cfg, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {value!r}")
+        for key in ("horizon", "dt"):
+            value = getattr(cfg, key)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{key}: must be > 0, got {value!r}")
+        return cfg
 
     @classmethod
     def from_json(cls, path):
@@ -115,13 +132,16 @@ def _check(value, kind, name):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
-_MODEL_FIELDS = {"kind": str, "path": str, "n_masses": int, "mass": float,
-                 "stiffness": float, "damping": float, "m_inputs": int}
+# build_msd's parameters and their JSON types
+MSD_FIELDS = {"n_masses": int, "m_inputs": int, "mass": float,
+              "stiffness": float, "damping": float}
+_MODEL_FIELDS = {"kind": str, "path": str, **MSD_FIELDS}
 
 
 def _model_spec(model):
     """Normalize a model entry: ``"builtin:msd"``, a model directory, or a
-    dict with ``kind`` or ``path`` and ``build_msd``'s parameters."""
+    dict with ``kind`` and ``build_msd``'s parameters or with ``path``
+    alone."""
     if isinstance(model, str):
         model = {"kind": "msd"} if model == "builtin:msd" else {"path": model}
     if not isinstance(model, dict) or not ("kind" in model or "path" in model):
@@ -130,6 +150,12 @@ def _model_spec(model):
         if key not in _MODEL_FIELDS:
             raise ConfigError(f"model.{key}: unknown model field")
         _check(value, _MODEL_FIELDS[key], f"model.{key}")
+        if "path" in model and key != "path":
+            raise ConfigError(f"model.{key}: not used with 'path'")
+    if "path" in model and not os.path.isdir(model["path"]):
+        raise ConfigError(f"model.path: no directory '{model['path']}'")
+    if model.get("kind", "msd") != "msd":
+        raise ConfigError(f"model.kind: unknown builtin '{model['kind']}'")
     return model
 
 
@@ -139,11 +165,8 @@ def _build_model(spec, x0_indices=None):
     None."""
     if "path" in spec:
         M, basis = load_model(spec["path"])
-    elif spec.get("kind") != "msd":
-        raise ConfigError(f"model.kind: unknown builtin '{spec.get('kind')}'")
     else:
-        kwargs = {k: v for k, v in spec.items() if k != "kind"}
-        M, basis = build_msd(**{"n_masses": 150, "m_inputs": 10, **kwargs}), None
+        M, basis = build_msd(**{k: v for k, v in spec.items() if k != "kind"}), None
     if x0_indices is not None:
         basis = unit_vector_basis(M.n, x0_indices)
     return M, basis
@@ -153,8 +176,8 @@ def _input_factory(spec):
     """The ``InputSignal`` constructor an input spec names and its keyword
     arguments, each a parameter of that constructor and a number."""
     kwargs = dict(spec)
-    kind = kwargs.pop("kind", "decaying_pulses")
-    if kind not in ("zero", "decaying_pulses", "decaying_sinusoid"):
+    kind = kwargs.pop("kind", INPUT_KINDS[0])
+    if kind not in INPUT_KINDS:
         raise ConfigError(f"input.kind: unknown kind '{kind}'")
     factory = getattr(InputSignal, kind)
     params = inspect.signature(factory).parameters
@@ -186,10 +209,6 @@ def _grid(M, horizon=None, dt=None):
     return t_f, step
 
 
-def _scaled_trace(tr, factor):
-    return SimulationTrace(t=tr.t, y=tr.y * factor, provenance=dict(tr.provenance))
-
-
 def _bound_holds(abs_l2, bound, y_full_l2):
     """Whether a measured error norm respects its a priori bound.
 
@@ -201,103 +220,93 @@ def _bound_holds(abs_l2, bound, y_full_l2):
     return bool(abs_l2 <= bound * (1.0 + 1e-3) + 1e-12 * y_full_l2)
 
 
+@contextmanager
+def _timed(times, key):
+    """Store the wall time of the ``with`` block in ``times[key]``."""
+    t0 = time.perf_counter()
+    yield
+    times[key] = time.perf_counter() - t0
+
+
 def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
-    """Run the full workflow for every configured method.
-
-    Deterministic: wall-clock timings are collected separately from the
-    numerical report so repeated runs produce identical report content.
-    """
+    """Run every configured method; wall times go to ``timings``, so the
+    report of a repeated run is identical."""
     timings = {}
-    t0 = time.perf_counter()
-    M, basis = _build_model(cfg.model, cfg.x0_indices)
-    if basis is None:
-        basis = InitialConditionBasis(np.zeros((M.n, 0)))
-    n0 = basis.n0
-    z0 = np.ones(n0) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float)
-    if z0.shape != (n0,):
-        raise ConfigError(f"z0: expected {n0} coordinates, got {z0.shape}")
-    u = _build_input(cfg.input, M.m)
-    t_f, dt = _grid(M, cfg.horizon, cfg.dt)
-    timings["setup"] = time.perf_counter() - t0
+    with _timed(timings, "setup"):
+        M, basis = _build_model(cfg.model, cfg.x0_indices)
+        if basis is None:
+            basis = InitialConditionBasis(np.zeros((M.n, 0)))
+        n0 = basis.n0
+        z0 = np.ones(n0) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float)
+        if z0.shape != (n0,):
+            raise ConfigError(f"z0: expected {n0} coordinates, got {z0.shape}")
+        u = _build_input(cfg.input, M.m)
+        t_f, dt = _grid(M, cfg.horizon, cfg.dt)
 
-    # Full-order component responses, stepped in one run; rescale the initial
-    # condition so both components carry comparable energy when calibration
-    # is on.
-    t0 = time.perf_counter()
-    u_l2 = u.l2_norm(t_f, dt) if u.kind != "zero" else 0.0
-    both = simulate(M, u, basis.X0 @ z0, t_f, dt)
-    tr_u = SimulationTrace(t=both.t, y=both.components["y_u"], provenance=both.provenance)
-    tr_x0 = SimulationTrace(t=both.t, y=both.components["y_x0"], provenance=both.provenance)
-    cal = 1.0
-    nu, nx = l2_norm(tr_u), l2_norm(tr_x0)
-    if cfg.calibrate and nu > 0 and nx > 0:
-        cal = nu / nx
-        z0 = z0 * cal
-        tr_x0 = _scaled_trace(tr_x0, cal)
-    tr_full = superpose(tr_u, tr_x0)
-    y_full_l2, y_full_linf = l2_norm(tr_full), linf_norm(tr_full)
-    x0 = basis.X0 @ z0
-    z0_norm = float(np.linalg.norm(z0))
-    timings["full_simulation"] = time.perf_counter() - t0
+    # Full-order component responses, stepped in one run; with calibration
+    # on, z0 is rescaled so that both components carry the same energy.
+    with _timed(timings, "full_simulation"):
+        u_l2 = u.l2_norm(t_f, dt)
+        both = simulate(M, u, basis.X0 @ z0, t_f, dt)
+        y_u, y_x0 = both.components["y_u"], both.components["y_x0"]
+        nu, nx = (l2_norm(SimulationTrace(t=both.t, y=y)) for y in (y_u, y_x0))
+        cal = nu / nx if cfg.calibrate and nu > 0 and nx > 0 else 1.0
+        z0, y_x0 = z0 * cal, y_x0 * cal
+        tr_full = SimulationTrace(t=both.t, y=y_u + y_x0,
+                                  components={"y_u": y_u, "y_x0": y_x0})
+        y_full_l2, y_full_linf = l2_norm(tr_full), linf_norm(tr_full)
+        x0 = basis.X0 @ z0
+        z0_norm = float(np.linalg.norm(z0))
 
     # BT of the input map and of aux = (A, X0, C), once each, and augmented
     # BT from the two reachability factors they solved: they feed every method
     # and give sigma, theta and eta.  After the simulations, so the factors the
     # models keep add nothing to their peak.  The input map is a derived model,
     # so abt_reduce drops its factor U without touching M.
-    t0 = time.perf_counter()
-    Mu = M.with_input(M.B)
-    suy = bt_reduce(Mu, _selection(cfg.order_u, cfg.tol))
-    aux = M.with_input(basis.X0)
-    sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol))
-    abt = abt_reduce(Mu, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
-    timings["reductions"] = time.perf_counter() - t0
+    with _timed(timings, "reductions"):
+        Mu = M.with_input(M.B)
+        suy = bt_reduce(Mu, _selection(cfg.order_u, cfg.tol))
+        aux = M.with_input(basis.X0)
+        sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol))
+        abt = abt_reduce(Mu, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
 
     traces = {"full": tr_full}
     methods_report = {}
-    t_methods = time.perf_counter()
-    for method in cfg.methods:
-        mt = {}
-        t0 = time.perf_counter()
-        if method == "augbt":
-            orders = {"r_aug": abt.r}
-            mt["reduce"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            tr = simulate(abt.sys, u, abt.X0til @ z0, t_f, dt)
-            mt["simulate"] = time.perf_counter() - t1
-            t1 = time.perf_counter()
-            bound, term_u, term_x0 = abt_bound(abt, u_l2, z0_norm)
-            budget = {"input_term": term_u, "x0_term": term_x0}
-            mt["bounds"] = time.perf_counter() - t1
-        else:
-            x0_method = "irka" if method == "bt-irka" else "bt"
-            S = split_from_bt(suy, aux, sxy, basis, x0_method)
-            orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
-            mt["reduce"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            tr = online_phase(S, u, x0, t_f, dt)
-            mt["simulate"] = time.perf_counter() - t1
-            t1 = time.perf_counter()
-            bound, eb = split_bound(S, u_l2, z0_norm)
-            budget = {"e1": eb.e1, "e2": eb.e2}
-            mt["bounds"] = time.perf_counter() - t1
+    with _timed(timings, "methods_total"):
+        for method in cfg.methods:
+            mt = timings[method] = {}
+            if method in SPLIT_METHODS:
+                with _timed(mt, "reduce"):
+                    S = split_from_bt(suy, aux, sxy, basis, SPLIT_METHODS[method])
+                    orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
+                with _timed(mt, "simulate"):
+                    tr = online_phase(S, u, x0, t_f, dt)
+                with _timed(mt, "bounds"):
+                    bound, eb = split_bound(S, u_l2, z0_norm)
+                    budget = {"e1": eb.e1, "e2": eb.e2}
+            else:
+                with _timed(mt, "reduce"):
+                    orders = {"r_aug": abt.r}
+                with _timed(mt, "simulate"):
+                    tr = simulate(abt.sys, u, abt.X0til @ z0, t_f, dt)
+                with _timed(mt, "bounds"):
+                    bound, term_u, term_x0 = abt_bound(abt, u_l2, z0_norm)
+                    budget = {"input_term": term_u, "x0_term": term_x0}
 
-        diff = SimulationTrace(t=tr_full.t, y=tr_full.y - tr.y)
-        abs_l2 = l2_norm(diff)
-        res = {
-            "orders": orders,
-            "abs_l2_error": abs_l2,
-            "bound": bound,
-            "budget": budget,
-            "bound_ok": _bound_holds(abs_l2, bound, y_full_l2),
-        }
-        if y_full_l2 > 1e-300:
-            res["rel_l2"] = abs_l2 / y_full_l2
-            res["rel_linf"] = linf_norm(diff) / y_full_linf
-        methods_report[method] = res
-        traces[method] = tr
-        timings[method] = mt
-    timings["methods_total"] = time.perf_counter() - t_methods
+            diff = SimulationTrace(t=tr_full.t, y=tr_full.y - tr.y)
+            abs_l2 = l2_norm(diff)
+            res = {
+                "orders": orders,
+                "abs_l2_error": abs_l2,
+                "bound": bound,
+                "budget": budget,
+                "bound_ok": _bound_holds(abs_l2, bound, y_full_l2),
+            }
+            if y_full_l2 > 1e-300:
+                res["rel_l2"] = abs_l2 / y_full_l2
+                res["rel_linf"] = linf_norm(diff) / y_full_linf
+            methods_report[method] = res
+            traces[method] = tr
 
     report = {
         "config": {
@@ -336,12 +345,11 @@ def _write_trace_csv(path, tr):
     cols = [tr.t] + [tr.y[:, j] for j in range(p)]
     header = ["t"] + [f"y{j + 1}" for j in range(p)]
     if tr.components:
-        for name_prefix, arr in (("yu", tr.components.get("y_u")),
-                                 ("yx0", tr.components.get("y_x0"))):
-            if arr is not None:
-                for j in range(arr.shape[1]):
-                    header.append(f"{name_prefix}_{j + 1}")
-                    cols.append(arr[:, j])
+        for name_prefix, arr in (("yu", tr.components["y_u"]),
+                                 ("yx0", tr.components["y_x0"])):
+            for j in range(arr.shape[1]):
+                header.append(f"{name_prefix}_{j + 1}")
+                cols.append(arr[:, j])
     data = np.column_stack(cols)
     np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
 

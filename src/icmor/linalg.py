@@ -21,12 +21,20 @@ __all__ = [
 ]
 
 
-def _as_square(A, name="A"):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+def _as_matrix(x, name):
+    """``x`` as a 2-D float array of finite entries; errors name ``name``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2:
+        raise DimensionMismatch(f"{name} must be 2-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
         raise NonFinite(f"{name} contains non-finite entries")
+    return x
+
+
+def _as_square(A, name="A"):
+    A = _as_matrix(A, name)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
     return A
 
 
@@ -150,7 +158,7 @@ def solve_sylvester(A, M, K, schur=None):
     """
     A = _as_square(A)
     M = _as_square(M, "M")
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    K = _as_matrix(K, "K")
     n, r = A.shape[0], M.shape[0]
     if K.shape != (n, r):
         raise DimensionMismatch(f"K must be {(n, r)}, got {K.shape}")

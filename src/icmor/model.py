@@ -12,11 +12,10 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
-    NonFinite,
     NotInSubspace,
     NotStable,
 )
-from .linalg import _is_stable, _sqrt_factor, solve_lyapunov, stability_margin
+from .linalg import _as_matrix, _as_square, _is_stable, _sqrt_factor, solve_lyapunov, stability_margin
 
 __all__ = [
     "StateSpaceModel",
@@ -27,13 +26,6 @@ __all__ = [
     "save_model",
     "unit_vector_basis",
 ]
-
-
-def _mat(x, name):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise NonFinite(f"{name} contains non-finite entries")
-    return x
 
 
 class _Shared:
@@ -67,20 +59,18 @@ class StateSpaceModel:
     abscissa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = _mat(self.A, "A")
-        B = _mat(self.B, "B")
-        C = _mat(self.C, "C")
+        A = _as_square(self.A)
+        B = _as_matrix(self.B, "B")
+        C = _as_matrix(self.C, "C")
         n = A.shape[0]
-        if A.shape[1] != n:
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
         if n > 0 and B.size and B.shape[0] != n:
             raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
         if n > 0 and C.size and C.shape[1] != n:
             raise DimensionMismatch(f"C has {C.shape[1]} cols, expected {n}")
         if B.size == 0:
-            B = B.reshape(n, B.shape[1] if B.ndim == 2 else 0)
+            B = B.reshape(n, B.shape[1])
         if C.size == 0:
-            C = C.reshape(C.shape[0] if C.ndim == 2 else 0, n)
+            C = C.reshape(C.shape[0], n)
         shared = self._shared
         if shared is None or shared.A is not A or shared.C is not C:
             shared = _Shared(A, C)
@@ -153,7 +143,7 @@ class InitialConditionBasis:
     X0: np.ndarray
 
     def __post_init__(self):
-        X0 = _mat(self.X0, "X0")
+        X0 = _as_matrix(self.X0, "X0")
         if X0.shape[1] > 0:
             sv = np.linalg.svd(X0, compute_uv=False)
             if sv[-1] <= 1e-12 * sv[0]:
@@ -193,7 +183,7 @@ def coordinates_of(x0, basis, rtol=1e-8):
     return z0
 
 
-def build_msd(n_masses, mass=1.0, stiffness=2.0, damping=0.1, m_inputs=10):
+def build_msd(n_masses=150, mass=1.0, stiffness=2.0, damping=0.1, m_inputs=10):
     """Chain of coupled mass-spring-dampers in interleaved (q_i, p_i) state
     coordinates, giving order ``n = 2 n_masses``.
 

@@ -58,9 +58,10 @@ class OrderSelection:
         return cls(tol=float(tau))
 
     def resolve(self, sigma):
-        if self.order is not None:
-            return min(self.order, len(sigma))
-        return order_from_tolerance(sigma, self.tol)
+        """The selected order, clamped to the numerical rank of ``sigma``
+        (past it, the balancing transform's inverse scaling blows up)."""
+        r = self.order if self.tol is None else order_from_tolerance(sigma, self.tol)
+        return min(r, _numerical_rank(sigma))
 
 
 @dataclass
@@ -132,23 +133,18 @@ def order_from_tolerance(sigma, tau):
     return r
 
 
-def _project(M: StateSpaceModel, V, W) -> StateSpaceModel:
-    return StateSpaceModel(W.T @ M.A @ V, W.T @ M.B, M.C @ V)
+def _truncate(M: StateSpaceModel, F: GramianFactors, sel: OrderSelection):
+    """``V``, ``W``, ``(W^T A V, W^T B, C V)`` and the Hankel values of the
+    balanced truncation of ``M`` from its Gramian factors ``F``."""
+    spec = hankel_spectrum(F)
+    V, W = _balancing_transform(F, spec, sel.resolve(spec.sigma))
+    return V, W, StateSpaceModel(W.T @ M.A @ V, W.T @ M.B, M.C @ V), spec.sigma
 
 
 def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
-    """Balanced truncation of ``M`` at the selected order.
-
-    A requested order beyond the numerical rank of the Hankel spectrum is
-    clamped to that rank (the corresponding directions carry no
-    input-output energy and their inverse scaling would blow up).
-    """
-    F = gramian_factors(M)
-    spec = hankel_spectrum(F)
-    r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
-    V, W = _balancing_transform(F, spec, r)
-    sys = _project(M, V, W)
-    return ReducedModel(sys=sys, method="bt", hankel=spec.sigma,
+    """Balanced truncation of ``M`` at the selected order, with its H2 error."""
+    V, _, sys, sigma = _truncate(M, gramian_factors(M), sel)
+    return ReducedModel(sys=sys, method="bt", hankel=sigma,
                         h2_error=projected_h2_error(M, V, sys.A, sys.B))
 
 
@@ -174,12 +170,10 @@ def augmented_system(M: StateSpaceModel, X0, scaling=True):
 def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
                sel: OrderSelection, scaling=True) -> ReducedModel:
     """Balanced truncation of the system with augmented input ``[B, gamma
-    X0]``, from ``M = (A, B, C)`` and the x0 map ``aux = (A, X0, C)``.
-
-    ``P_aug = P_B + gamma^2 P_X0`` is summed from ``M.reach_factor`` and
-    ``aux.reach_factor``, not solved, and ``M``'s factor is dropped after
-    the sum.  With ``scaling`` on, ``gamma`` brings ``||X0||_2`` to the
-    largest column norm of ``B``; ``X0til`` projects the unscaled basis.
+    X0]`` (``gamma`` from ``_x0_scale``), from ``M = (A, B, C)`` and the x0
+    map ``aux = (A, X0, C)``.  ``P_aug = P_B + gamma^2 P_X0`` is summed from
+    the two reachability factors, not solved; ``X0til`` projects the
+    unscaled basis.
     """
     X0 = aux.B
     if not (np.array_equal(aux.A, M.A) and np.array_equal(aux.C, M.C)):
@@ -189,22 +183,13 @@ def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
     P = Ux @ Ux.T
     P *= gamma * gamma
     P += M.reach_factor @ M.reach_factor.T
-    # M's factor is not needed past the sum: dropped, it is not part of the
-    # Hankel SVD's memory peak
+    # dropped, M's factor is not part of the Hankel SVD's memory peak
     M.drop_reach_factor()
     F = GramianFactors(U=_sqrt_factor(P, "reachability"), L=M.obs_factor)
     del P
-    spec = hankel_spectrum(F)
-    r = min(sel.resolve(spec.sigma), _numerical_rank(spec.sigma))
-    V, W = _balancing_transform(F, spec, r)
-    return ReducedModel(
-        sys=_project(M, V, W),
-        X0til=W.T @ X0,
-        method="abt",
-        hankel=spec.sigma,
-        obs_x0=F.L.T @ M.A @ (gamma * X0),
-        x0_scale=gamma,
-    )
+    _, W, sys, eta = _truncate(M, F, sel)
+    return ReducedModel(sys=sys, X0til=W.T @ X0, method="abt", hankel=eta,
+                        obs_x0=F.L.T @ M.A @ (gamma * X0), x0_scale=gamma)
 
 
 def _gershgorin_shift_range(A):

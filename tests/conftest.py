@@ -203,6 +203,10 @@ def schur_calls(monkeypatch):
     """The order of every Schur form ``scipy.linalg.schur`` computes, called
     as ``sla.schur`` or wherever an icmor module binds the function: the
     real forms as the list, the complex ones as its ``complex``."""
+    return _schur_orders(monkeypatch)
+
+
+def _schur_orders(monkeypatch):
     orders = SchurOrders()
     original = sla.schur
 
@@ -225,13 +229,42 @@ def _rebind_in_icmor(monkeypatch, original, replacement):
 
 @pytest.fixture()
 def eigvals_calls(monkeypatch):
-    """A list that grows by one on every ``np.linalg.eigvals`` call."""
-    calls = []
-    original = np.linalg.eigvals
+    """The shape of the matrix of every ``np.linalg.eigvals`` call."""
+    return _recorded_shapes(monkeypatch, np.linalg, "eigvals")
 
-    def counted(A):
-        calls.append(np.shape(A))
-        return original(A)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    return calls
+def _recorded_shapes(monkeypatch, module, name):
+    shapes, original = [], getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return shapes
+
+
+def record_kernels(monkeypatch):
+    """Record the calls of the order-n kernels from here on; returns
+    ``budget(n, m)``, the number of calls of each of order >= n (>= n + 2m
+    for the FOH step's exponential, n x r for Sylvester solves)."""
+    from icmor import linalg
+
+    schur = _schur_orders(monkeypatch)
+    lyapunov = _recorded_orders(monkeypatch, linalg.solve_lyapunov)
+    sylvester = _recorded_orders(monkeypatch, linalg.solve_sylvester)
+    expm = _recorded_orders(monkeypatch, linalg.matrix_exponential)
+    eigvals = _recorded_shapes(monkeypatch, np.linalg, "eigvals")
+    svd = _recorded_shapes(monkeypatch, np.linalg, "svd")
+
+    def budget(n, m):
+        return {
+            "real Schur form": sum(k >= n for k in schur),
+            "complex Schur form": len(schur.complex),
+            "solve_lyapunov": sum(k >= n for k in lyapunov),
+            "Hankel SVD": sum(min(shape) >= n for shape in svd),
+            "eigvals": sum(shape[0] >= n for shape in eigvals),
+            "FOH expm": sum(k >= n + 2 * m for k in expm),
+            "n x r solve_sylvester": sum(k >= n for k in sylvester),
+        }
+    return budget

@@ -11,6 +11,7 @@ import os
 import re
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from icmor.simulation import SimulationTrace
 
 from conftest import (
     golden_mismatches, kron_lyapunov, kron_sylvester, make_stable, random_system,
+    record_kernels,
 )
 
 ISS_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "iss")
@@ -72,6 +74,13 @@ def expected_warnings(*categories):
                             if w.category in unexpected]
 
 
+class CaseRun(NamedTuple):
+    rep: object
+    elapsed: float
+    caught: list
+    kernels: dict  # conftest.record_kernels' counts at n = 300, m = 10
+
+
 def _run_case(x0_index):
     cfg = ExperimentConfig.from_dict({
         "model": {"kind": "msd", "n_masses": 150, "m_inputs": 10},
@@ -81,11 +90,14 @@ def _run_case(x0_index):
         "input": {"kind": "decaying_pulses"},
         "out": "unused",
     })
-    t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = run_experiment(cfg)
-    return rep, time.perf_counter() - t0, caught
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        budget = record_kernels(monkeypatch)
+        t0 = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_experiment(cfg)
+        elapsed = time.perf_counter() - t0
+    return CaseRun(rep, elapsed, caught, budget(300, 10))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +175,7 @@ class TestCriterion3BtBound:
 
     def test_msd300(self, case1):
         # input-map component of the split run: BT at tolerance 1e-2
-        rep, _, _ = case1
+        rep = case1.rep
         tr_full = rep.traces["full"]
         tr_red = rep.traces["bt-bt"]
         err = l2_norm(SimulationTrace(
@@ -194,7 +206,7 @@ class TestCriterion4TraceBound:
 class TestGoldenNumbers:
     @pytest.mark.parametrize("case_name", ["case1", "case2"])
     def test_report_matches_golden(self, case_name, request):
-        rep, _, _ = request.getfixturevalue(case_name)
+        rep = request.getfixturevalue(case_name).rep
         assert golden_mismatches(rep.report, case_name) == []
 
 
@@ -203,7 +215,7 @@ class TestSharedReductions:
     def test_hsv_matches_standalone_spectra(self, case_name, x0_index, msd300, request):
         # run_experiment reads sigma, theta and eta off the reductions that
         # feed the methods; they must be the standalone spectra bit for bit
-        rep, _, _ = request.getfixturevalue(case_name)
+        rep = request.getfixturevalue(case_name).rep
         X0 = unit_vector_basis(msd300.n, [x0_index]).X0
         aux = StateSpaceModel(msd300.A, X0, msd300.C)
         for key, sys in (("sigma", msd300), ("theta", aux)):
@@ -222,7 +234,7 @@ class TestSharedReductions:
 class TestCriterion5SplitBound:
     @pytest.mark.parametrize("case_name", ["case1", "case2"])
     def test_end_to_end_bound_holds(self, case_name, request):
-        rep, _, _ = request.getfixturevalue(case_name)
+        rep = request.getfixturevalue(case_name).rep
         for method in ("augbt", "bt-bt", "bt-irka"):
             res = rep.report["methods"][method]
             assert res["abs_l2_error"] <= res["bound"], \
@@ -281,7 +293,7 @@ class TestCriterion7IrkaOptimality:
 
 class TestCriterion8Case1:
     def test_order_gap_and_accuracy(self, case1):
-        rep, elapsed, _ = case1
+        rep, elapsed = case1.rep, case1.elapsed
         methods = rep.report["methods"]
         r_u = methods["bt-bt"]["orders"]["r_u"]
         r_x0 = methods["bt-bt"]["orders"]["r_x0"]
@@ -292,9 +304,21 @@ class TestCriterion8Case1:
         assert elapsed < 300.0
 
 
+class TestKernelBudget:
+    # calls of order >= n in case1's run_experiment (n = 300, m = 10); a
+    # change that raises a count updates this table and says why.  The
+    # Sylvester solves are the H2 errors of the BT reductions at r_u = 16 and
+    # r_x0 = 86 and of IRKA's 2 scored iterates.
+    CASE1 = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
+             "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1, "n x r solve_sylvester": 4}
+
+    def test_case1(self, case1):
+        assert case1.kernels == self.CASE1
+
+
 class TestCriterion9Case2:
     def test_all_methods_accurate(self, case2):
-        rep, _, _ = case2
+        rep = case2.rep
         methods = rep.report["methods"]
         for name in ("augbt", "bt-bt", "bt-irka"):
             assert methods[name]["rel_l2"] <= 5e-2, name
@@ -308,7 +332,7 @@ class TestIrkaStopReported:
                   "no gain in 3 scorings at iteration 5"),
     ])
     def test_one_warning_names_the_stop(self, case_name, reason, request):
-        _, _, caught = request.getfixturevalue(case_name)
+        caught = request.getfixturevalue(case_name).caught
         stops = [str(w.message) for w in caught if w.category is MaxItersExceeded]
         assert len(stops) == 1, stops
         assert re.search(reason, stops[0]), stops[0]

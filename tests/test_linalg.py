@@ -147,6 +147,14 @@ class TestSolveSylvester:
         with pytest.raises(DimensionMismatch):
             solve_sylvester(-np.eye(2), -np.eye(2), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        # as solve_lyapunov rejects a non-finite G, not a NaN solution
+        K = np.ones((3, 2))
+        K[1, 0] = bad
+        with pytest.raises(NonFinite, match="K"):
+            solve_sylvester(-np.eye(3), -2.0 * np.eye(2), K)
+
 
 class TestMatrixExponential:
     def test_zero_matrix(self):
