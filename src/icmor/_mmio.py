@@ -108,13 +108,11 @@ def read_matrix(path):
     return M
 
 
-def write_matrix(path, M, comment=None):
+def write_matrix(path, M):
     """Write a dense matrix in Matrix Market 'array real general' format."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            fh.write(f"% {comment}\n")
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         for j in range(M.shape[1]):
             for i in range(M.shape[0]):

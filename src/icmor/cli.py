@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from ._mmio import write_matrix
-from .errors import IcmorError
+from .errors import ConfigError, IcmorError
 from .experiment import (
     INPUT_KINDS,
     KNOWN_METHODS,
@@ -53,7 +53,21 @@ def cmd_bench(args):
     return 0
 
 
+def _check_reduce_flags(args):
+    """``ExperimentConfig.from_dict``'s checks of the flags of ``reduce``; an
+    error names the flag it rejects."""
+    flags = {"tol": args.tol, "order_u": args.order_u, "order_x0": args.order_x0}
+    try:
+        ExperimentConfig.from_dict({"model": args.model, "methods": [args.method], **flags})
+    except ConfigError as exc:
+        key, _, why = str(exc).partition(": ")
+        if key not in flags:
+            raise
+        raise ConfigError(f"--{key.replace('_', '-')}: {why}") from None
+
+
 def cmd_reduce(args):
+    _check_reduce_flags(args)
     M, basis = _load(args)
     if basis is None:
         print(f"{args.method} needs --x0-indices or a model directory with X0.mtx",

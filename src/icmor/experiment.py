@@ -152,8 +152,12 @@ def _model_spec(model):
         _check(value, _MODEL_FIELDS[key], f"model.{key}")
         if "path" in model and key != "path":
             raise ConfigError(f"model.{key}: not used with 'path'")
-    if "path" in model and not os.path.isdir(model["path"]):
-        raise ConfigError(f"model.path: no directory '{model['path']}'")
+    if "path" in model:
+        if not os.path.isdir(model["path"]):
+            raise ConfigError(f"model.path: no directory '{model['path']}'")
+        for name in ("A.mtx", "B.mtx", "C.mtx"):
+            if not os.path.isfile(os.path.join(model["path"], name)):
+                raise ConfigError(f"model.path: no {name} in '{model['path']}'")
     if model.get("kind", "msd") != "msd":
         raise ConfigError(f"model.kind: unknown builtin '{model['kind']}'")
     return model

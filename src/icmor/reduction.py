@@ -225,39 +225,39 @@ def _one_per_pair(shifts):
     return keep, np.array(kept, dtype=complex)
 
 
-def _tangential_basis(real_schur, Bmat, shifts, dirs, r, transpose=False):
+def _tangential_basis(real_schur, Bmat, s, dirs, r, transpose=False):
     """Orthonormal basis of the span of (s_k I - A)^{-1} B b_k (``A^T`` when
     ``transpose``), conjugate pairs merged into real/imaginary columns, on
-    ``(T, U)``, the real Schur form of ``A``.  It has fewer than ``r``
-    columns when that span has collapsed; ``NonFinite`` is raised when the
-    solve is not finite.  Singular values up to ``eps max(n, k) sigma_1``
-    count as 0, the rule of ``scipy.linalg.orth``, here on numpy's SVD."""
-    keep, s = _one_per_pair(shifts)
+    ``(T, U)``, the real Schur form of ``A``, and ``Y``, that solve in Schur
+    coordinates.  ``s`` and ``dirs`` hold one shift of each conjugate pair
+    and its direction, as ``_one_per_pair`` keeps them.  The basis has fewer
+    than ``r`` columns when the span has collapsed; ``NonFinite`` is raised
+    when the solve is not finite.  Singular values up to ``eps max(n, k)
+    sigma_1`` count as 0, the rule of ``scipy.linalg.orth``, here on numpy's
+    SVD."""
     T, U = real_schur
-    X = (U @ shifted_solve(T, s, U.T @ _real_columns(Bmat @ dirs[:, keep], s),
-                           transpose))[:, :r]
+    Y = shifted_solve(T, s, U.T @ _real_columns(Bmat @ dirs, s), transpose)
+    X = (U @ Y)[:, :r]
     if not np.all(np.isfinite(X)):
         raise NonFinite("non-finite tangential basis")
     Q, sv, _ = np.linalg.svd(X, full_matrices=False)
-    return Q[:, :np.sum(sv > np.finfo(float).eps * max(X.shape) * sv[0])]
+    return Q[:, :np.sum(sv > np.finfo(float).eps * max(X.shape) * sv[0])], Y
 
 
-def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, shifts, bdirs, cdirs):
+def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, s, Y, bdirs, cdirs):
     """Relative Hermite interpolation residuals of ``R`` against ``M`` at
-    the given shifts and tangential directions, one shift of each conjugate
-    pair (the other's residuals are the conjugates).  ``M`` solves on
-    ``M.real_schur``: ``Y`` for ``(s I - A)^{-1} B b`` and ``Y2`` for ``(s I
-    - A)^{-2} B b``, which solves ``T Y2 - Y2 S = -Y`` in Schur coordinates."""
-    keep, s = _one_per_pair(shifts)
+    the shifts ``s`` and tangential directions ``bdirs``, ``cdirs``, one of
+    each conjugate pair (the other's residuals are the conjugates).  ``Y``
+    is ``_tangential_basis``' solve for ``(s I - A)^{-1} B b`` on
+    ``M.real_schur``; ``Y2`` for ``(s I - A)^{-2} B b`` solves ``T Y2 - Y2 S
+    = -Y`` in Schur coordinates."""
     T, U = M.real_schur
-    Y = shifted_solve(T, s, U.T @ _real_columns(M.B @ bdirs[:, keep], s))
     CU = M.C @ U
     H, H2 = _complex_columns(CU @ Y, s), _complex_columns(CU @ shifted_solve(T, s, Y), s)
     Ar, Br, Cr = R.A, R.B, R.C
     Ir = np.eye(Ar.shape[0])
     val = der = 0.0
-    for i, k in enumerate(keep):
-        b, c = bdirs[:, k], cdirs[:, k]
+    for i, (b, c) in enumerate(zip(bdirs.T, cdirs.T)):
         xr = np.linalg.solve(s[i] * Ir - Ar, Br @ b)
         hb, hrb = H[:, i], Cr @ xr
         ref = max(np.linalg.norm(hb), 1e-300)
@@ -292,16 +292,6 @@ def _pole_data(Ar, Br, Cr):
     bdirs = bdirs / np.where(nb > 0, nb, 1.0)
     cdirs = cdirs / np.where(nc > 0, nc, 1.0)
     return Ars, reflected, (shifts, bdirs, cdirs)
-
-
-def _regularized_inverse(E, rel_tol=1e-13):
-    """Pseudo-inverse of the projection pencil with small singular values
-    dropped.  Structurally symmetric systems can make the pencil exactly
-    singular even when both subspaces are individually fine."""
-    U, s, Vt = np.linalg.svd(E)
-    keep = s > rel_tol * max(s[0], 1e-300)
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vt.T * s_inv) @ U.T
 
 
 _STALL_SCORINGS = 3
@@ -363,17 +353,20 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
                 else rng.standard_normal((M.p, r)).astype(complex)
             starts.append((sh, bd, cd))
 
-    best = final = None
-    best_err = final_err = np.inf
+    # the returned iterate: a fixed point before any other, then the
+    # smallest H2 error; an unscored candidate (error inf) never wins
+    best_key, best = (True, np.inf), None
     stops = []
     for shifts, bdirs, cdirs in starts:
         prev_change = np.inf
         start_best, stale = np.inf, 0
         stop = f"no fixed point in {max_iters} iterations"
         for it in range(1, max_iters + 1):
+            keep, s = _one_per_pair(shifts)
+            bk, ck = bdirs[:, keep], cdirs[:, keep]
             try:
-                V = _tangential_basis(M.real_schur, B, shifts, bdirs, r)
-                W = _tangential_basis(M.real_schur, C.T, shifts, cdirs, r, transpose=True)
+                V, Y = _tangential_basis(M.real_schur, B, s, bk, r)
+                W, _ = _tangential_basis(M.real_schur, C.T, s, ck, r, transpose=True)
             except NonFinite:
                 stop = f"non-finite basis at iteration {it}"
                 break
@@ -383,7 +376,9 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
                 # no order-r model interpolates them: this start ends
                 stop = f"basis rank {rank} < r = {r} at iteration {it}"
                 break
-            Einv = _regularized_inverse(W.T @ V)
+            # structurally symmetric systems can make the projection pencil
+            # exactly singular even when both subspaces are fine
+            Einv = np.linalg.pinv(W.T @ V, rtol=1e-13)
             Ar = Einv @ (W.T @ A @ V)
             Br = Einv @ (W.T @ B)
             Cr = C @ V
@@ -391,26 +386,24 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
                 stop = f"non-finite reduced matrix at iteration {it}"
                 break
             Ars, reflected, (new_shifts, new_b, new_c) = _pole_data(Ar, Br, Cr)
-            candidate, err = None, np.inf
+            sys, err = None, np.inf
             try:
-                candidate = (StateSpaceModel(Ars, Br, Cr), reflected,
-                             shifts.copy(), bdirs.copy(), cdirs.copy())
+                sys = StateSpaceModel(Ars, Br, Cr)
                 err = projected_h2_error(M, V, Ars, Br)
             except (NonFinite, NotStable, np.linalg.LinAlgError):
                 pass
-            if candidate is not None:
+            if sys is not None:
                 stale = 0 if err < start_best else stale + 1
                 start_best = min(start_best, err)
-                if err < best_err:
-                    best, best_err = candidate, err
             order_old = np.lexsort((shifts.imag, shifts.real))
             order_new = np.lexsort((new_shifts.imag, new_shifts.real))
             change = np.linalg.norm(
                 new_shifts[order_new] - shifts[order_old]
             ) / max(np.linalg.norm(shifts[order_old]), 1e-300)
-            if change < _SHIFT_TOL:
-                if candidate is not None and err < final_err:
-                    final, final_err = candidate, err
+            fixed = change < _SHIFT_TOL
+            if np.isfinite(err) and (not fixed, err) < best_key:
+                best_key, best = (not fixed, err), (sys, reflected, s, Y, bk, ck)
+            if fixed:
                 stop = f"fixed point at iteration {it}"
                 break
             if stale == _STALL_SCORINGS:
@@ -429,17 +422,11 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         stops.append(stop)
 
     why = "; ".join(dict.fromkeys(stops))
-    converged = final is not None
-    if converged:
-        (sys, reflected, shifts, bdirs, cdirs), h2_error = final, final_err
-    elif best is not None:
-        warnings.warn(
-            f"IRKA stopped ({why}); returning the stable iterate with the "
-            "smallest H2 error",
-            MaxItersExceeded,
-        )
-        (sys, reflected, shifts, bdirs, cdirs), h2_error = best, best_err
-    elif warm_start is not None:
+    if best is None:
+        if warm_start is None:
+            raise UnstableReduction(
+                f"IRKA found no stable iterate ({why}) and has no warm start to "
+                "fall back on")
         warnings.warn(
             f"IRKA found no stable iterate ({why}); falling back to the "
             "warm-start model",
@@ -448,16 +435,17 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
                             h2_error=warm_start.h2_error,
                             interp_residuals={"fallback": True})
-    else:
-        raise UnstableReduction(
-            f"IRKA found no stable iterate ({why}) and has no warm start to "
-            "fall back on")
-
-    R = ReducedModel(sys=sys, method="irka", converged=converged, h2_error=h2_error)
-    R.interp_residuals = tangential_residuals(M, sys, shifts, bdirs, cdirs)
-    R.interp_residuals["pole_reflection"] = bool(reflected)
-    R.interp_residuals["fallback"] = False
-    return R
+    (unconverged, h2_error), (sys, reflected, s, Y, bk, ck) = best_key, best
+    if unconverged:
+        warnings.warn(
+            f"IRKA stopped ({why}); returning the stable iterate with the "
+            "smallest H2 error",
+            MaxItersExceeded,
+        )
+    res = tangential_residuals(M, sys, s, Y, bk, ck)
+    return ReducedModel(sys=sys, method="irka", converged=not unconverged, h2_error=h2_error,
+                        interp_residuals={**res, "pole_reflection": bool(reflected),
+                                          "fallback": False})
 
 
 def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,

@@ -247,13 +247,15 @@ def _recorded_shapes(monkeypatch, module, name):
 def record_kernels(monkeypatch):
     """Record the calls of the order-n kernels from here on; returns
     ``budget(n, m)``, the number of calls of each of order >= n (>= n + 2m
-    for the FOH step's exponential, n x r for Sylvester solves)."""
+    for the FOH step's exponential, n x r for Sylvester solves, the order of
+    ``T`` for IRKA's shifted solves)."""
     from icmor import linalg
 
     schur = _schur_orders(monkeypatch)
     lyapunov = _recorded_orders(monkeypatch, linalg.solve_lyapunov)
     sylvester = _recorded_orders(monkeypatch, linalg.solve_sylvester)
     expm = _recorded_orders(monkeypatch, linalg.matrix_exponential)
+    shifted = _recorded_orders(monkeypatch, linalg.shifted_solve)
     eigvals = _recorded_shapes(monkeypatch, np.linalg, "eigvals")
     svd = _recorded_shapes(monkeypatch, np.linalg, "svd")
 
@@ -266,5 +268,6 @@ def record_kernels(monkeypatch):
             "eigvals": sum(shape[0] >= n for shape in eigvals),
             "FOH expm": sum(k >= n + 2 * m for k in expm),
             "n x r solve_sylvester": sum(k >= n for k in sylvester),
+            "IRKA shifted_solve": sum(k >= n for k in shifted),
         }
     return budget

@@ -308,9 +308,11 @@ class TestKernelBudget:
     # calls of order >= n in case1's run_experiment (n = 300, m = 10); a
     # change that raises a count updates this table and says why.  The
     # Sylvester solves are the H2 errors of the BT reductions at r_u = 16 and
-    # r_x0 = 86 and of IRKA's 2 scored iterates.
+    # r_x0 = 86 and of IRKA's 2 scored iterates.  IRKA's shifted solves are
+    # 2 for each of its 3 iterates and 1 for the derivative of iterate 2.
     CASE1 = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
-             "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1, "n x r solve_sylvester": 4}
+             "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1, "n x r solve_sylvester": 4,
+             "IRKA shifted_solve": 7}
 
     def test_case1(self, case1):
         assert case1.kernels == self.CASE1

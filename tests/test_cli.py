@@ -150,10 +150,11 @@ class TestRunExperiment:
     # calls of order >= n in one run_experiment of the 12-mass config (n = 24,
     # m = 3); a change that raises a count updates this table and says why.
     # The Sylvester solves are the H2 errors of the two BT reductions and of
-    # IRKA's 5 scored iterates.
+    # IRKA's 5 scored iterates.  IRKA's shifted solves are 2 per iterate (the
+    # bases V and W) and 1 for the derivative of the returned iterate.
     KERNEL_BUDGET = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
                      "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1,
-                     "n x r solve_sylvester": 7}
+                     "n x r solve_sylvester": 7, "IRKA shifted_solve": 11}
 
     def test_order_n_kernel_budget(self, tmp_path, monkeypatch):
         budget = record_kernels(monkeypatch)
@@ -319,12 +320,53 @@ class TestCliVerbs:
         for name in ("A", "B", "C"):
             assert np.array_equal(getattr(M, name), getattr(want, name)), name
 
-    @pytest.mark.parametrize("verb", [["reduce", "--x0-indices", "1"], ["simulate"]])
-    def test_missing_model_directory(self, tmp_path, capsys, verb):
-        missing = str(tmp_path / "missing")
-        assert main([*verb, "--model", missing, "--out", str(tmp_path / "out")]) == 1
+    @pytest.mark.parametrize("verb, lacking", [
+        pytest.param("reduce", None, id="verb0"),
+        pytest.param("simulate", None, id="verb1"),
+        pytest.param("reduce", "A.mtx", id="reduce-A.mtx"),
+        pytest.param("simulate", "B.mtx", id="simulate-B.mtx"),
+        pytest.param("report", "C.mtx", id="report-C.mtx"),
+    ])
+    def test_missing_model_directory(self, tmp_path, capsys, verb, lacking):
+        # no directory at all, or one that lacks one of the three matrices
+        model = str(tmp_path / "model")
+        if lacking is not None:
+            save_model(build_msd(4, m_inputs=1), model)
+            os.remove(os.path.join(model, lacking))
+        out = str(tmp_path / "out")
+        if verb == "report":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(small_config(tmp_path, model=model, x0_indices=[1])))
+            argv = ["report", "--config", str(cfg), "--out", out]
+        else:
+            argv = [verb, "--model", model, "--x0-indices", "1", "--out", out]
+        assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: model.path")
+        assert lacking is None or lacking in err[0]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--order-u", "-1"), ("--order-x0", "-1"), ("--tol", "0")])
+    def test_reduce_rejects_out_of_range_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "red"
+        assert main(["reduce", "--model", "builtin:msd", "--x0-indices", "300",
+                     flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}: must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # one x0 index, two coordinates
+        (lambda cfg: json.dumps({**cfg, "z0": [1.0, 2.0]}), "z0: expected 1 coordinates"),
+        (lambda cfg: json.dumps(cfg)[:-1], "invalid JSON"),
+    ], ids=["z0-length", "invalid-json"])
+    def test_report_error_is_one_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text(small_config(tmp_path)))
+        assert main(["report", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
     def test_reduce_split(self, tmp_path):
         model_dir = str(tmp_path / "model")

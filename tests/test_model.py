@@ -25,6 +25,8 @@ from icmor.errors import (
     ParseError,
 )
 
+from icmor._mmio import read_matrix
+
 from conftest import near_margin
 
 
@@ -210,3 +212,32 @@ class TestModelFiles:
         with pytest.raises(ParseError) as exc:
             load_model(d)
         assert exc.value.line == 3
+
+
+class TestMatrixMarket:
+    """``read_matrix`` on the formats ``write_matrix`` does not write."""
+
+    DENSE = np.array([[4.0, 0.0, -1.5], [0.0, 2.0, 0.0], [-1.5, 0.0, 3.0]])
+
+    @pytest.mark.parametrize("text", [
+        # coordinate general: every nonzero, in any order
+        "%%MatrixMarket matrix coordinate real general\n% a comment\n3 3 5\n"
+        "3 1 -1.5\n1 1 4\n2 2 2\n1 3 -1.5\n3 3 3\n",
+        # coordinate symmetric: the lower triangle
+        "%%MatrixMarket matrix coordinate integer symmetric\n3 3 4\n"
+        "1 1 4\n2 2 2\n3 1 -1.5\n3 3 3\n",
+        # array symmetric: the lower triangle, column by column
+        "%%MatrixMarket matrix array real symmetric\n3 3\n4\n0\n-1.5\n2\n0\n3\n",
+    ], ids=["coordinate-general", "coordinate-symmetric", "array-symmetric"])
+    def test_format_matches_dense(self, tmp_path, text):
+        path = tmp_path / "M.mtx"
+        path.write_text(text)
+        assert np.array_equal(read_matrix(str(path)), self.DENSE)
+
+    def test_malformed_coordinate_entry_has_its_line(self, tmp_path):
+        path = tmp_path / "M.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "% a comment\n2 2 2\n1 1 1.0\n2 x 1.0\n")
+        with pytest.raises(ParseError, match="bad entry") as exc:
+            read_matrix(str(path))
+        assert exc.value.line == 5

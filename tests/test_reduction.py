@@ -359,6 +359,16 @@ class TestIrkaReduce:
             with pytest.raises(UnstableReduction, match=stop):
                 irka_reduce(M, 3)
 
+    def test_non_finite_reduced_matrix_falls_back(self, rng, monkeypatch):
+        M = random_system(rng, 8, 1, 1, margin=0.5)
+        warm = bt_reduce(M, OrderSelection.fixed(3))
+        monkeypatch.setattr(reduction.np.linalg, "pinv",
+                            lambda E, rtol: np.full(E.shape, np.nan))
+        with pytest.warns(MaxItersExceeded, match="non-finite reduced matrix at "
+                                                  "iteration 1.*falling back"):
+            R = irka_reduce(M, 3, warm_start=warm)
+        assert R.interp_residuals["fallback"] and R.sys is warm.sys
+
     def test_kernels_of_a_warm_started_run(self, monkeypatch, schur_calls):
         # the x0 map of the 12-mass config: IRKA solves on the real Schur
         # form the warm start computed and orthonormalizes with numpy, so
@@ -413,7 +423,8 @@ class TestTangentialBasis:
             x = np.linalg.solve(s * np.eye(M.n) - M.A, M.B @ dirs[:, k])
             cols += [x.real, x.imag] if s.imag else [x.real]
         ref = sla.orth(np.column_stack(cols))
-        V = reduction._tangential_basis(M.real_schur, M.B, shifts, dirs, len(shifts))
+        keep, s = reduction._one_per_pair(shifts)
+        V, _ = reduction._tangential_basis(M.real_schur, M.B, s, dirs[:, keep], len(shifts))
         assert V.shape == ref.shape == (M.n, rank)
         assert np.max(sla.subspace_angles(V, ref)) < 1e-12
         assert np.allclose(V.T @ V, np.eye(rank), rtol=0.0, atol=1e-14)
