@@ -67,7 +67,7 @@ class ConfigError(IcmorError):
 
 class MaxItersExceeded(UserWarning):
     """Fixed-point iteration stopped short of its fixed point (iteration
-    cap, collapsed basis or stall); best iterate returned."""
+    cap, ill-conditioned basis or stall); best iterate returned."""
 
 
 class TailWarning(UserWarning):

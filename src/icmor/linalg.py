@@ -6,6 +6,8 @@ to real Schur form, solve the quasi-triangular equation with LAPACK
 for dense problems up to n of a few hundred.
 """
 
+from math import factorial
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
@@ -178,14 +180,75 @@ def solve_sylvester(A, M, K, schur=None):
     return Ua @ _trsyl(lapack.dtrsyl, Ta, Tm, -Kt, trana="T") @ Um.T
 
 
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3: theta_m, the
+# largest ||A||_1 at which the degree-m Pade approximant to exp(A) has
+# backward error below unit roundoff
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _poly(c0, coeffs, powers, out=None):
+    """``out + c0 I + sum_k coeffs[k] powers[k]``, accumulated in ``out``
+    (zeros when not given)."""
+    if out is None:
+        out = np.zeros_like(powers[0])
+    for c, P in zip(coeffs, powers):
+        out += c * P
+    out.flat[::out.shape[0] + 1] += c0
+    return out
+
+
+def _pade(A, m):
+    """The degree-``m`` Pade approximant ``(V - U)^{-1} (V + U)`` to
+    ``exp(A)``: ``U`` holds the odd terms of the numerator, ``V`` the even
+    ones, from the even powers of ``A`` (Higham 2005, (2.2), (2.10) and, for
+    ``m = 13``, (2.11))."""
+    b = [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j)))
+         for j in range(m + 1)]
+    A2 = A @ A
+    powers = [A2]
+    # A^2, A^4, ..., A^{m-1}; degree 13 stops at A^6
+    for _ in range(2 if m == 13 else (m - 3) // 2):
+        powers.append(powers[-1] @ A2)
+    if m < 13:
+        U = A @ _poly(b[1], b[3::2], powers)
+        V = _poly(b[0], b[2::2], powers)
+    else:
+        A6 = powers[2]
+        U = A @ _poly(b[1], b[3:9:2], powers, out=A6 @ _poly(0.0, b[9::2], powers))
+        V = _poly(b[0], b[2:8:2], powers, out=A6 @ _poly(0.0, b[8::2], powers))
+        del A6
+    # free the powers before the solve, and form V + U and V - U in place
+    del A2, powers
+    V += U
+    U *= -2.0
+    U += V
+    return np.linalg.solve(U, V)
+
+
 def matrix_exponential(A, t=1.0):
-    """Compute ``exp(A t)`` by scaling-and-squaring with Pade approximants."""
+    """Compute ``exp(A t)`` by scaling and squaring with Pade approximants,
+    Higham (2005), Algorithm 2.3: the degree ``m`` is the lowest of 3, 5,
+    7, 9 and 13 whose ``theta_m`` bounds ``||A t||_1``; past ``theta_13``,
+    the degree-13 approximant of ``A t / 2^s``, ``s = ceil(log2(||A t||_1 /
+    theta_13))``, is squared ``s`` times.  ``NonFinite`` is raised when ``A
+    t`` or the result overflows."""
     A = _as_square(A)
     if not np.isfinite(t):
         raise NonFinite("t must be finite")
     if A.size == 0:
         return np.zeros((0, 0))
-    E = sla.expm(A * float(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        At = A * float(t)
+        norm = np.linalg.norm(At, 1)
+        if not np.isfinite(norm):
+            raise NonFinite("matrix exponential overflowed")
+        m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
+        s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
+        At *= 2.0 ** -s
+        E = _pade(At, m)
+        for _ in range(s):
+            E = E @ E
     if not np.all(np.isfinite(E)):
         raise NonFinite("matrix exponential overflowed")
     return E

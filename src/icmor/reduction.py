@@ -231,10 +231,9 @@ def _tangential_basis(real_schur, Bmat, s, dirs, r, transpose=False):
     ``(T, U)``, the real Schur form of ``A``, and ``Y``, that solve in Schur
     coordinates.  ``s`` and ``dirs`` hold one shift of each conjugate pair
     and its direction, as ``_one_per_pair`` keeps them.  The basis has fewer
-    than ``r`` columns when the span has collapsed; ``NonFinite`` is raised
-    when the solve is not finite.  Singular values up to ``eps max(n, k)
-    sigma_1`` count as 0, the rule of ``scipy.linalg.orth``, here on numpy's
-    SVD."""
+    than ``r`` columns when the solve is ill-conditioned; ``NonFinite`` is
+    raised when it is not finite.  Singular values up to ``eps max(n, k)
+    sigma_1`` count as 0, the rule of ``scipy.linalg.orth``, on numpy's SVD."""
     T, U = real_schur
     Y = shifted_solve(T, s, U.T @ _real_columns(Bmat @ dirs, s), transpose)
     X = (U @ Y)[:, :r]
@@ -309,12 +308,13 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
     iterate (unstable poles reflected) is scored by its H2 error
     (``projected_h2_error`` on its tangential basis) and, without a fixed
     point, the best one wins; its score is kept as ``h2_error``.  A start
-    also ends at a basis of rank < ``r``, or after ``_STALL_SCORINGS``
-    scorings in a row that do not beat its own best.  A candidate whose
-    solves raise ``NotStable`` goes unscored.  With no scored iterate the
-    warm start is returned, with its ``h2_error`` and flagged by
-    ``interp_residuals['fallback']``, or else ``UnstableReduction`` is
-    raised; warnings and errors name each start's stop.  At ``r = n`` ``M``
+    also ends at an ill-conditioned basis, of numerical rank < ``r``, or
+    after ``_STALL_SCORINGS`` scorings in a row that do not beat its own
+    best.  A candidate whose solves raise ``NotStable`` goes unscored.
+    With no scored iterate the warm start is returned, with its
+    ``h2_error`` and flagged by ``interp_residuals['fallback']``, or else
+    ``UnstableReduction`` is raised; warnings and errors name each start's
+    stop.  At ``r = n`` ``M``
     itself is returned at once (H2 error 0).
     """
     if r < 1 or r > M.n:
@@ -372,9 +372,10 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
                 break
             rank = min(V.shape[1], W.shape[1])
             if rank < r:
-                # the tangential directions no longer span r dimensions, so
-                # no order-r model interpolates them: this start ends
-                stop = f"basis rank {rank} < r = {r} at iteration {it}"
+                # the solve columns are too ill-conditioned to give r
+                # orthonormal directions: this start ends
+                stop = (f"ill-conditioned basis (numerical rank {rank} < r = {r}) "
+                        f"at iteration {it}")
                 break
             # structurally symmetric systems can make the projection pencil
             # exactly singular even when both subspaces are fine

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from icmor import InputSignal, StateSpaceModel
 from icmor.errors import InvalidParameter, NonFinite
-from icmor.simulation import SimulationTrace, foh_weights
+from icmor.simulation import SimulationTrace
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -116,6 +116,18 @@ def h2_quadrature(A, B, C, t_f=60.0, samples=60001):
     return float(np.sqrt(np.trapezoid(acc, t)))
 
 
+def foh_block(A, B):
+    """``[[A, B, 0], [0, 0, I], [0, 0, 0]]``: its exponential at ``dt`` holds
+    the FOH step matrices ``E``, ``F0 + F1`` and ``F1 dt`` in its first
+    block row."""
+    n, m = A.shape[0], B.shape[1]
+    blk = np.zeros((n + 2 * m, n + 2 * m))
+    blk[:n, :n] = A
+    blk[:n, n:n + m] = B
+    blk[n:n + m, n + m:] = np.eye(m)
+    return blk
+
+
 def step_simulate(M: StateSpaceModel, u, x0, t_f, dt):
     """The FOH recursion ``x_{k+1} = E x_k + F0 u_k + F1 u_{k+1}`` stepped
     one output sample at a time: the per-step reference for the lifted
@@ -140,7 +152,10 @@ def step_simulate(M: StateSpaceModel, u, x0, t_f, dt):
         y = np.zeros((N + 1, p))
         return SimulationTrace(t=t, y=y, provenance={"order": 0})
 
-    E, F0, F1 = foh_weights(A, B, dt)
+    # the FOH step matrices from scipy's expm, independent of icmor's
+    Eb = sla.expm(foh_block(A, B) * dt)
+    E, F1 = Eb[:n, :n], Eb[:n, n + m:] / dt
+    F0 = Eb[:n, n:n + m] - F1
     U = u(t) if m else np.zeros((N + 1, 0))
     x = x0.copy()
     y = np.zeros((N + 1, p))

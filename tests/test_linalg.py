@@ -11,6 +11,7 @@ from icmor import (
     solve_lyapunov,
     solve_sylvester,
     stability_margin,
+    suggest_grid,
 )
 from icmor.errors import (
     DimensionMismatch,
@@ -26,7 +27,7 @@ from icmor.linalg import (
     shifted_solve,
 )
 
-from conftest import kron_lyapunov, kron_sylvester, make_stable, near_margin
+from conftest import foh_block, kron_lyapunov, kron_sylvester, make_stable, near_margin
 
 
 class TestSolveLyapunov:
@@ -181,6 +182,28 @@ class TestMatrixExponential:
     def test_overflow_raises(self):
         with pytest.raises(NonFinite):
             matrix_exponential(np.array([[1000.0]]), 1000.0)
+        # A t itself overflows, so no squaring count can be taken from it
+        with pytest.raises(NonFinite):
+            matrix_exponential(np.array([[10.0]]), 1e308)
+
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_foh_block_against_scipy(self, steps):
+        # case1's FOH block (the n = 300 chain, 10 inputs) at dt (degree 7,
+        # no squaring) and at 20 dt (degree 13, squared twice)
+        M = build_msd(150, m_inputs=10)
+        blk = foh_block(M.A, M.B)
+        t = steps * suggest_grid(M)[1]
+        assert (np.linalg.norm(blk * t, 1) > 5.37) == (steps == 20)
+        ref = sla.expm(blk * t)
+        E = matrix_exponential(blk, t)
+        assert np.linalg.norm(E - ref, 1) <= 5e-14 * np.linalg.norm(ref, 1)
+
+    def test_nonnormal_against_scipy(self):
+        # ||A||_1 = 51: squared four times, entries up to 50^11 / 11! e^-1
+        A = -np.eye(12) + 50.0 * np.eye(12, k=1)
+        ref = sla.expm(A)
+        E = matrix_exponential(A)
+        assert np.linalg.norm(E - ref, 1) <= 5e-14 * np.linalg.norm(ref, 1)
 
     def test_nonfinite_t_rejected(self):
         with pytest.raises(NonFinite):

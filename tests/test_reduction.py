@@ -265,9 +265,10 @@ class TestIrkaReduce:
             R = irka_reduce(M, 3, warm_start=warm)
             assert h2_error_norm(M, R.sys) <= h2_error_norm(M, warm.sys) * (1 + 1e-8)
 
-    def test_collapsed_basis_ends_the_iteration(self, monkeypatch):
+    def test_ill_conditioned_basis_ends_the_iteration(self, monkeypatch):
         # the x0 map of the order-300 chain, x0 at its far end: from the
-        # third iterate on, the r = 86 tangential bases lose rank
+        # third iterate on, the r = 86 tangential solve columns have
+        # numerical rank below 86
         M = build_msd(150, m_inputs=10)
         aux = M.with_input(unit_vector_basis(M.n, [300]).X0)
         warm = bt_reduce(aux, OrderSelection.fixed(86))
@@ -278,7 +279,8 @@ class TestIrkaReduce:
             return scores[-1]
 
         monkeypatch.setattr(reduction, "projected_h2_error", counted)
-        with pytest.warns(MaxItersExceeded, match=r"basis rank \d+ < r = 86 at iteration 3"):
+        with pytest.warns(MaxItersExceeded, match=r"ill-conditioned basis "
+                          r"\(numerical rank \d+ < r = 86\) at iteration 3"):
             R = irka_reduce(aux, 86, max_iters=8, warm_start=warm)
         assert len(scores) == 2
         assert not R.converged

@@ -188,6 +188,27 @@ class TestLiftedStepping:
         monkeypatch.setattr(simulation, "_flush", subnormal_only)
         assert np.array_equal(simulate(M, u, x0, t_f, dt).y, y)
 
+class TestNoScipyExponential:
+    def test_simulate_and_online_phase(self, monkeypatch):
+        # the FOH step matrices come from numpy: scipy's expm never runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr("scipy.linalg.expm", refuse)
+        monkeypatch.setattr("icmor.linalg.sla.expm", refuse)
+        M = build_msd(12, m_inputs=3)
+        t_f, dt = suggest_grid(M)
+        u = InputSignal.decaying_pulses(3)
+        basis = InitialConditionBasis(np.eye(M.n)[:, [23]])
+        x0 = basis.X0[:, 0]
+        tr = simulate(M, u, x0, t_f, dt)
+        assert set(tr.components) == {"y_u", "y_x0"}
+        S = split_reduce(M, basis, OrderSelection.fixed(4),
+                         OrderSelection.fixed(4), x0_method="bt")
+        tr_r = online_phase(S, u, x0, t_f, dt)
+        assert np.all(np.isfinite(tr_r.y)) and tr_r.y.shape == tr.y.shape
+
+
 class TestSuperpose:
     def test_zero_second_trace(self):
         t = np.linspace(0, 1, 11)
