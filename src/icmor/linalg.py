@@ -6,6 +6,8 @@ to real Schur form, solve the quasi-triangular equation with LAPACK
 for dense problems up to n of a few hundred.
 """
 
+import ctypes
+import threading
 from math import factorial
 
 import numpy as np
@@ -21,6 +23,54 @@ __all__ = [
     "matrix_exponential",
     "stability_margin",
 ]
+
+
+def _openblas_releases():
+    """``blas_thread_shutdown_`` of every loaded library whose path names
+    OpenBLAS, found in ``/proc/self/maps``; empty when there is none (another
+    BLAS, or no ``/proc``)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].rstrip("\n") for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    releases = []
+    for path in sorted(paths):
+        try:
+            release = ctypes.CDLL(path).blas_thread_shutdown_
+        except (OSError, AttributeError):
+            continue
+        release.argtypes, release.restype = [], ctypes.c_int
+        releases.append(release)
+    return tuple(releases)
+
+
+# numpy and scipy each load an OpenBLAS copy with its own worker pool; both
+# are loaded by now, as this module imports scipy.linalg
+_BLAS_RELEASES = _openblas_releases()
+
+
+def _release_blas_threads():
+    """Join the worker threads of every OpenBLAS pool, unless another Python
+    thread runs, which could be inside a BLAS call.  OpenBLAS registers the
+    same function with ``pthread_atfork``, and starts the workers again, at
+    the same count, on the pool's next threaded call."""
+    if threading.active_count() == 1:
+        for release in _BLAS_RELEASES:
+            release()
+
+
+def _real_schur(A):
+    """``(T, U) = scipy.linalg.schur(A, output="real")``, with the OpenBLAS
+    pools released before and after.  Schur forms run on scipy's pool and
+    the GEMMs around them on numpy's; a pool left idle spins beside the
+    other's work.  Releasing changes no thread count and no arithmetic."""
+    _release_blas_threads()
+    try:
+        return sla.schur(A, output="real")
+    finally:
+        _release_blas_threads()
 
 
 def _as_matrix(x, name):
@@ -127,9 +177,8 @@ def _sqrt_factor(P, name):
 def solve_lyapunov(A, G, schur=None):
     """Solve ``A P + P A^T + G = 0`` (``A`` stable, ``G`` symmetric) for
     the symmetrized ``P``.  ``schur``, the real Schur form ``(T, U)`` of
-    ``A`` as ``scipy.linalg.schur(A, output="real")`` gives it, is computed
-    when not given.  ``NotStable`` is raised off ``diag(T)``, with the
-    tolerance ``-1e-12 max(1, ||T||_F)``.
+    ``A``, is computed by ``_real_schur`` when not given.  ``NotStable`` is
+    raised off ``diag(T)``, with the tolerance ``-1e-12 max(1, ||T||_F)``.
     """
     A = _as_square(A)
     G = _as_square(G, "G")
@@ -137,7 +186,7 @@ def solve_lyapunov(A, G, schur=None):
         raise DimensionMismatch(f"A is {A.shape}, G is {G.shape}")
     if A.size == 0:
         return np.zeros((0, 0))
-    T, U = sla.schur(A, output="real") if schur is None else schur
+    T, U = _real_schur(A) if schur is None else schur
     # LAPACK returns the standardized real Schur form: each 2x2 block has
     # equal diagonal entries, so the diagonal holds the real parts of the
     # whole spectrum and is the stability verdict.
@@ -156,7 +205,8 @@ def solve_sylvester(A, M, K, schur=None):
     ``SpectraOverlap`` is raised when the spectra of ``-A^T`` and ``M`` are
     closer than ``1e-12 max(||Ta||_F, ||M||_F, 1)``.  ``schur = (Ta, Ua)``
     (of ``A``, not ``A^T``) is as in ``solve_lyapunov``; ``dtrsyl`` takes
-    ``Ta`` transposed.
+    ``Ta`` transposed.  Both Schur forms computed here come from
+    ``_real_schur``.
     """
     A = _as_square(A)
     M = _as_square(M, "M")
@@ -166,8 +216,8 @@ def solve_sylvester(A, M, K, schur=None):
         raise DimensionMismatch(f"K must be {(n, r)}, got {K.shape}")
     if n == 0 or r == 0:
         return np.zeros((n, r))
-    Ta, Ua = sla.schur(A, output="real") if schur is None else schur
-    Tm, Um = sla.schur(M, output="real")
+    Ta, Ua = _real_schur(A) if schur is None else schur
+    Tm, Um = _real_schur(M)
     ea = _schur_eigvals(Ta)
     em = _schur_eigvals(Tm)
     sep = np.min(np.abs(ea[:, None] + em[None, :]))

@@ -15,7 +15,10 @@ from .errors import (
     NotInSubspace,
     NotStable,
 )
-from .linalg import _as_matrix, _as_square, _is_stable, _sqrt_factor, solve_lyapunov, stability_margin
+from .linalg import (
+    _as_matrix, _as_square, _is_stable, _real_schur, _sqrt_factor, solve_lyapunov,
+    stability_margin,
+)
 
 __all__ = [
     "StateSpaceModel",
@@ -100,11 +103,11 @@ class StateSpaceModel:
 
     @property
     def real_schur(self):
-        """``(T, U) = scipy.linalg.schur(A, output="real")``, shared with
-        the models ``with_input`` derives from this one."""
+        """``(T, U) = linalg._real_schur(A)``, shared with the models
+        ``with_input`` derives from this one."""
         S = self._shared
         if S.real_schur is None:
-            S.real_schur = sla.schur(self.A, output="real")
+            S.real_schur = _real_schur(self.A)
         return S.real_schur
 
     @cached_property

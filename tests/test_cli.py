@@ -9,11 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 import icmor
 from icmor import (
-    InitialConditionBasis, OrderSelection, build_msd, experiment, load_model, reduction,
-    save_model, unit_vector_basis,
+    InitialConditionBasis, OrderSelection, build_msd, experiment, linalg, load_model,
+    reduction, save_model, unit_vector_basis,
 )
 from icmor._mmio import read_matrix
 from icmor.cli import main
@@ -208,6 +210,23 @@ class TestRunExperiment:
         assert schur_calls.count(24) == 2
         assert schur_calls.complex == []
 
+    def test_every_schur_form_through_one_helper(self, tmp_path, monkeypatch):
+        # the OpenBLAS pools are released around each Schur form only when
+        # every one of them comes from linalg._real_schur
+        original, outside = sla.schur, []
+
+        def guarded(a, *args, **kwargs):
+            caller = sys._getframe(1).f_code
+            if caller is not linalg._real_schur.__code__:
+                outside.append(caller.co_name)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", guarded)
+        _rebind_in_icmor(monkeypatch, original, guarded)
+        monkeypatch.setattr(lapack, "dgees", lambda *a, **k: outside.append("dgees"))
+        run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
+        assert outside == []
+
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
         # P of the input map and of aux, and the Q they share; the augmented
@@ -271,6 +290,16 @@ class TestGoldenNumbers:
                        env=env, check=True, capture_output=True)
         report = json.loads((tmp_path / "results" / "report.json").read_text())
         assert golden_mismatches(report, "mass12") == []
+
+    def test_pool_release_moves_no_bit(self, tmp_path, monkeypatch):
+        def files(out):
+            cfg = ExperimentConfig.from_dict(small_config(tmp_path, out=str(out)))
+            emit_report(run_experiment(cfg), str(out))
+            return [(out / name).read_bytes() for name in ("report.json", "hsv.csv")]
+
+        released = files(tmp_path / "released")
+        monkeypatch.setattr(linalg, "_BLAS_RELEASES", ())
+        assert files(tmp_path / "kept") == released
 
 
 class TestEmitReport:

@@ -1,12 +1,20 @@
 """Matrix-equation solvers and the matrix exponential against dense
 Kronecker and eigendecomposition oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import icmor
 from icmor import (
     build_msd,
+    linalg,
     matrix_exponential,
     solve_lyapunov,
     solve_sylvester,
@@ -283,3 +291,73 @@ def test_schur_block_eigenvalues(rng):
         T, _ = sla.schur(A, output="real")
         ev = np.sort_complex(_schur_eigvals(T))
         assert np.allclose(ev, np.sort_complex(np.linalg.eigvals(A)), atol=1e-10)
+
+
+class TestRealSchur:
+    """``_real_schur``: ``sla.schur``'s arrays, with every OpenBLAS pool
+    released before and after."""
+
+    def test_pools_released_and_restarted_at_their_count(self):
+        # warm numpy's pool (a GEMM) and scipy's (an order-300 Schur form);
+        # after _real_schur only the main thread is left, and the same calls
+        # start the same workers again
+        code = textwrap.dedent("""
+            import os
+            import numpy as np
+            import scipy.linalg as sla
+            from icmor import linalg
+            if not linalg._BLAS_RELEASES:
+                raise SystemExit("no OpenBLAS pool")
+            threads = lambda: len(os.listdir("/proc/self/task"))
+            A = np.random.default_rng(0).standard_normal((300, 300))
+            A @ A, sla.schur(A, output="real")
+            warm = threads()
+            linalg._real_schur(A)
+            released = threads()
+            A @ A, sla.schur(A, output="real")
+            print(warm, released, threads())
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(icmor.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        if "no OpenBLAS pool" in out.stderr:
+            pytest.skip("no OpenBLAS pool loaded")
+        assert out.returncode == 0, out.stderr
+        warm, released, restarted = map(int, out.stdout.split())
+        assert released == 1
+        assert restarted == warm
+
+    def test_second_python_thread_keeps_the_pools(self, rng, monkeypatch):
+        if threading.active_count() != 1:
+            pytest.skip("another thread already runs")
+        calls = []
+        monkeypatch.setattr(linalg, "_BLAS_RELEASES", (lambda: calls.append("release"),))
+        A = make_stable(rng, 8)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            linalg._real_schur(A)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert calls == []
+        linalg._real_schur(A)
+        assert calls == ["release"] * 2
+
+    def test_no_pool_is_plain_schur(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLAS_RELEASES", ())
+        A = make_stable(rng, 30)
+        T, U = linalg._real_schur(A)
+        Ts, Us = sla.schur(A, output="real")
+        assert np.array_equal(T, Ts) and np.array_equal(U, Us)
+
+    def test_no_maps_finds_no_pool(self, monkeypatch):
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(linalg, "open", missing, raising=False)
+        assert linalg._openblas_releases() == ()
