@@ -11,8 +11,6 @@ from .gramians import (
     GramianFactors,
     HankelSpectrum,
     gramian_factors,
-    h2_error_norm,
-    h2_norm,
     hankel_spectrum,
 )
 from .linalg import matrix_exponential, solve_lyapunov, solve_sylvester, stability_margin
@@ -43,7 +41,6 @@ from .simulation import (
     online_phase,
     simulate,
     suggest_grid,
-    superpose,
 )
 
 __version__ = "0.1.0"

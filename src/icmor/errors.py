@@ -53,10 +53,6 @@ class MissingProvenance(IcmorError):
     pass
 
 
-class GridMismatch(IcmorError):
-    pass
-
-
 class UnstableReduction(IcmorError):
     pass
 

@@ -1,4 +1,5 @@
-"""Gramian square-root factors, Hankel spectra, balancing, H2 norms."""
+"""Gramian square-root factors, Hankel spectra, balancing, the projected H2
+error."""
 
 from dataclasses import dataclass
 
@@ -13,8 +14,6 @@ __all__ = [
     "HankelSpectrum",
     "gramian_factors",
     "hankel_spectrum",
-    "h2_norm",
-    "h2_error_norm",
 ]
 
 
@@ -63,23 +62,6 @@ def _balancing_transform(F: GramianFactors, spec: HankelSpectrum, k):
     the first ``k`` rows of its inverse; ``S = diag(sigma_1..sigma_k)``."""
     d = 1.0 / np.sqrt(spec.sigma[:k])
     return (F.U @ spec.Z[:, :k]) * d, (F.L @ spec.Y[:, :k]) * d
-
-
-def h2_norm(M: StateSpaceModel) -> float:
-    """H2 norm, computed Gramian-side as ``sqrt(trace(C P C^T))``."""
-    return float(np.sqrt(max(M.h2_squared, 0.0)))
-
-
-def h2_error_norm(M: StateSpaceModel, R: StateSpaceModel) -> float:
-    """H2 norm of the error system between ``M`` and a reduced model ``R``:
-    ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` from the models' ``h2_squared``
-    and ``A^T Y + Y Ar + C^T Cr = 0``, solved on ``M.real_schur``; relative
-    accuracy about ``eps ||C||^2 ||P|| / ||H - Hr||^2`` (README)."""
-    if R.m != M.m or R.p != M.p:
-        raise DimensionMismatch("input/output dimensions differ between models")
-    Y = solve_sylvester(M.A, R.A, M.C.T @ R.C, M.real_schur)
-    cross = np.sum(M.B * (Y @ R.B))
-    return float(np.sqrt(max(M.h2_squared - 2.0 * cross + R.h2_squared, 0.0)))
 
 
 def projected_h2_error(M: StateSpaceModel, V, Ar, Br) -> float:

@@ -50,9 +50,9 @@ class StateSpaceModel:
     ``A`` must be asymptotically stable: on construction its spectral
     abscissa, kept as ``abscissa``, must lie below ``-1e-12 max(1,
     ||A||_F)``.  Instances are immutable and safe to share.  The real Schur
-    form of ``A`` (``real_schur``), ``h2_squared`` and the Gramian factors
-    are computed on first use and kept.  Nothing guards that first use: two
-    threads may each compute a value, and one is kept.
+    form of ``A`` (``real_schur``) and the Gramian factors are computed on
+    first use and kept.  Nothing guards that first use: two threads may
+    each compute a value, and one is kept.
     """
 
     A: np.ndarray
@@ -109,13 +109,6 @@ class StateSpaceModel:
         if S.real_schur is None:
             S.real_schur = _real_schur(self.A)
         return S.real_schur
-
-    @cached_property
-    def h2_squared(self):
-        """``tr(C P C^T)``, ``A P + P A^T + B B^T = 0``, from its own solve on
-        the shared real Schur form of ``A``."""
-        P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur)
-        return float(np.sum((self.C @ P) * self.C))
 
     @cached_property
     def reach_factor(self):

@@ -23,7 +23,6 @@ __all__ = [
     "OrderSelection",
     "ReducedModel",
     "SplitReducedModel",
-    "augmented_system",
     "order_from_tolerance",
     "bt_reduce",
     "abt_reduce",
@@ -158,13 +157,6 @@ def _x0_scale(B, X0, scaling):
         if bmax > 0 and xnorm > 0:
             return bmax / xnorm
     return 1.0
-
-
-def augmented_system(M: StateSpaceModel, X0, scaling=True):
-    """The system with input ``[B, gamma X0]``, and ``gamma``, as in
-    ``abt_reduce``, which sums this system's Gramian instead of solving it."""
-    gamma = _x0_scale(M.B, X0, scaling)
-    return M.with_input(np.hstack([M.B, gamma * X0])), gamma
 
 
 def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,

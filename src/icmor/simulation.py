@@ -1,4 +1,4 @@
-"""Time-domain simulation, superposition reconstruction, and signal norms.
+"""Time-domain simulation, the reduced online phase, and signal norms.
 
 Propagation uses the exact first-order-hold discretization: the state map
 ``x_{k+1} = E x_k + F0 u_k + F1 u_{k+1}`` with the weights extracted from
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidParameter, NonFinite, TailWarning
+from .errors import InvalidParameter, NonFinite, TailWarning
 from .linalg import matrix_exponential
 from .model import StateSpaceModel, coordinates_of
 
@@ -22,7 +22,6 @@ __all__ = [
     "foh_weights",
     "suggest_grid",
     "simulate",
-    "superpose",
     "online_phase",
     "l2_norm",
     "linf_norm",
@@ -169,8 +168,8 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     both are given, the input response from rest and the response to
     ``x0`` are stepped side by side, as the two columns of one ``n x 2``
     state, and the trace carries them as ``components`` (``y_u``,
-    ``y_x0``, the keys ``superpose`` uses); ``y`` is their sum.  One FOH
-    step is taken per output sample.
+    ``y_x0``, as ``online_phase`` does); ``y`` is their sum.  One FOH step
+    is taken per output sample.
 
     In ``xi_k = x_k - F1 u_k`` the recursion reads ``xi_{k+1} = E xi_k + G
     u_k``, ``G = E F1 + F0``, ``y_k = C xi_k + C F1 u_k``.  It is stepped in
@@ -251,29 +250,18 @@ def _lifted_steps(A, B, C, u, X0, t, dt):
     return ys
 
 
-def superpose(tr_a: SimulationTrace, tr_b: SimulationTrace) -> SimulationTrace:
-    """Pointwise sum of two traces on identical grids."""
-    if tr_a.t.shape != tr_b.t.shape or not np.allclose(tr_a.t, tr_b.t, rtol=1e-12, atol=0.0):
-        raise GridMismatch("traces live on different time grids")
-    if tr_a.y.shape != tr_b.y.shape:
-        raise GridMismatch("traces have different output dimensions")
-    return SimulationTrace(
-        t=tr_a.t,
-        y=tr_a.y + tr_b.y,
-        components={"y_u": tr_a.y, "y_x0": tr_b.y},
-        provenance={"superposition": [tr_a.provenance, tr_b.provenance]},
-    )
-
-
 def online_phase(S, u, x0, t_f, dt) -> SimulationTrace:
     """Reconstruct the reduced output: input response from ``suy`` plus the
     initial-condition response from ``sxy``, whose input matrix is the
     projected basis, with the Dirac input applied as the exact state jump
-    ``sxy.sys.B z0``."""
+    ``sxy.sys.B z0``.  Both run on the one grid of ``t_f`` and ``dt``; the
+    trace carries them as ``components`` and ``y`` is their sum."""
     z0 = coordinates_of(x0, S.basis)
     tr_u = simulate(S.suy.sys, u, None, t_f, dt)
     tr_x0 = simulate(S.sxy.sys, None, S.sxy.sys.B @ z0, t_f, dt)
-    return superpose(tr_u, tr_x0)
+    return SimulationTrace(t=tr_u.t, y=tr_u.y + tr_x0.y,
+                           components={"y_u": tr_u.y, "y_x0": tr_x0.y},
+                           provenance={"superposition": [tr_u.provenance, tr_x0.provenance]})
 
 
 def l2_norm(tr: SimulationTrace) -> float:

@@ -29,8 +29,6 @@ from icmor import (
     bt_reduce,
     build_msd,
     gramian_factors,
-    h2_error_norm,
-    h2_norm,
     hankel_spectrum,
     irka_reduce,
     l2_norm,
@@ -42,17 +40,15 @@ from icmor import (
     split_bound,
     split_reduce,
     suggest_grid,
-    superpose,
     unit_vector_basis,
 )
 from icmor.errors import MaxItersExceeded, TailWarning
 from icmor.experiment import ExperimentConfig, run_experiment
-from icmor.reduction import augmented_system
 from icmor.simulation import SimulationTrace
 
 from conftest import (
-    golden_mismatches, kron_lyapunov, kron_sylvester, make_stable, random_system,
-    record_kernels,
+    augmented_system, golden_mismatches, h2_error_norm, h2_norm, kron_lyapunov,
+    kron_sylvester, make_stable, random_system, record_kernels,
 )
 
 ISS_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "iss")
@@ -120,10 +116,9 @@ class TestCriterion1Superposition:
             t_f, dt = suggest_grid(M)
             with expected_warnings(TailWarning):
                 combined = simulate(M, u, x0, t_f, dt)
-                parts = superpose(simulate(M, u, None, t_f, dt),
-                                  simulate(M, None, x0, t_f, dt))
+                tr_u, tr_x0 = simulate(M, u, None, t_f, dt), simulate(M, None, x0, t_f, dt)
                 num = l2_norm(SimulationTrace(t=combined.t,
-                                              y=combined.y - parts.y))
+                                              y=combined.y - (tr_u.y + tr_x0.y)))
                 den = l2_norm(combined)
             assert num <= 1e-9 * den
         assert time.perf_counter() - t_start < 30.0
@@ -196,7 +191,7 @@ class TestCriterion4TraceBound:
                 bound = aca_bound(M, r)
                 err = h2_error_norm(M, bt_reduce(M, OrderSelection.fixed(r)).sys)
                 # floor at the cancellation noise of the subtraction in
-                # h2_error_norm: on these 140 (system, order) pairs it
+                # conftest's h2_error_norm: on these 140 (system, order) pairs it
                 # differs from aca_bound by up to 3.7e-8 ||H||, at one
                 # BLAS thread and at two
                 assert bound >= err * (1.0 - 1e-6) - 5e-8 * scale

@@ -1,4 +1,5 @@
-"""The public names: each module's ``__all__`` and the package re-exports."""
+"""The public names: each module's ``__all__`` and the package re-exports,
+and no module importing a name it does not use."""
 
 import ast
 import importlib
@@ -34,3 +35,24 @@ def test_reexports_are_in_their_modules_all():
     stray = [(module, name) for module, name in pairs
              if name not in importlib.import_module(f"icmor.{module}").__all__]
     assert stray == []
+
+
+def _unused_imports(path):
+    """Names an ``import`` in the module at ``path`` binds and the module
+    never reads, except on lines marked ``# noqa: F401``."""
+    with open(path) as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name.split(".")[0], alias.lineno)
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound
+            if name not in read and "# noqa: F401" not in lines[line - 1]]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    # the package's __init__ only re-exports, which the test above checks
+    assert _unused_imports(importlib.import_module(f"icmor.{module}").__file__) == []

@@ -14,8 +14,6 @@ from icmor import (
     bt_bound,
     bt_reduce,
     build_msd,
-    h2_error_norm,
-    h2_norm,
     irka_reduce,
     split_bound,
     split_reduce,
@@ -29,10 +27,9 @@ from icmor.simulation import (
     linf_norm,
     online_phase,
     simulate,
-    superpose,
 )
 
-from conftest import random_system
+from conftest import h2_error_norm, h2_norm, random_system
 
 
 def _error_l2(tr_full, tr_red):
@@ -114,8 +111,8 @@ class TestAbtBound:
         u = InputSignal.decaying_pulses(M.m)
         z0 = np.array([0.5])
         t_f, dt = 400.0, 0.1
-        tr = superpose(simulate(M, u, None, t_f, dt),
-                       simulate(M, None, basis.X0 @ z0, t_f, dt))
+        tr_u, tr_x0 = simulate(M, u, None, t_f, dt), simulate(M, None, basis.X0 @ z0, t_f, dt)
+        tr = SimulationTrace(t=tr_u.t, y=tr_u.y + tr_x0.y)
         tr_r = simulate(R.sys, u, R.X0til @ z0, t_f, dt)
         total, _, _ = abt_bound(R, u.l2_norm(t_f, dt), float(np.linalg.norm(z0)))
         assert _error_l2(tr, tr_r) <= total
@@ -202,8 +199,8 @@ class TestSplitBound:
         u = InputSignal.decaying_pulses(M.m)
         x0 = basis.X0 @ np.array([0.5])
         t_f, dt = 400.0, 0.1
-        tr = superpose(simulate(M, u, None, t_f, dt),
-                       simulate(M, None, x0, t_f, dt))
+        tr_u, tr_x0 = simulate(M, u, None, t_f, dt), simulate(M, None, x0, t_f, dt)
+        tr = SimulationTrace(t=tr_u.t, y=tr_u.y + tr_x0.y)
         tr_r = online_phase(S, u, x0, t_f, dt)
         total, _ = split_bound(S, u.l2_norm(t_f, dt), 0.5)
         assert _error_l2(tr, tr_r) <= total

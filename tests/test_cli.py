@@ -149,6 +149,23 @@ class TestRunExperiment:
         for res in rep.report["methods"].values():
             assert res["bound_ok"]
 
+    @pytest.mark.parametrize("order, key, zero_parts", [
+        ("order_u", "r_u", {"bt-bt": ["y_u"], "bt-irka": ["y_u"]}),
+        ("order_x0", "r_x0", {"bt-bt": ["y_x0"], "bt-irka": ["y_x0"]}),
+        ("order_aug", "r_aug", {"augbt": ["y_u", "y_x0"]}),
+    ])
+    def test_order_zero_branch(self, tmp_path, order, key, zero_parts):
+        # one branch reduced to order 0: every method still reports, every
+        # bound holds, and the order-0 branch contributes exactly nothing
+        rep = run_experiment(ExperimentConfig.from_dict(small_config(tmp_path, **{order: 0})))
+        methods = rep.report["methods"]
+        assert sorted(methods) == ["augbt", "bt-bt", "bt-irka"]
+        assert all(res["bound_ok"] for res in methods.values())
+        for method, parts in zero_parts.items():
+            assert methods[method]["orders"][key] == 0
+            for part in parts:
+                assert not np.any(rep.traces[method].components[part])
+
     # calls of order >= n in one run_experiment of the 12-mass config (n = 24,
     # m = 3); a change that raises a count updates this table and says why.
     # The Sylvester solves are the H2 errors of the two BT reductions and of

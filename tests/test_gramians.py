@@ -12,17 +12,15 @@ from icmor import (
     bt_reduce,
     build_msd,
     gramian_factors,
-    h2_error_norm,
-    h2_norm,
     hankel_spectrum,
     irka_reduce,
 )
-from icmor import model
-from icmor.linalg import _sqrt_factor
 from icmor.model import unit_vector_basis
-from icmor.reduction import augmented_system
 
-from conftest import dense_h2_error, h2_quadrature, kron_lyapunov, random_system
+from conftest import (
+    augmented_system, dense_h2_error, h2_error_norm, h2_norm, h2_quadrature, h2_squared,
+    kron_lyapunov, random_system,
+)
 
 
 def error_quadrature(M, R, **kwargs):
@@ -98,23 +96,6 @@ class TestSharedFactors:
             fresh = StateSpaceModel(S.A.copy(), S.B.copy(), S.C.copy())
             assert np.array_equal(U, fresh.reach_factor)
         assert schur_calls == [24] * 4
-
-    def test_h2_squared_and_factor_from_one_solve_in_either_order(
-            self, lyapunov_orders, monkeypatch):
-        factored = []
-        monkeypatch.setattr(model, "_sqrt_factor",
-                            lambda P, name: factored.append(name) or _sqrt_factor(P, name))
-        h2_first, factor_first = (StateSpaceModel(self.M.A, self.X0, self.M.C)
-                                  for _ in range(2))
-        h2 = h2_first.h2_squared
-        assert factored == [] and lyapunov_orders == [24]
-        U = factor_first.reach_factor
-        assert factored == ["reachability"] and lyapunov_orders == [24, 24]
-        # each value is the same bits whichever is asked first, and only
-        # reach_factor factors P
-        assert factor_first.h2_squared == h2
-        assert np.array_equal(h2_first.reach_factor, U)
-        assert factored == ["reachability"] * 2 and lyapunov_orders == [24] * 4
 
     def test_another_state_matrix_shares_nothing(self, lyapunov_orders):
         M2 = StateSpaceModel(2.0 * self.M.A, self.M.B, self.M.C)
@@ -211,6 +192,10 @@ class TestBalanceRealization:
 
 
 class TestH2Norms:
+    """The subtraction oracles of ``conftest``: ``h2_norm`` and
+    ``h2_error_norm``, against closed forms, quadrature, the dense block
+    solve and the observability side."""
+
     def test_scalar_formula(self):
         assert h2_norm(scalar_system(1.0, 2.0, 3.0)) == pytest.approx(np.sqrt(18.0))
 
@@ -232,12 +217,12 @@ class TestH2Norms:
     def test_h2_squared_matches_the_complex_form(self, rng):
         for _ in range(10):
             M = random_system(rng, 12, 3, 2)
-            assert M.h2_squared == pytest.approx(self.observability_side(M), rel=1e-12)
+            assert h2_squared(M) == pytest.approx(self.observability_side(M), rel=1e-12)
 
     def test_h2_squared_case2_aux_matches_the_complex_form(self):
         M = build_msd(150, m_inputs=10)
         aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
-        assert aux.h2_squared == pytest.approx(self.observability_side(aux), rel=1e-12)
+        assert h2_squared(aux) == pytest.approx(self.observability_side(aux), rel=1e-12)
 
     def test_error_norm_identical_models(self, rng):
         M = random_system(rng, 5, 1, 1)

@@ -15,8 +15,6 @@ from icmor import (
     bt_reduce,
     build_msd,
     gramian_factors,
-    h2_error_norm,
-    h2_norm,
     hankel_spectrum,
     irka_reduce,
     order_from_tolerance,
@@ -25,11 +23,10 @@ from icmor import (
 )
 from icmor import gramians, reduction
 from icmor.gramians import projected_h2_error
-from icmor.reduction import augmented_system
 from icmor.errors import InvalidParameter, MaxItersExceeded, NotStable, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
 
-from conftest import random_system
+from conftest import augmented_system, h2_error_norm, h2_norm, random_system
 
 
 class TestOrderSelection:
@@ -145,7 +142,8 @@ class TestAbtReduce:
 
 class TestSummedAugmentedGramian:
     """abt_reduce sums P_B + gamma^2 P_X0 from the two maps' factors; the
-    direct solve on augmented_system is the oracle."""
+    direct solve on conftest's augmented_system, with gamma from its
+    definition, is the oracle."""
 
     def _check(self, M, X0, sel=OrderSelection.tolerance(1e-2), scaling=True):
         Maug, gamma = augmented_system(M, X0, scaling)

@@ -1,4 +1,4 @@
-"""Simulation engine, superposition, and signal norms."""
+"""Simulation engine, the reduced online phase, and signal norms."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,10 @@ from icmor import (
     simulate,
     split_reduce,
     suggest_grid,
-    superpose,
 )
-from icmor.errors import GridMismatch, InvalidParameter, TailWarning
+from icmor.errors import InvalidParameter, TailWarning
 from icmor.linalg import matrix_exponential
+from icmor.model import coordinates_of
 from icmor import simulation
 from icmor.simulation import SimulationTrace, _flush, _power, foh_weights
 
@@ -209,33 +209,6 @@ class TestNoScipyExponential:
         assert np.all(np.isfinite(tr_r.y)) and tr_r.y.shape == tr.y.shape
 
 
-class TestSuperpose:
-    def test_zero_second_trace(self):
-        t = np.linspace(0, 1, 11)
-        a = SimulationTrace(t=t, y=np.ones((11, 2)))
-        b = SimulationTrace(t=t, y=np.zeros((11, 2)))
-        out = superpose(a, b)
-        assert np.array_equal(out.y, a.y)
-        assert np.array_equal(out.components["y_u"], a.y)
-
-    def test_linearity_identity(self, rng):
-        M = random_system(rng, 6, 2, 2, margin=0.5)
-        u = InputSignal.decaying_pulses(2)
-        x0 = rng.standard_normal(6)
-        t_f, dt = 40.0, 0.01
-        combined = simulate(M, u, x0, t_f, dt)
-        parts = superpose(simulate(M, u, None, t_f, dt),
-                          simulate(M, None, x0, t_f, dt))
-        num = l2_norm(SimulationTrace(t=combined.t, y=combined.y - parts.y))
-        assert num <= 1e-9 * l2_norm(combined)
-
-    def test_grid_mismatch(self):
-        a = SimulationTrace(t=np.linspace(0, 1, 11), y=np.zeros((11, 1)))
-        b = SimulationTrace(t=np.linspace(0, 2, 11), y=np.zeros((11, 1)))
-        with pytest.raises(GridMismatch):
-            superpose(a, b)
-
-
 class TestOnlinePhase:
     def _split(self, rng, n=6):
         M = random_system(rng, n, 2, 1, margin=0.5)
@@ -243,6 +216,38 @@ class TestOnlinePhase:
         S = split_reduce(M, basis, OrderSelection.fixed(n),
                          OrderSelection.fixed(n), x0_method="bt")
         return M, basis, S
+
+    def test_trace_is_the_sum_of_its_components(self, rng):
+        M, basis, S = self._split(rng)
+        u = InputSignal.decaying_pulses(2)
+        x0 = basis.X0 @ np.array([0.5, -1.0])
+        tr = online_phase(S, u, x0, 30.0, 0.01)
+        assert set(tr.components) == {"y_u", "y_x0"}
+        assert np.array_equal(tr.y, tr.components["y_u"] + tr.components["y_x0"])
+
+    def test_each_component_is_its_own_simulation(self, rng):
+        M, basis, S = self._split(rng)
+        u = InputSignal.decaying_pulses(2)
+        x0 = basis.X0 @ np.array([0.5, -1.0])
+        tr = online_phase(S, u, x0, 30.0, 0.01)
+        z0 = coordinates_of(x0, basis)
+        tr_u = simulate(S.suy.sys, u, None, 30.0, 0.01)
+        tr_x0 = simulate(S.sxy.sys, None, S.sxy.sys.B @ z0, 30.0, 0.01)
+        assert np.array_equal(tr.t, tr_u.t) and np.array_equal(tr.t, tr_x0.t)
+        assert np.array_equal(tr.components["y_u"], tr_u.y)
+        assert np.array_equal(tr.components["y_x0"], tr_x0.y)
+
+    def test_linearity_identity(self, rng):
+        # the full model stepped once with both parts, against the plain sum
+        # of its two separate runs
+        M = random_system(rng, 6, 2, 2, margin=0.5)
+        u = InputSignal.decaying_pulses(2)
+        x0 = rng.standard_normal(6)
+        t_f, dt = 40.0, 0.01
+        combined = simulate(M, u, x0, t_f, dt)
+        tr_u, tr_x0 = simulate(M, u, None, t_f, dt), simulate(M, None, x0, t_f, dt)
+        num = l2_norm(SimulationTrace(t=combined.t, y=combined.y - (tr_u.y + tr_x0.y)))
+        assert num <= 1e-9 * l2_norm(combined)
 
     def test_zero_x0_equals_input_branch(self, rng):
         M, basis, S = self._split(rng)
