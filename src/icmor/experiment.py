@@ -203,13 +203,16 @@ def _selection(order, tol):
 
 def _grid(M, horizon=None, dt=None):
     """Horizon and step: the decay horizon of ``M``, or the given horizon,
-    with ``GRID_SAMPLES`` steps; a given ``dt`` overrides the step."""
+    with ``GRID_SAMPLES`` steps; a given ``dt`` overrides the step.  A step
+    that rounds to no step on the horizon raises ``ConfigError``."""
     t_f, step = suggest_grid(M)
     if horizon is not None:
         t_f = float(horizon)
         step = t_f / GRID_SAMPLES
     if dt is not None:
         step = float(dt)
+    if not step > 0 or round(t_f / step) < 1:
+        raise ConfigError(f"dt: {step!r} gives no step on the horizon t_f = {t_f!r}")
     return t_f, step
 
 
@@ -265,14 +268,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     # BT of the input map and of aux = (A, X0, C), once each, and augmented
     # BT from the two reachability factors they solved: they feed every method
     # and give sigma, theta and eta.  After the simulations, so the factors the
-    # models keep add nothing to their peak.  The input map is a derived model,
-    # so abt_reduce drops its factor U without touching M.
+    # models keep add nothing to their peak.
     with _timed(timings, "reductions"):
-        Mu = M.with_input(M.B)
-        suy = bt_reduce(Mu, _selection(cfg.order_u, cfg.tol))
+        suy = bt_reduce(M, _selection(cfg.order_u, cfg.tol))
         aux = M.with_input(basis.X0)
         sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol))
-        abt = abt_reduce(Mu, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
+        abt = abt_reduce(M, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
 
     traces = {"full": tr_full}
     methods_report = {}

@@ -16,7 +16,7 @@ from .gramians import (
     hankel_spectrum,
     projected_h2_error,
 )
-from .linalg import _complex_columns, _real_columns, _sqrt_factor, shifted_solve
+from .linalg import _complex_columns, _real_columns, shifted_solve
 from .model import InitialConditionBasis, StateSpaceModel
 
 __all__ = [
@@ -163,25 +163,22 @@ def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
                sel: OrderSelection, scaling=True) -> ReducedModel:
     """Balanced truncation of the system with augmented input ``[B, gamma
     X0]`` (``gamma`` from ``_x0_scale``), from ``M = (A, B, C)`` and the x0
-    map ``aux = (A, X0, C)``.  ``P_aug = P_B + gamma^2 P_X0`` is summed from
-    the two reachability factors, not solved; ``X0til`` projects the
-    unscaled basis.
+    map ``aux = (A, X0, C)``.  ``P_aug = P_B + gamma^2 P_X0 = R^T R`` with
+    ``R`` from one QR of ``[U_B, gamma U_X0]^T``, so no Gramian is formed;
+    ``X0til`` projects the unscaled basis.
     """
     X0 = aux.B
     if not (np.array_equal(aux.A, M.A) and np.array_equal(aux.C, M.C)):
         raise InvalidParameter("the x0 map does not share the model's A and C")
     gamma = _x0_scale(M.B, X0, scaling)
-    Ux = aux.reach_factor
-    P = Ux @ Ux.T
-    P *= gamma * gamma
-    P += M.reach_factor @ M.reach_factor.T
-    # dropped, M's factor is not part of the Hankel SVD's memory peak
+    G = np.hstack([M.reach_factor, gamma * aux.reach_factor]).T
+    # dropped, M's factor is not part of the QR's and Hankel SVD's memory peak
     M.drop_reach_factor()
-    F = GramianFactors(U=_sqrt_factor(P, "reachability"), L=M.obs_factor)
-    del P
+    F = GramianFactors(U=np.linalg.qr(G, mode="r").T, L=M.obs_factor)
+    del G
     _, W, sys, eta = _truncate(M, F, sel)
     return ReducedModel(sys=sys, X0til=W.T @ X0, method="abt", hankel=eta,
-                        obs_x0=F.L.T @ M.A @ (gamma * X0), x0_scale=gamma)
+                        obs_x0=F.L.T @ (M.A @ (gamma * X0)), x0_scale=gamma)
 
 
 def _gershgorin_shift_range(A):

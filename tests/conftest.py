@@ -8,7 +8,7 @@ H2 error (``h2_error_norm``) and the augmented system (``augmented_system``)
 use the library's solvers, but on formulas that the pipeline does not use:
 the reachability side ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` against the
 projected error, and a direct solve of the augmented Gramian against the
-sum that ``abt_reduce`` forms.
+QR of the two reachability factors that ``abt_reduce`` takes.
 """
 
 import json
@@ -138,7 +138,8 @@ def augmented_system(M, X0, scaling=True):
     """The system with input ``[B, gamma X0]``, and ``gamma``: the largest
     column norm of ``B`` over ``||X0||_2``, or 1 when either is empty or
     zero or ``scaling`` is off.  Its Gramian, solved directly, is the oracle
-    of the sum ``P_B + gamma^2 P_X0`` that ``abt_reduce`` forms."""
+    of ``P_B + gamma^2 P_X0 = R^T R``, ``R`` from the QR of the two
+    reachability factors that ``abt_reduce`` takes."""
     gamma = 1.0
     if scaling and X0.shape[1] > 0 and M.m > 0:
         bmax, xnorm = np.max(np.linalg.norm(M.B, axis=0)), np.linalg.norm(X0, 2)
@@ -308,7 +309,8 @@ def record_kernels(monkeypatch):
     """Record the calls of the order-n kernels from here on; returns
     ``budget(n, m)``, the number of calls of each of order >= n (>= n + 2m
     for the FOH step's exponential, n x r for Sylvester solves, the order of
-    ``T`` for IRKA's shifted solves)."""
+    ``T`` for IRKA's shifted solves, that of the Gramian for
+    ``_sqrt_factor``)."""
     from icmor import linalg
 
     schur = _schur_orders(monkeypatch)
@@ -316,6 +318,7 @@ def record_kernels(monkeypatch):
     sylvester = _recorded_orders(monkeypatch, linalg.solve_sylvester)
     expm = _recorded_orders(monkeypatch, linalg.matrix_exponential)
     shifted = _recorded_orders(monkeypatch, linalg.shifted_solve)
+    factor = _recorded_orders(monkeypatch, linalg._sqrt_factor)
     eigvals = _recorded_shapes(monkeypatch, np.linalg, "eigvals")
     svd = _recorded_shapes(monkeypatch, np.linalg, "svd")
 
@@ -324,6 +327,7 @@ def record_kernels(monkeypatch):
             "real Schur form": sum(k >= n for k in schur),
             "complex Schur form": len(schur.complex),
             "solve_lyapunov": sum(k >= n for k in lyapunov),
+            "Gramian factorization": sum(k >= n for k in factor),
             "Hankel SVD": sum(min(shape) >= n for shape in svd),
             "eigvals": sum(shape[0] >= n for shape in eigvals),
             "FOH expm": sum(k >= n + 2 * m for k in expm),

@@ -218,7 +218,7 @@ class TestSharedReductions:
             assert rep.hsv[key].tobytes() == want.tobytes(), key
         eta = rep.hsv["eta"]
         assert eta.tobytes() == abt_reduce(msd300, aux, OrderSelection.fixed(1)).hankel.tobytes()
-        # the summed augmented Gramian against its direct solve, on the
+        # the QR-factored augmented Gramian against its direct solve, on the
         # values the tolerance retains
         r = rep.report["methods"]["augbt"]["orders"]["r_aug"]
         direct = hankel_spectrum(gramian_factors(augmented_system(msd300, X0)[0])).sigma
@@ -302,12 +302,14 @@ class TestCriterion8Case1:
 class TestKernelBudget:
     # calls of order >= n in case1's run_experiment (n = 300, m = 10); a
     # change that raises a count updates this table and says why.  The
-    # Sylvester solves are the H2 errors of the BT reductions at r_u = 16 and
-    # r_x0 = 86 and of IRKA's 2 scored iterates.  IRKA's shifted solves are
-    # 2 for each of its 3 iterates and 1 for the derivative of iterate 2.
+    # Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes its
+    # factor from a QR of the first two.  The Sylvester solves are the H2
+    # errors of the BT reductions at r_u = 16 and r_x0 = 86 and of IRKA's 2
+    # scored iterates.  IRKA's shifted solves are 2 for each of its 3
+    # iterates and 1 for the derivative of iterate 2.
     CASE1 = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
-             "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1, "n x r solve_sylvester": 4,
-             "IRKA shifted_solve": 7}
+             "Gramian factorization": 3, "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1,
+             "n x r solve_sylvester": 4, "IRKA shifted_solve": 7}
 
     def test_case1(self, case1):
         assert case1.kernels == self.CASE1

@@ -168,12 +168,14 @@ class TestRunExperiment:
 
     # calls of order >= n in one run_experiment of the 12-mass config (n = 24,
     # m = 3); a change that raises a count updates this table and says why.
-    # The Sylvester solves are the H2 errors of the two BT reductions and of
-    # IRKA's 5 scored iterates.  IRKA's shifted solves are 2 per iterate (the
-    # bases V and W) and 1 for the derivative of the returned iterate.
+    # The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes
+    # its factor from a QR of the first two.  The Sylvester solves are the H2
+    # errors of the two BT reductions and of IRKA's 5 scored iterates.  IRKA's
+    # shifted solves are 2 per iterate (the bases V and W) and 1 for the
+    # derivative of the returned iterate.
     KERNEL_BUDGET = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
-                     "Hankel SVD": 3, "eigvals": 1, "FOH expm": 1,
-                     "n x r solve_sylvester": 7, "IRKA shifted_solve": 11}
+                     "Gramian factorization": 3, "Hankel SVD": 3, "eigvals": 1,
+                     "FOH expm": 1, "n x r solve_sylvester": 7, "IRKA shifted_solve": 11}
 
     def test_order_n_kernel_budget(self, tmp_path, monkeypatch):
         budget = record_kernels(monkeypatch)
@@ -205,6 +207,15 @@ class TestRunExperiment:
             assert res["rel_l2"] <= 1e-12
             # the bound is 0 here: the check's floor admits the rounding
             assert res["bound"] == 0.0 and res["bound_ok"]
+
+    def test_step_longer_than_the_horizon(self, tmp_path):
+        # a step that rounds to no step on the horizon leaves nothing to
+        # measure, so the config is rejected, not reported as a 0 error
+        cfg = ExperimentConfig.from_dict(small_config(
+            tmp_path, model={"kind": "msd", "n_masses": 6, "m_inputs": 6},
+            x0_indices=[12], methods=["bt-bt", "augbt"], horizon=10.0, dt=100.0))
+        with pytest.raises(ConfigError, match="^dt: "):
+            run_experiment(cfg)
 
     def test_bound_floor_is_rounding_size(self):
         assert _bound_holds(1e-12, 0.0, 1.0)
@@ -247,7 +258,7 @@ class TestRunExperiment:
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
         # P of the input map and of aux, and the Q they share; the augmented
-        # P is their sum, not a third solve
+        # P comes from their factors, not from a third solve
         assert lyapunov_orders.count(24) == 3
 
     def test_gramians_solved_inside_the_reductions(self, tmp_path, monkeypatch):
@@ -458,6 +469,23 @@ class TestCliVerbs:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape[1] == 2  # t plus single output
         assert np.all(np.isfinite(data))
+
+    @pytest.mark.parametrize("verb, dt", [("report", 100.0), ("simulate", 100.0),
+                                          ("simulate", 0.0)])
+    def test_dt_without_a_step_writes_nothing(self, tmp_path, capsys, verb, dt):
+        out = str(tmp_path / "out")
+        if verb == "report":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(small_config(
+                tmp_path, methods=["bt-bt", "augbt"], horizon=10.0, dt=dt)))
+            argv = ["report", "--config", str(cfg), "--out", out]
+        else:
+            argv = ["simulate", "--model", "builtin:msd", "--tf", "10", "--dt", str(dt),
+                    "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dt: ")
+        assert not os.path.exists(out)
 
     def test_report_verb_and_exit_code(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")

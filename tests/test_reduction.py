@@ -141,9 +141,9 @@ class TestAbtReduce:
 
 
 class TestSummedAugmentedGramian:
-    """abt_reduce sums P_B + gamma^2 P_X0 from the two maps' factors; the
-    direct solve on conftest's augmented_system, with gamma from its
-    definition, is the oracle."""
+    """abt_reduce factors P_B + gamma^2 P_X0 as R^T R, R from one QR of the
+    two maps' stacked factors; the direct solve on conftest's
+    augmented_system, with gamma from its definition, is the oracle."""
 
     def _check(self, M, X0, sel=OrderSelection.tolerance(1e-2), scaling=True):
         Maug, gamma = augmented_system(M, X0, scaling)
@@ -182,7 +182,8 @@ class TestSummedAugmentedGramian:
 
     def test_semidefinite_gramian(self, rng):
         # the second block is reached by neither B nor X0, so P_aug is
-        # singular and its factor comes from the eigendecomposition
+        # singular: no Cholesky factor exists, but the QR's R still has
+        # R^T R = P_aug, and the order is clamped to the numerical rank
         A = np.zeros((10, 10))
         A[:6, :6], A[6:, 6:] = random_system(rng, 6).A, random_system(rng, 4).A
         B, X0 = np.zeros((10, 2)), np.zeros((10, 1))
