@@ -53,17 +53,23 @@ def cmd_bench(args):
     return 0
 
 
+def _flag_error(exc, flags):
+    """``exc``, a ``ConfigError`` naming a field, renamed to the flag that
+    ``flags`` maps the field to; ``exc`` itself for any other field."""
+    key, _, why = str(exc).partition(": ")
+    return ConfigError(f"{flags[key]}: {why}") if key in flags else exc
+
+
 def _check_reduce_flags(args):
     """``ExperimentConfig.from_dict``'s checks of the flags of ``reduce``; an
-    error names the flag it rejects."""
+    error names the flag it rejects.  augbt has one order, ``--order-u``."""
+    if args.method == "augbt" and args.order_x0 is not None:
+        raise ConfigError("--order-x0: not used by augbt; --order-u sets r_aug")
     flags = {"tol": args.tol, "order_u": args.order_u, "order_x0": args.order_x0}
     try:
         ExperimentConfig.from_dict({"model": args.model, "methods": [args.method], **flags})
     except ConfigError as exc:
-        key, _, why = str(exc).partition(": ")
-        if key not in flags:
-            raise
-        raise ConfigError(f"--{key.replace('_', '-')}: {why}") from None
+        raise _flag_error(exc, {key: "--" + key.replace("_", "-") for key in flags}) from None
 
 
 def cmd_reduce(args):
@@ -96,7 +102,10 @@ def cmd_reduce(args):
 
 def cmd_simulate(args):
     M, basis = _load(args)
-    t_f, dt = _grid(M, args.tf, args.dt)
+    try:
+        t_f, dt = _grid(M, args.tf, args.dt)
+    except ConfigError as exc:
+        raise _flag_error(exc, {"horizon": "--tf", "dt": "--dt"}) from None
     u = _build_input({"kind": args.input}, M.m)
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
     tr = simulate(M, u, x0, t_f, dt)

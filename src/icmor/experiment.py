@@ -4,7 +4,9 @@ measured errors."""
 
 import inspect
 import json
+import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import abt_bound, split_bound
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 from .gramians import gramian_factors  # noqa: F401 (perfbench's tests expect it bound here)
 from .model import (
     InitialConditionBasis,
@@ -85,7 +87,7 @@ class ExperimentConfig:
         for key, kind in (("x0_indices", int), ("z0", float)):
             for value in d.get(key) or ():
                 _check(value, kind, f"{key} entry")
-        _input_factory(d.get("input", {}))
+        _build_input(d.get("input"), 1)  # for the constructor's own checks
         cfg = cls(**d)
         if not 0.0 < cfg.tol < 1.0:
             raise ConfigError(f"tol: must lie in (0, 1), got {cfg.tol!r}")
@@ -126,10 +128,14 @@ class ReductionReport:
 
 def _check(value, kind, name):
     """``ConfigError`` naming ``name`` unless the JSON value has the type
-    ``kind``; an int passes as a float, a bool only as a bool."""
+    ``kind``; an int passes as a float, a bool only as a bool, and neither
+    NaN, Infinity (``json`` reads both as floats) nor an int past the float
+    range passes at all."""
     if isinstance(value, bool) and kind is not bool \
             or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
 
 
 # build_msd's parameters and their JSON types
@@ -176,10 +182,12 @@ def _build_model(spec, x0_indices=None):
     return M, basis
 
 
-def _input_factory(spec):
-    """The ``InputSignal`` constructor an input spec names and its keyword
-    arguments, each a parameter of that constructor and a number."""
-    kwargs = dict(spec)
+def _build_input(spec, m):
+    """The ``InputSignal`` of an input spec with ``m`` channels.  Each key
+    but ``kind`` must be a number and a parameter of the constructor
+    ``kind`` names; a value the constructor rejects raises ``ConfigError``
+    naming ``input.<parameter>``."""
+    kwargs = dict(spec or {})
     kind = kwargs.pop("kind", INPUT_KINDS[0])
     if kind not in INPUT_KINDS:
         raise ConfigError(f"input.kind: unknown kind '{kind}'")
@@ -189,12 +197,10 @@ def _input_factory(spec):
         if key == "m" or key not in params:
             raise ConfigError(f"input.{key}: not a parameter of kind '{kind}'")
         _check(value, float, f"input.{key}")
-    return factory, kwargs
-
-
-def _build_input(spec, m):
-    factory, kwargs = _input_factory(spec or {})
-    return factory(m, **kwargs)
+    try:
+        return factory(m, **kwargs)
+    except InvalidParameter as exc:
+        raise ConfigError(f"input.{exc}") from None
 
 
 def _selection(order, tol):
@@ -203,15 +209,19 @@ def _selection(order, tol):
 
 def _grid(M, horizon=None, dt=None):
     """Horizon and step: the decay horizon of ``M``, or the given horizon,
-    with ``GRID_SAMPLES`` steps; a given ``dt`` overrides the step.  A step
-    that rounds to no step on the horizon raises ``ConfigError``."""
+    with ``GRID_SAMPLES`` steps; a given ``dt`` overrides the step.  A horizon
+    or step that is not a finite number > 0, or a step that rounds to no step
+    on the horizon, raises ``ConfigError`` naming ``horizon`` or ``dt``."""
     t_f, step = suggest_grid(M)
     if horizon is not None:
         t_f = float(horizon)
         step = t_f / GRID_SAMPLES
     if dt is not None:
         step = float(dt)
-    if not step > 0 or round(t_f / step) < 1:
+    for key, value in (("horizon", t_f), ("dt", step)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{key}: must be a finite number > 0, got {value!r}")
+    if round(t_f / step) < 1:
         raise ConfigError(f"dt: {step!r} gives no step on the horizon t_f = {t_f!r}")
     return t_f, step
 

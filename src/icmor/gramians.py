@@ -59,9 +59,13 @@ def _numerical_rank(sigma):
 def _balancing_transform(F: GramianFactors, spec: HankelSpectrum, k):
     """The first ``k`` columns of the balancing transform, ``T = U Z_k
     S^{-1/2}`` (x = T x_b), and ``W = L Y_k S^{-1/2}``, whose transpose is
-    the first ``k`` rows of its inverse; ``S = diag(sigma_1..sigma_k)``."""
+    the first ``k`` rows of its inverse; ``S = diag(sigma_1..sigma_k)``; the
+    largest-magnitude entry of each column of ``T`` is positive (README)."""
     d = 1.0 / np.sqrt(spec.sigma[:k])
-    return (F.U @ spec.Z[:, :k]) * d, (F.L @ spec.Y[:, :k]) * d
+    T = F.U @ spec.Z[:, :k]
+    if k:
+        d *= np.copysign(1.0, T[np.argmax(np.abs(T), axis=0), np.arange(k)])
+    return T * d, (F.L @ spec.Y[:, :k]) * d
 
 
 def projected_h2_error(M: StateSpaceModel, V, Ar, Br) -> float:

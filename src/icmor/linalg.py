@@ -156,17 +156,11 @@ def shifted_solve(T, shifts, K, transpose=False):
 
 
 def _sqrt_factor(P, name):
-    """Lower-triangular-ish factor U with P = U U^T, tolerant of
-    numerically semidefinite P."""
+    """``U = V diag(sqrt(w))`` from ``eigh``, ``P = V diag(w) V^T = U U^T``,
+    ``w`` descending; negative ``w`` of rounding size are clipped to 0."""
     if P.shape[0] == 0:
         return np.zeros((0, 0))
-    try:
-        return np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        pass
-    # semidefinite Gramians: negative eigenvalues clipped, so their
-    # directions get zero factor columns and zero Hankel values
-    w, V = np.linalg.eigh((P + P.T) / 2.0)
+    w, V = np.linalg.eigh(P)
     if np.all(np.isfinite(w)) and w.min() >= -1e-8 * max(abs(w.max()), 1e-300):
         w = np.clip(w, 0.0, None)
         order = np.argsort(w)[::-1]

@@ -44,7 +44,10 @@ class InputSignal:
     def decaying_pulses(cls, m, amplitude=1.0, decay=0.05, period=15.0,
                         width=1.0, start=1.0):
         """Train of triangular pulses with exponentially decaying heights,
-        identical in every channel."""
+        identical in every channel; ``period`` and ``width`` must be > 0."""
+        for key, value in (("period", period), ("width", width)):
+            if not value > 0:
+                raise InvalidParameter(f"{key}: must be > 0, got {value!r}")
         return cls("decaying_pulses", m, dict(
             amplitude=float(amplitude), decay=float(decay),
             period=float(period), width=float(width), start=float(start)))

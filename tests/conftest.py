@@ -310,7 +310,8 @@ def record_kernels(monkeypatch):
     ``budget(n, m)``, the number of calls of each of order >= n (>= n + 2m
     for the FOH step's exponential, n x r for Sylvester solves, the order of
     ``T`` for IRKA's shifted solves, that of the Gramian for
-    ``_sqrt_factor``)."""
+    ``_sqrt_factor``), and the number of ``np.linalg.cholesky`` calls of any
+    order."""
     from icmor import linalg
 
     schur = _schur_orders(monkeypatch)
@@ -321,6 +322,7 @@ def record_kernels(monkeypatch):
     factor = _recorded_orders(monkeypatch, linalg._sqrt_factor)
     eigvals = _recorded_shapes(monkeypatch, np.linalg, "eigvals")
     svd = _recorded_shapes(monkeypatch, np.linalg, "svd")
+    cholesky = _recorded_shapes(monkeypatch, np.linalg, "cholesky")
 
     def budget(n, m):
         return {
@@ -328,6 +330,7 @@ def record_kernels(monkeypatch):
             "complex Schur form": len(schur.complex),
             "solve_lyapunov": sum(k >= n for k in lyapunov),
             "Gramian factorization": sum(k >= n for k in factor),
+            "Cholesky": len(cholesky),
             "Hankel SVD": sum(min(shape) >= n for shape in svd),
             "eigvals": sum(shape[0] >= n for shape in eigvals),
             "FOH expm": sum(k >= n + 2 * m for k in expm),

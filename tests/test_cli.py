@@ -80,6 +80,20 @@ class TestExperimentConfig:
         ({"model": {"kind": "tank"}}, "model.kind"),
         ({"model": {"path": ".", "n_masses": 6}}, "model.n_masses"),
         ({"model": {"path": "no-such-model-directory"}}, "model.path"),
+        # json reads NaN and Infinity as floats
+        ({"horizon": float("nan")}, "horizon"),
+        ({"horizon": float("inf")}, "horizon"),
+        ({"z0": [float("nan")]}, "z0 entry"),
+        ({"z0": [float("inf")]}, "z0 entry"),
+        ({"input": {"amplitude": float("nan")}}, "input.amplitude"),
+        ({"input": {"amplitude": float("inf")}}, "input.amplitude"),
+        ({"model": {"kind": "msd", "n_masses": 12, "mass": float("nan")}}, "model.mass"),
+        ({"model": {"kind": "msd", "n_masses": 12, "mass": float("inf")}}, "model.mass"),
+        ({"horizon": 10**400}, "horizon"),  # an int no float can hold
+        # values InputSignal.decaying_pulses rejects
+        ({"input": {"period": 0}}, "input.period"),
+        ({"input": {"period": -15}}, "input.period"),
+        ({"input": {"width": 0}}, "input.width"),
     ])
     def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
         cfg = [small_config(tmp_path)] if overrides is None \
@@ -91,6 +105,7 @@ class TestExperimentConfig:
         assert main(["report", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field}")
+        assert not (tmp_path / "results").exists()
 
     def test_string_model_shorthand(self):
         cfg = ExperimentConfig.from_dict(
@@ -169,12 +184,13 @@ class TestRunExperiment:
     # calls of order >= n in one run_experiment of the 12-mass config (n = 24,
     # m = 3); a change that raises a count updates this table and says why.
     # The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes
-    # its factor from a QR of the first two.  The Sylvester solves are the H2
-    # errors of the two BT reductions and of IRKA's 5 scored iterates.  IRKA's
-    # shifted solves are 2 per iterate (the bases V and W) and 1 for the
-    # derivative of the returned iterate.
+    # its factor from a QR of the first two, and each factor comes from eigh,
+    # with no Cholesky tried.  The Sylvester solves are the H2 errors of the
+    # two BT reductions and of IRKA's 5 scored iterates.  IRKA's shifted
+    # solves are 2 per iterate (the bases V and W) and 1 for the derivative
+    # of the returned iterate.
     KERNEL_BUDGET = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
-                     "Gramian factorization": 3, "Hankel SVD": 3, "eigvals": 1,
+                     "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 1,
                      "FOH expm": 1, "n x r solve_sylvester": 7, "IRKA shifted_solve": 11}
 
     def test_order_n_kernel_budget(self, tmp_path, monkeypatch):
@@ -452,6 +468,15 @@ class TestCliVerbs:
         assert r == want.r
         assert np.allclose(read_matrix(os.path.join(out, "X0_red.mtx")), want.X0til)
 
+    def test_reduce_augbt_rejects_order_x0(self, tmp_path, capsys):
+        out = tmp_path / "red"
+        assert main(["reduce", "--model", "builtin:msd", "--x0-indices", "300",
+                     "--method", "augbt", "--order-x0", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --order-x0: ")
+        assert "--order-u sets r_aug" in err[0]
+        assert not out.exists()
+
     def test_reduce_augbt_requires_basis(self, tmp_path, capsys):
         model_dir = str(tmp_path / "model")
         save_model(build_msd(5, m_inputs=2), model_dir)
@@ -484,8 +509,20 @@ class TestCliVerbs:
                     "--out", out]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: dt: ")
+        # simulate names its flag, report the config field
+        flag = "dt" if verb == "report" else "--dt"
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}: ")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tf", "inf"), ("--tf", "nan"), ("--tf", "-1"), ("--dt", "nan"), ("--dt", "-1")])
+    def test_simulate_rejects_grid_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim" / "t.csv"
+        assert main(["simulate", "--model", "builtin:msd", flag, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}: must be a finite number > 0")
+        assert not out.parent.exists()
 
     def test_report_verb_and_exit_code(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")

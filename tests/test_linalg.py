@@ -276,7 +276,7 @@ class TestSqrtFactor:
 
     def test_rounding_negative_eigenvalues_give_zero_columns(self):
         # PSD up to two eigenvalues at -1e-16, as rounding leaves them in a
-        # formed Gramian: no Cholesky factor, so the eigh path clips them
+        # solved Gramian, which has no Cholesky factor: eigh's are clipped
         P = np.diag([2.0, -1e-16, 1.0, -1e-16, 0.5])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(P)

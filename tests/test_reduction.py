@@ -1,5 +1,9 @@
 """Reduction algorithms: order selection, BT, augmented BT, IRKA, split."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,8 +25,9 @@ from icmor import (
     split_reduce,
     unit_vector_basis,
 )
+import icmor
 from icmor import gramians, reduction
-from icmor.gramians import projected_h2_error
+from icmor.gramians import GramianFactors, projected_h2_error
 from icmor.errors import InvalidParameter, MaxItersExceeded, NotStable, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
 
@@ -208,6 +213,66 @@ class TestSummedAugmentedGramian:
         other = StateSpaceModel(2.0 * M.A, np.ones((6, 1)), M.C)
         with pytest.raises(InvalidParameter, match="share"):
             abt_reduce(M, other, OrderSelection.fixed(2))
+
+
+class TestBalancingSigns:
+    """A balanced realization with distinct Hankel values is unique up to
+    the signs of its states; ``_balancing_transform`` fixes them from the
+    system, so any square-root factor of the Gramian gives the same one."""
+
+    @staticmethod
+    def _assert_same(R1, R2):
+        for name in ("A", "B", "C"):
+            np.testing.assert_allclose(getattr(R1, name), getattr(R2, name),
+                                       rtol=0.0, atol=1e-10)
+
+    def test_rotated_factor_gives_the_same_bt(self, rng):
+        M = random_system(rng, 8, 2, 2, margin=0.5)
+        F = gramian_factors(M)
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        sel = OrderSelection.fixed(4)
+        self._assert_same(reduction._truncate(M, F, sel)[2],
+                          reduction._truncate(M, GramianFactors(F.U @ Q, F.L), sel)[2])
+
+    def test_rotated_stacked_factor_gives_the_same_augmented_bt(self, rng):
+        # [U_B, gamma U_X0] and the QR factor abt_reduce takes from it are
+        # both factors of P_aug
+        M = random_system(rng, 8, 2, 2, margin=0.5)
+        aux = M.with_input(rng.standard_normal((8, 1)))
+        gamma = reduction._x0_scale(M.B, aux.B, True)
+        U = np.hstack([M.reach_factor, gamma * aux.reach_factor])
+        Q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        sel = OrderSelection.fixed(4)
+        want = reduction._truncate(M, GramianFactors(U @ Q, M.obs_factor), sel)[2]
+        self._assert_same(abt_reduce(M, aux, sel).sys, want)
+
+    def test_no_states(self):
+        # n = 0: no column to sign, and an order-0 model comes back
+        M = StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)))
+        assert bt_reduce(M, OrderSelection.fixed(0)).r == 0
+        assert abt_reduce(M, M.with_input(np.zeros((0, 1))),
+                          OrderSelection.tolerance(1e-2)).r == 0
+
+    def test_x0_map_signs_do_not_depend_on_blas_threads(self, tmp_path):
+        # case1's x0 map (x0 at the far end of the 150-mass chain) flipped 44
+        # of its 86 state signs between 1 and 2 threads under LAPACK's signs
+        script = tmp_path / "signs.py"
+        script.write_text(
+            "import json\n"
+            "from icmor import OrderSelection, bt_reduce, build_msd, unit_vector_basis\n"
+            "M = build_msd(150, m_inputs=10)\n"
+            "aux = M.with_input(unit_vector_basis(M.n, [300]).X0)\n"
+            "print(json.dumps(bt_reduce(aux, OrderSelection.tolerance(1e-2)).sys.C.tolist()))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(icmor.__file__)))
+        C = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, str(script)], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            C.append(np.array(json.loads(out)))
+        assert C[0].shape == C[1].shape == (1, 86)
+        assert np.array_equal(np.sign(C[0]), np.sign(C[1]))
 
 
 class TestIrkaReduce:

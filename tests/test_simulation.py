@@ -46,6 +46,12 @@ class TestInputSignal:
         u = InputSignal.sampled([0.0, 2 * t_f], np.ones((2, m)))
         assert u.l2_norm(t_f, 0.5) == pytest.approx(np.sqrt(m * t_f), rel=1e-12)
 
+    @pytest.mark.parametrize("key, value", [("period", 0.0), ("period", -15.0),
+                                            ("width", 0.0), ("width", np.nan)])
+    def test_pulses_need_positive_period_and_width(self, key, value):
+        with pytest.raises(InvalidParameter, match=rf"^{key}: must be > 0"):
+            InputSignal.decaying_pulses(2, **{key: value})
+
 
 class TestSimulate:
     def test_scalar_homogeneous(self):
