@@ -41,23 +41,33 @@ from .reduction import abt_reduce, split_reduce
 from .simulation import SimulationTrace, l2_norm, linf_norm, simulate
 
 
-def _load(args):
-    return _build_model(_model_spec(args.model), args.x0_indices)
-
-
-def cmd_bench(args):
-    spec = {key: value for key, value in vars(args).items() if key in MSD_FIELDS}
-    M, basis = _build_model({"kind": "msd", **spec}, args.x0_indices or None)
-    save_model(M, args.out, basis=basis)
-    print(f"wrote order-{M.n} benchmark model to {args.out}")
-    return 0
-
-
 def _flag_error(exc, flags):
     """``exc``, a ``ConfigError`` naming a field, renamed to the flag that
     ``flags`` maps the field to; ``exc`` itself for any other field."""
     key, _, why = str(exc).partition(": ")
     return ConfigError(f"{flags[key]}: {why}") if key in flags else exc
+
+
+# the config fields that flags set: build_msd's parameters and x0_indices
+_MODEL_FLAGS = {"x0_indices": "--x0-indices",
+                **{"model." + key: "--" + key.replace("_", "-") for key in MSD_FIELDS}}
+
+
+def _load(model, x0_indices):
+    """``_build_model`` of a model entry; an error names the flag it
+    rejects."""
+    try:
+        return _build_model(_model_spec(model), x0_indices)
+    except ConfigError as exc:
+        raise _flag_error(exc, _MODEL_FLAGS) from None
+
+
+def cmd_bench(args):
+    spec = {key: value for key, value in vars(args).items() if key in MSD_FIELDS}
+    M, basis = _load({"kind": "msd", **spec}, args.x0_indices or None)
+    save_model(M, args.out, basis=basis)
+    print(f"wrote order-{M.n} benchmark model to {args.out}")
+    return 0
 
 
 def _check_reduce_flags(args):
@@ -74,7 +84,7 @@ def _check_reduce_flags(args):
 
 def cmd_reduce(args):
     _check_reduce_flags(args)
-    M, basis = _load(args)
+    M, basis = _load(args.model, args.x0_indices)
     if basis is None:
         print(f"{args.method} needs --x0-indices or a model directory with X0.mtx",
               file=sys.stderr)
@@ -101,7 +111,7 @@ def cmd_reduce(args):
 
 
 def cmd_simulate(args):
-    M, basis = _load(args)
+    M, basis = _load(args.model, args.x0_indices)
     try:
         t_f, dt = _grid(M, args.tf, args.dt)
     except ConfigError as exc:

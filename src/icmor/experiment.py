@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import abt_bound, split_bound
-from .errors import ConfigError, InvalidParameter
+from .errors import ConfigError, IndexOutOfRange, InvalidParameter
 from .gramians import gramian_factors  # noqa: F401 (perfbench's tests expect it bound here)
 from .model import (
     InitialConditionBasis,
@@ -65,7 +65,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         """The config of a JSON object; a field anywhere that is unknown, of
-        the wrong type or out of range raises ``ConfigError`` naming it."""
+        the wrong type or out of range raises ``ConfigError`` naming it (a
+        model parameter or x0 index out of range, when the model is built)."""
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
         d = dict(d)
@@ -172,13 +173,20 @@ def _model_spec(model):
 def _build_model(spec, x0_indices=None):
     """The model of a normalized spec and its basis: unit vectors at
     ``x0_indices`` when given, else the model directory's ``X0.mtx``, else
-    None."""
+    None.  A value ``build_msd`` or ``unit_vector_basis`` rejects raises
+    ``ConfigError`` naming ``model.<parameter>`` or ``x0_indices``."""
     if "path" in spec:
         M, basis = load_model(spec["path"])
     else:
-        M, basis = build_msd(**{k: v for k, v in spec.items() if k != "kind"}), None
+        try:
+            M, basis = build_msd(**{k: v for k, v in spec.items() if k != "kind"}), None
+        except InvalidParameter as exc:
+            raise ConfigError(f"model.{exc}") from None
     if x0_indices is not None:
-        basis = unit_vector_basis(M.n, x0_indices)
+        try:
+            basis = unit_vector_basis(M.n, x0_indices)
+        except (InvalidParameter, IndexOutOfRange) as exc:
+            raise ConfigError(f"x0_indices: {str(exc).partition(': ')[2]}") from None
     return M, basis
 
 
@@ -237,6 +245,13 @@ def _bound_holds(abs_l2, bound, y_full_l2):
     return bool(abs_l2 <= bound * (1.0 + 1e-3) + 1e-12 * y_full_l2)
 
 
+def _check_norm(value, key, what):
+    """``ConfigError`` naming ``key`` unless the L2 norm ``value`` of
+    ``what`` is finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: the L2 norm of {what} on the horizon overflows")
+
+
 @contextmanager
 def _timed(times, key):
     """Store the wall time of the ``with`` block in ``times[key]``."""
@@ -261,12 +276,18 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
         t_f, dt = _grid(M, cfg.horizon, cfg.dt)
 
     # Full-order component responses, stepped in one run; with calibration
-    # on, z0 is rescaled so that both components carry the same energy.
+    # on, z0 is rescaled so that both components carry the same energy.  A
+    # norm that overflows is an input or a z0 out of range.
     with _timed(timings, "full_simulation"):
-        u_l2 = u.l2_norm(t_f, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_l2 = u.l2_norm(t_f, dt)
+        _check_norm(u_l2, "input", "the input")
         both = simulate(M, u, basis.X0 @ z0, t_f, dt)
         y_u, y_x0 = both.components["y_u"], both.components["y_x0"]
-        nu, nx = (l2_norm(SimulationTrace(t=both.t, y=y)) for y in (y_u, y_x0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nu, nx = (l2_norm(SimulationTrace(t=both.t, y=y)) for y in (y_u, y_x0))
+        _check_norm(nu, "input", "the full-order input response")
+        _check_norm(nx, "z0", "the full-order initial-condition response")
         cal = nu / nx if cfg.calibrate and nu > 0 and nx > 0 else 1.0
         z0, y_x0 = z0 * cal, y_x0 * cal
         tr_full = SimulationTrace(t=both.t, y=y_u + y_x0,

@@ -68,20 +68,20 @@ def _balancing_transform(F: GramianFactors, spec: HankelSpectrum, k):
     return T * d, (F.L @ spec.Y[:, :k]) * d
 
 
-def projected_h2_error(M: StateSpaceModel, V, Ar, Br) -> float:
-    """H2 norm of the error between ``M`` and the projected model ``(Ar, Br,
-    C V)``, from the error system in ``z = x - V x_r`` coordinates, so no
-    ``||H||^2`` is subtracted: with ``Bp = B - V Br`` and ``R = A V - V Ar``,
-    ``||L^T Bp||_F^2 + 2 tr(Bp^T Q12 Br) + tr(Br^T Q22 Br)``, where ``A^T Q12
-    + Q12 Ar + L L^T R = 0`` is solved on ``M.real_schur`` and ``Ar^T Q22 +
-    Q22 Ar + R^T Q12 + Q12^T R = 0`` is of order r (README).  0.0 when ``V``
-    spans the whole state space."""
+def projected_h2_error(M: StateSpaceModel, V, Mr: StateSpaceModel) -> float:
+    """H2 norm of the error between ``M`` and the projected model ``Mr =
+    (Ar, Br, C V)``, from the error system in ``z = x - V x_r`` coordinates,
+    so no ``||H||^2`` is subtracted: with ``Bp = B - V Br`` and ``R = A V - V
+    Ar``, ``||L^T Bp||_F^2 + 2 tr(Bp^T Q12 Br) + tr(Br^T Q22 Br)``, where
+    ``A^T Q12 + Q12 Ar + L L^T R = 0`` is solved on ``M.real_schur`` and
+    ``Mr.real_schur`` and ``Ar^T Q22 + Q22 Ar + R^T Q12 + Q12^T R = 0`` is of
+    order r (README).  0.0 when ``V`` spans the whole state space."""
     if V.shape[1] == M.n:
         return 0.0
-    L = M.obs_factor
+    L, Ar, Br = M.obs_factor, Mr.A, Mr.B
     Bp = M.B - V @ Br
     R = M.A @ V - V @ Ar
-    Q12 = solve_sylvester(M.A, Ar, L @ (L.T @ R), M.real_schur)
+    Q12 = solve_sylvester(M.A, Ar, L @ (L.T @ R), M.real_schur, Mr.real_schur)
     G = R.T @ Q12
     Q22 = solve_lyapunov(Ar.T, G + G.T)
     LBp = L.T @ Bp

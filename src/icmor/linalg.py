@@ -193,14 +193,13 @@ def solve_lyapunov(A, G, schur=None):
     return (P + P.T) / 2.0
 
 
-def solve_sylvester(A, M, K, schur=None):
+def solve_sylvester(A, M, K, schur=None, schur_m=None):
     """Solve ``A^T Y + Y M + K = 0`` for ``Y`` (n x r).
 
     ``SpectraOverlap`` is raised when the spectra of ``-A^T`` and ``M`` are
     closer than ``1e-12 max(||Ta||_F, ||M||_F, 1)``.  ``schur = (Ta, Ua)``
-    (of ``A``, not ``A^T``) is as in ``solve_lyapunov``; ``dtrsyl`` takes
-    ``Ta`` transposed.  Both Schur forms computed here come from
-    ``_real_schur``.
+    (of ``A``, not ``A^T``) and ``schur_m = (Tm, Um)`` (of ``M``) are as in
+    ``solve_lyapunov``; ``dtrsyl`` takes ``Ta`` transposed.
     """
     A = _as_square(A)
     M = _as_square(M, "M")
@@ -211,7 +210,7 @@ def solve_sylvester(A, M, K, schur=None):
     if n == 0 or r == 0:
         return np.zeros((n, r))
     Ta, Ua = _real_schur(A) if schur is None else schur
-    Tm, Um = _real_schur(M)
+    Tm, Um = _real_schur(M) if schur_m is None else schur_m
     ea = _schur_eigvals(Ta)
     em = _schur_eigvals(Tm)
     sep = np.min(np.abs(ea[:, None] + em[None, :]))

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .linalg import (
     _as_matrix, _as_square, _is_stable, _real_schur, _sqrt_factor, solve_lyapunov,
-    stability_margin,
 )
 
 __all__ = [
@@ -32,27 +31,29 @@ __all__ = [
 
 
 class _Shared:
-    """The spectral abscissa and real Schur form of ``A`` and the
-    observability factor ``L`` of ``(A, C)``, for a model and those
+    """The real Schur form of ``A``, the spectral abscissa read off it, and
+    the observability factor ``L`` of ``(A, C)``, for a model and those
     ``with_input`` derives from it.  It refers to no model, so a dropped
     model is freed at once (no cycle)."""
 
     def __init__(self, A, C):
-        self.A, self.C = A, C
-        self.abscissa = stability_margin(A)
-        self.real_schur = self.L = None
+        self.A, self.C, self.L = A, C, None
+        self.real_schur = _real_schur(A) if A.size else (np.zeros((0, 0)),) * 2
+        # a standardized form's diagonal holds the spectrum's real parts
+        self.abscissa = float(np.max(np.diag(self.real_schur[0]), initial=-np.inf))
 
 
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Continuous-time LTI system ``x' = A x + B u``, ``y = C x``.
 
-    ``A`` must be asymptotically stable: on construction its spectral
-    abscissa, kept as ``abscissa``, must lie below ``-1e-12 max(1,
-    ||A||_F)``.  Instances are immutable and safe to share.  The real Schur
-    form of ``A`` (``real_schur``) and the Gramian factors are computed on
-    first use and kept.  Nothing guards that first use: two threads may
-    each compute a value, and one is kept.
+    ``A`` must be asymptotically stable: on construction its real Schur
+    form, kept as ``real_schur``, is computed, and the spectral abscissa read
+    off its diagonal, kept as ``abscissa``, must lie below ``-1e-12 max(1,
+    ||A||_F)``.  Instances are immutable and safe to share.  The Gramian
+    factors ``reach_factor`` and ``L`` (``obs_factor``) are computed on first
+    use and kept.  Nothing guards that first use: two threads may each
+    compute a factor, and one is kept.
     """
 
     A: np.ndarray
@@ -103,12 +104,9 @@ class StateSpaceModel:
 
     @property
     def real_schur(self):
-        """``(T, U) = linalg._real_schur(A)``, shared with the models
-        ``with_input`` derives from this one."""
-        S = self._shared
-        if S.real_schur is None:
-            S.real_schur = _real_schur(self.A)
-        return S.real_schur
+        """``(T, U) = linalg._real_schur(A)``, computed on construction and
+        shared with the models ``with_input`` derives from this one."""
+        return self._shared.real_schur
 
     @cached_property
     def reach_factor(self):
@@ -188,10 +186,14 @@ def build_msd(n_masses=150, mass=1.0, stiffness=2.0, damping=0.1, m_inputs=10):
     the first ``m_inputs`` masses; the single output is the momentum of the
     first mass, so state index ``2i`` is the momentum of mass ``i`` (1-based).
     """
-    if n_masses < 1 or m_inputs < 1 or m_inputs > n_masses:
-        raise InvalidParameter("need 1 <= m_inputs <= n_masses")
-    if mass <= 0 or stiffness <= 0 or damping <= 0:
-        raise InvalidParameter("mass, stiffness, damping must be positive")
+    if n_masses < 1:
+        raise InvalidParameter(f"n_masses: must be >= 1, got {n_masses!r}")
+    if not 1 <= m_inputs <= n_masses:
+        raise InvalidParameter(f"m_inputs: must lie in 1..n_masses = {n_masses}, "
+                               f"got {m_inputs!r}")
+    for key, value in (("mass", mass), ("stiffness", stiffness), ("damping", damping)):
+        if not value > 0:
+            raise InvalidParameter(f"{key}: must be > 0, got {value!r}")
     N = n_masses
     n = 2 * N
     A = np.zeros((n, n))
@@ -219,10 +221,10 @@ def unit_vector_basis(n, indices):
     """Basis whose columns are the requested standard unit vectors (1-based)."""
     indices = list(indices)
     if len(set(indices)) != len(indices):
-        raise InvalidParameter("indices must be distinct")
+        raise InvalidParameter(f"indices: must be distinct, got {indices!r}")
     for i in indices:
         if not (1 <= i <= n):
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
+            raise IndexOutOfRange(f"indices: index {i} outside 1..{n}")
     X0 = np.zeros((n, len(indices)))
     for j, i in enumerate(indices):
         X0[i - 1, j] = 1.0

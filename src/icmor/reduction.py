@@ -144,7 +144,7 @@ def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
     """Balanced truncation of ``M`` at the selected order, with its H2 error."""
     V, _, sys, sigma = _truncate(M, gramian_factors(M), sel)
     return ReducedModel(sys=sys, method="bt", hankel=sigma,
-                        h2_error=projected_h2_error(M, V, sys.A, sys.B))
+                        h2_error=projected_h2_error(M, V, sys))
 
 
 def _x0_scale(B, X0, scaling):
@@ -379,7 +379,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             sys, err = None, np.inf
             try:
                 sys = StateSpaceModel(Ars, Br, Cr)
-                err = projected_h2_error(M, V, Ars, Br)
+                err = projected_h2_error(M, V, sys)
             except (NonFinite, NotStable, np.linalg.LinAlgError):
                 pass
             if sys is not None:

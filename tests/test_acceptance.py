@@ -300,16 +300,18 @@ class TestCriterion8Case1:
 
 
 class TestKernelBudget:
-    # calls of order >= n in case1's run_experiment (n = 300, m = 10); a
-    # change that raises a count updates this table and says why.  The
-    # Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes its
+    # calls of order >= n in case1's run_experiment (n = 300, m = 10), and of
+    # Cholesky and eigvals at any order; a change that raises a count updates
+    # this table and says why.  The real Schur forms are of A, computed when
+    # the model is built, and of A^T for Q; every stability verdict reads a
+    # Schur form, so no eigvals runs.  The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes its
     # factor from a QR of the first two, and each factor comes from eigh,
     # with no Cholesky tried.  The Sylvester solves are the H2 errors of the
     # BT reductions at r_u = 16 and r_x0 = 86 and of IRKA's 2 scored
     # iterates.  IRKA's shifted solves are 2 for each of its 3 iterates and 1
     # for the derivative of iterate 2.
     CASE1 = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
-             "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 1,
+             "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 0,
              "FOH expm": 1, "n x r solve_sylvester": 4, "IRKA shifted_solve": 7}
 
     def test_case1(self, case1):

@@ -182,15 +182,17 @@ class TestRunExperiment:
                 assert not np.any(rep.traces[method].components[part])
 
     # calls of order >= n in one run_experiment of the 12-mass config (n = 24,
-    # m = 3); a change that raises a count updates this table and says why.
-    # The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes
+    # m = 3), and of Cholesky and eigvals at any order; a change that raises a
+    # count updates this table and says why.  The real Schur forms are of A,
+    # computed when the model is built, and of A^T for Q; every stability
+    # verdict reads a Schur form, so no eigvals runs.  The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes
     # its factor from a QR of the first two, and each factor comes from eigh,
     # with no Cholesky tried.  The Sylvester solves are the H2 errors of the
     # two BT reductions and of IRKA's 5 scored iterates.  IRKA's shifted
     # solves are 2 per iterate (the bases V and W) and 1 for the derivative
     # of the returned iterate.
     KERNEL_BUDGET = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
-                     "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 1,
+                     "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 0,
                      "FOH expm": 1, "n x r solve_sylvester": 7, "IRKA shifted_solve": 11}
 
     def test_order_n_kernel_budget(self, tmp_path, monkeypatch):
@@ -428,6 +430,51 @@ class TestCliVerbs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag}: must")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--mass", "nan"], "--mass"),
+        (["--damping", "inf"], "--damping"),
+        (["--mass", "0"], "--mass"),
+        (["--n-masses", "0"], "--n-masses"),
+        (["--n-masses", "6", "--m-inputs", "99"], "--m-inputs"),
+        (["--n-masses", "3", "--m-inputs", "1", "--x0-indices", "2", "2"], "--x0-indices"),
+        (["--n-masses", "3", "--m-inputs", "1", "--x0-indices", "0"], "--x0-indices"),
+    ])
+    def test_bench_msd_names_the_flag_it_rejects(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "bench"
+        assert main(["bench", "msd", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"model": {"kind": "msd", "n_masses": 3, "m_inputs": 1, "mass": 0}}, "model.mass"),
+        ({"model": {"kind": "msd", "n_masses": 3, "m_inputs": 5}}, "model.m_inputs"),
+        ({"model": {"kind": "msd", "n_masses": 0}}, "model.n_masses"),
+        ({"model": {"kind": "msd", "n_masses": 3, "m_inputs": 1}, "x0_indices": [2, 2]},
+         "x0_indices"),
+        ({"model": {"kind": "msd", "n_masses": 3, "m_inputs": 1}, "x0_indices": [0]},
+         "x0_indices"),
+        # L2 norms that overflow: of the input, and of the x0 response
+        ({"model": {"kind": "msd", "n_masses": 6, "m_inputs": 2}, "x0_indices": [12],
+          "input": {"kind": "decaying_sinusoid", "decay": -1.0}}, "input"),
+        ({"model": {"kind": "msd", "n_masses": 6, "m_inputs": 2}, "x0_indices": [12],
+          "input": {"kind": "decaying_pulses", "amplitude": 1e300}}, "input"),
+        ({"model": {"kind": "msd", "n_masses": 6, "m_inputs": 2}, "x0_indices": [12],
+          "z0": [1e305]}, "z0"),
+    ])
+    def test_report_names_the_field_out_of_range(self, tmp_path, capsys, overrides, field):
+        # caught when the model is built or the full model simulated, not by
+        # from_dict; one error line, no traceback and no file
+        cfg = small_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            run_experiment(ExperimentConfig.from_dict(cfg))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("text, message", [
         # one x0 index, two coordinates

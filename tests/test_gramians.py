@@ -15,6 +15,8 @@ from icmor import (
     hankel_spectrum,
     irka_reduce,
 )
+from icmor import linalg, reduction
+from icmor.gramians import projected_h2_error
 from icmor.model import unit_vector_basis
 
 from conftest import (
@@ -88,14 +90,16 @@ class TestSharedFactors:
         assert np.array_equal(Fa.L, F.L) and np.array_equal(Fa.U, F.U)
 
     def test_reachability_factors_share_one_real_schur_form(self, schur_calls):
+        # the one form of self.M.A was computed when self.M was built
         Maug, _ = augmented_system(self.M, self.X0)
         systems = (self.M, self.M.with_input(self.X0), Maug)
         factors = [S.reach_factor for S in systems]
-        assert schur_calls == [24]
-        for S, U in zip(systems, factors):
+        assert schur_calls == []
+        for k, (S, U) in enumerate(zip(systems, factors), start=1):
             fresh = StateSpaceModel(S.A.copy(), S.B.copy(), S.C.copy())
+            assert schur_calls == [24] * k
             assert np.array_equal(U, fresh.reach_factor)
-        assert schur_calls == [24] * 4
+        assert schur_calls == [24] * 3
 
     def test_another_state_matrix_shares_nothing(self, lyapunov_orders):
         M2 = StateSpaceModel(2.0 * self.M.A, self.M.B, self.M.C)
@@ -113,6 +117,20 @@ class TestSharedFactors:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestProjectedH2Error:
+    def test_reads_the_schur_forms_of_both_models(self, monkeypatch):
+        # the forms of A and of A_r come with their models: one scoring
+        # computes only the order-r form of A_r^T, for Q22
+        M = build_msd(12, m_inputs=3)
+        V, _, Mr, _ = reduction._truncate(M, gramian_factors(M), OrderSelection.fixed(8))
+        formed, original = [], linalg._real_schur
+        monkeypatch.setattr(linalg, "_real_schur",
+                            lambda a: formed.append(np.array(a)) or original(a))
+        err = projected_h2_error(M, V, Mr)
+        assert len(formed) == 1 and np.array_equal(formed[0], Mr.A.T)
+        assert err == pytest.approx(dense_h2_error(M, Mr), rel=1e-9)
 
 
 class TestHankelSpectrum:
