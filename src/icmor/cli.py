@@ -42,10 +42,13 @@ from .simulation import SimulationTrace, l2_norm, linf_norm, simulate
 
 
 def _flag_error(exc, flags):
-    """``exc``, a ``ConfigError`` naming a field, renamed to the flag that
-    ``flags`` maps the field to; ``exc`` itself for any other field."""
-    key, _, why = str(exc).partition(": ")
-    return ConfigError(f"{flags[key]}: {why}") if key in flags else exc
+    """``exc``, a ``ConfigError`` naming fields, each renamed to the flag
+    that ``flags`` maps it to; ``exc`` itself when a field has no flag."""
+    keys, _, why = str(exc).partition(": ")
+    keys = keys.split(", ")
+    if all(key in flags for key in keys):
+        return ConfigError(f"{', '.join(flags[key] for key in keys)}: {why}")
+    return exc
 
 
 # the config fields that flags set: build_msd's parameters and x0_indices

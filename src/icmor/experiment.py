@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import abt_bound, split_bound
-from .errors import ConfigError, IndexOutOfRange, InvalidParameter
+from .errors import ConfigError, IndexOutOfRange, InvalidParameter, NonFinite, NotStable
 from .gramians import gramian_factors  # noqa: F401 (perfbench's tests expect it bound here)
 from .model import (
     InitialConditionBasis,
@@ -174,7 +174,9 @@ def _build_model(spec, x0_indices=None):
     """The model of a normalized spec and its basis: unit vectors at
     ``x0_indices`` when given, else the model directory's ``X0.mtx``, else
     None.  A value ``build_msd`` or ``unit_vector_basis`` rejects raises
-    ``ConfigError`` naming ``model.<parameter>`` or ``x0_indices``."""
+    ``ConfigError`` naming ``model.<parameter>`` or ``x0_indices``, and a
+    chain whose ``A`` is not finite or not stable one naming the ``mass``,
+    ``stiffness`` and ``damping`` that the spec sets."""
     if "path" in spec:
         M, basis = load_model(spec["path"])
     else:
@@ -182,6 +184,10 @@ def _build_model(spec, x0_indices=None):
             M, basis = build_msd(**{k: v for k, v in spec.items() if k != "kind"}), None
         except InvalidParameter as exc:
             raise ConfigError(f"model.{exc}") from None
+        except (NonFinite, NotStable) as exc:
+            keys = [f"model.{k}" for k, kind in MSD_FIELDS.items() if kind is float and k in spec]
+            raise ConfigError(f"{', '.join(keys) or 'model'}: the chain is not numerically "
+                              f"finite and stable ({exc})") from None
     if x0_indices is not None:
         try:
             basis = unit_vector_basis(M.n, x0_indices)

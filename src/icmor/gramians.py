@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import solve_lyapunov, solve_sylvester
+from .linalg import solve_sylvester
 from .model import StateSpaceModel
 
 __all__ = [
@@ -73,9 +73,9 @@ def projected_h2_error(M: StateSpaceModel, V, Mr: StateSpaceModel) -> float:
     (Ar, Br, C V)``, from the error system in ``z = x - V x_r`` coordinates,
     so no ``||H||^2`` is subtracted: with ``Bp = B - V Br`` and ``R = A V - V
     Ar``, ``||L^T Bp||_F^2 + 2 tr(Bp^T Q12 Br) + tr(Br^T Q22 Br)``, where
-    ``A^T Q12 + Q12 Ar + L L^T R = 0`` is solved on ``M.real_schur`` and
-    ``Mr.real_schur`` and ``Ar^T Q22 + Q22 Ar + R^T Q12 + Q12^T R = 0`` is of
-    order r (README).  0.0 when ``V`` spans the whole state space."""
+    ``A^T Q12 + Q12 Ar + L L^T R = 0`` and ``Ar^T Q22 + Q22 Ar + R^T Q12 +
+    Q12^T R = 0`` read the forms ``M`` and ``Mr`` hold, so no Schur form is
+    computed (README).  0.0 when ``V`` spans the whole state space."""
     if V.shape[1] == M.n:
         return 0.0
     L, Ar, Br = M.obs_factor, Mr.A, Mr.B
@@ -83,7 +83,7 @@ def projected_h2_error(M: StateSpaceModel, V, Mr: StateSpaceModel) -> float:
     R = M.A @ V - V @ Ar
     Q12 = solve_sylvester(M.A, Ar, L @ (L.T @ R), M.real_schur, Mr.real_schur)
     G = R.T @ Q12
-    Q22 = solve_lyapunov(Ar.T, G + G.T)
+    Q22 = solve_sylvester(Ar, Ar, G + G.T, Mr.real_schur, Mr.real_schur)
     LBp = L.T @ Bp
     total = np.sum(LBp * LBp) + 2.0 * np.sum(Bp * (Q12 @ Br)) + np.sum(Br * (Q22 @ Br))
     return float(np.sqrt(max(total, 0.0)))

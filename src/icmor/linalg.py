@@ -101,8 +101,10 @@ def stability_margin(A):
 def _is_stable(abscissa, A):
     """Whether the spectral abscissa of ``A`` clears the stability
     tolerance ``-1e-12 max(1, ||A||_F)``; ``A`` may be any orthogonally
-    similar matrix, such as its real Schur form."""
-    return abscissa < -1e-12 * max(1.0, np.linalg.norm(A))
+    similar matrix, such as its real Schur form.  Both sides are divided by
+    ``s = max(1, max |a_ij|)``, so ``||A / s||_F`` does not overflow."""
+    s = max(1.0, A.max(initial=0.0), -A.min(initial=0.0))
+    return abscissa / s < -1e-12 * max(1.0 / s, np.linalg.norm(A / s))
 
 
 def _trsyl(trsyl, *args, **kwargs):

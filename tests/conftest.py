@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own solution paths: Lyapunov
 and Sylvester equations are checked against dense Kronecker linear
-systems, matrix functions against eigendecompositions, and H2 norms
-against time-domain quadrature of the impulse response.  The subtraction
+systems, matrix functions against eigendecompositions, H2 norms against
+time-domain quadrature of the impulse response, and Hankel singular values
+against the Hankel operator of the sampled impulse response.  The subtraction
 H2 error (``h2_error_norm``) and the augmented system (``augmented_system``)
 use the library's solvers, but on formulas that the pipeline does not use:
 the reachability side ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` against the
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import LinearOperator, svds
 
 from icmor import InputSignal, StateSpaceModel
 from icmor.errors import DimensionMismatch, InvalidParameter, NonFinite
@@ -162,6 +164,31 @@ def h2_quadrature(A, B, C, t_f=60.0, samples=60001):
     return float(np.sqrt(np.trapezoid(acc, t)))
 
 
+def hankel_oracle(A, b, c, k, dt, t_f):
+    """The ``k`` largest Hankel singular values of ``(A, b, c)``, one input
+    and one output, with no matrix equation solved: those of its Hankel
+    operator, ``(G u)(t) = int_0^inf h(t + s) u(s) ds`` with ``h(t) = c
+    e^{At} b`` (Glover, IJC 39, 1984), on the midpoint grid of step ``dt``
+    over ``[0, t_f / 2]``.  So ``G`` is the Hankel matrix ``dt h((i + j +
+    1) dt)``, applied by FFT convolution; ``h`` is sampled to ``t_f`` by
+    steps of scipy's ``expm(A dt)``, and ``svds`` reads the values off the
+    matvec."""
+    N = int(np.ceil(t_f / dt / 2))
+    E = sla.expm(A * dt)
+    x, h = E @ b, np.empty(2 * N - 1)
+    for i in range(2 * N - 1):
+        h[i] = c @ x
+        x = E @ x
+    size = 1 << int(np.ceil(np.log2(3 * N - 2)))
+    H = np.fft.rfft(dt * h, size)
+
+    def matvec(u):
+        return np.fft.irfft(H * np.fft.rfft(np.ravel(u)[::-1], size), size)[N - 1:2 * N - 1]
+
+    G = LinearOperator((N, N), matvec=matvec, rmatvec=matvec, dtype=float)
+    return np.sort(svds(G, k=k, return_singular_vectors=False, random_state=0))[::-1]
+
+
 def foh_block(A, B):
     """``[[A, B, 0], [0, 0, I], [0, 0, 0]]``: its exponential at ``dt`` holds
     the FOH step matrices ``E``, ``F0 + F1`` and ``F1 dt`` in its first
@@ -304,8 +331,9 @@ def record_kernels(monkeypatch):
     ``budget(n, m)``, the number of calls of each of order >= n (>= n + 2m
     for the FOH step's exponential, n x r for Sylvester solves, the order of
     ``T`` for IRKA's shifted solves, that of the Gramian for
-    ``_sqrt_factor``), and the number of ``np.linalg.cholesky`` and
-    ``np.linalg.eigvals`` calls of any order."""
+    ``_sqrt_factor``), of real Schur forms of order 1 to n - 1, and the
+    number of ``np.linalg.cholesky`` and ``np.linalg.eigvals`` calls of any
+    order."""
     from icmor import linalg
 
     schur = _schur_orders(monkeypatch)
@@ -321,6 +349,7 @@ def record_kernels(monkeypatch):
     def budget(n, m):
         return {
             "real Schur form": sum(k >= n for k in schur),
+            "reduced-order real Schur form": sum(0 < k < n for k in schur),
             "complex Schur form": len(schur.complex),
             "solve_lyapunov": sum(k >= n for k in lyapunov),
             "Gramian factorization": sum(k >= n for k in factor),

@@ -42,13 +42,14 @@ from icmor import (
     suggest_grid,
     unit_vector_basis,
 )
+from icmor import linalg
 from icmor.errors import MaxItersExceeded, TailWarning
 from icmor.experiment import ExperimentConfig, run_experiment
 from icmor.simulation import SimulationTrace
 
 from conftest import (
-    augmented_system, golden_mismatches, h2_error_norm, h2_norm, kron_lyapunov,
-    kron_sylvester, make_stable, random_system, record_kernels,
+    _recorded_orders, augmented_system, golden_mismatches, h2_error_norm, h2_norm,
+    hankel_oracle, kron_lyapunov, kron_sylvester, make_stable, random_system, record_kernels,
 )
 
 ISS_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "iss")
@@ -226,6 +227,22 @@ class TestSharedReductions:
         assert np.max(np.abs(eta[:r] - direct[:r]) / direct[:r]) <= 1e-12
 
 
+class TestHankelOracle:
+    @pytest.mark.parametrize("case_name,x0_index", [("case1", 300), ("case2", 30)])
+    def test_theta_matches_the_hankel_operator(self, case_name, x0_index, msd300, request,
+                                               monkeypatch):
+        # the x0 map's first three Hankel values off its sampled impulse
+        # response, with no matrix equation solved; every mode decays as
+        # e^{-0.05 t}, so past t_f = 800 the kernel is below e^{-20} of its size
+        theta = request.getfixturevalue(case_name).rep.hsv["theta"][:3]
+        solves = [_recorded_orders(monkeypatch, solve)
+                  for solve in (linalg.solve_lyapunov, linalg.solve_sylvester)]
+        sigma = hankel_oracle(msd300.A, np.eye(msd300.n)[:, x0_index - 1], msd300.C[0], 3,
+                              dt=0.1, t_f=800.0)
+        assert solves == [[], []]
+        assert np.max(np.abs(sigma - theta) / theta) <= 1e-3
+
+
 class TestCriterion5SplitBound:
     @pytest.mark.parametrize("case_name", ["case1", "case2"])
     def test_end_to_end_bound_holds(self, case_name, request):
@@ -300,17 +317,22 @@ class TestCriterion8Case1:
 
 
 class TestKernelBudget:
-    # calls of order >= n in case1's run_experiment (n = 300, m = 10), and of
-    # Cholesky and eigvals at any order; a change that raises a count updates
-    # this table and says why.  The real Schur forms are of A, computed when
-    # the model is built, and of A^T for Q; every stability verdict reads a
-    # Schur form, so no eigvals runs.  The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes its
-    # factor from a QR of the first two, and each factor comes from eigh,
-    # with no Cholesky tried.  The Sylvester solves are the H2 errors of the
-    # BT reductions at r_u = 16 and r_x0 = 86 and of IRKA's 2 scored
-    # iterates.  IRKA's shifted solves are 2 for each of its 3 iterates and 1
-    # for the derivative of iterate 2.
-    CASE1 = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
+    # calls of order >= n in case1's run_experiment (n = 300, m = 10), of
+    # reduced-order real Schur forms, and of Cholesky and eigvals at any
+    # order; a change that raises a count updates this table and says why.
+    # The real Schur forms are of A, computed when the model is built, and of
+    # A^T for Q; a reduced model computes its own form when it is built (r_u,
+    # r_x0, r_aug and IRKA's 2 scored iterates), and every H2 scoring reads
+    # the forms of its two models, so it computes none.  Every stability
+    # verdict reads a Schur form, so no eigvals runs.  The Gramian
+    # factorizations are of P_B, P_X0 and Q; augmented BT takes its factor
+    # from a QR of the first two, and each factor comes from eigh, with no
+    # Cholesky tried.  The Sylvester solves are the H2 errors of the BT
+    # reductions at r_u = 16 and r_x0 = 86 and of IRKA's 2 scored iterates.
+    # IRKA's shifted solves are 2 for each of its 3 iterates and 1 for the
+    # derivative of iterate 2.
+    CASE1 = {"real Schur form": 2, "reduced-order real Schur form": 5,
+             "complex Schur form": 0, "solve_lyapunov": 3,
              "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 0,
              "FOH expm": 1, "n x r solve_sylvester": 4, "IRKA shifted_solve": 7}
 

@@ -182,16 +182,21 @@ class TestRunExperiment:
                 assert not np.any(rep.traces[method].components[part])
 
     # calls of order >= n in one run_experiment of the 12-mass config (n = 24,
-    # m = 3), and of Cholesky and eigvals at any order; a change that raises a
-    # count updates this table and says why.  The real Schur forms are of A,
-    # computed when the model is built, and of A^T for Q; every stability
-    # verdict reads a Schur form, so no eigvals runs.  The Gramian factorizations are of P_B, P_X0 and Q; augmented BT takes
-    # its factor from a QR of the first two, and each factor comes from eigh,
-    # with no Cholesky tried.  The Sylvester solves are the H2 errors of the
-    # two BT reductions and of IRKA's 5 scored iterates.  IRKA's shifted
-    # solves are 2 per iterate (the bases V and W) and 1 for the derivative
-    # of the returned iterate.
-    KERNEL_BUDGET = {"real Schur form": 2, "complex Schur form": 0, "solve_lyapunov": 3,
+    # m = 3), of reduced-order real Schur forms, and of Cholesky and eigvals
+    # at any order; a change that raises a count updates this table and says
+    # why.  The real Schur forms are of A, computed when the model is built,
+    # and of A^T for Q; a reduced model computes its own form when it is
+    # built (r_u, r_x0, r_aug and IRKA's 5 scored iterates), and every H2
+    # scoring reads the forms of its two models, so it computes none.  Every
+    # stability verdict reads a Schur form, so no eigvals runs.  The Gramian
+    # factorizations are of P_B, P_X0 and Q; augmented BT takes its factor
+    # from a QR of the first two, and each factor comes from eigh, with no
+    # Cholesky tried.  The Sylvester solves are the H2 errors of the two BT
+    # reductions and of IRKA's 5 scored iterates.  IRKA's shifted solves are
+    # 2 per iterate (the bases V and W) and 1 for the derivative of the
+    # returned iterate.
+    KERNEL_BUDGET = {"real Schur form": 2, "reduced-order real Schur form": 8,
+                     "complex Schur form": 0, "solve_lyapunov": 3,
                      "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 0,
                      "FOH expm": 1, "n x r solve_sylvester": 7, "IRKA shifted_solve": 11}
 
@@ -439,6 +444,12 @@ class TestCliVerbs:
         (["--n-masses", "6", "--m-inputs", "99"], "--m-inputs"),
         (["--n-masses", "3", "--m-inputs", "1", "--x0-indices", "2", "2"], "--x0-indices"),
         (["--n-masses", "3", "--m-inputs", "1", "--x0-indices", "0"], "--x0-indices"),
+        # finite values whose chain is not: ||A||_F^2 overflows, or 1/mass
+        (["--n-masses", "3", "--m-inputs", "1", "--stiffness", "1e300"], "--stiffness"),
+        (["--n-masses", "3", "--m-inputs", "1", "--damping", "1e308"], "--damping"),
+        (["--n-masses", "3", "--m-inputs", "1", "--mass", "1e-310"], "--mass"),
+        (["--n-masses", "3", "--m-inputs", "1", "--mass", "1e300", "--damping", "1e-3"],
+         "--mass, --damping"),
     ])
     def test_bench_msd_names_the_flag_it_rejects(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "bench"
@@ -462,6 +473,10 @@ class TestCliVerbs:
           "input": {"kind": "decaying_pulses", "amplitude": 1e300}}, "input"),
         ({"model": {"kind": "msd", "n_masses": 6, "m_inputs": 2}, "x0_indices": [12],
           "z0": [1e305]}, "z0"),
+        # a chain too lightly damped to be numerically stable names each
+        # parameter the config sets
+        ({"model": {"kind": "msd", "n_masses": 3, "m_inputs": 1, "mass": 1e300,
+                    "damping": 1e-3}}, "model.mass, model.damping"),
     ])
     def test_report_names_the_field_out_of_range(self, tmp_path, capsys, overrides, field):
         # caught when the model is built or the full model simulated, not by

@@ -29,6 +29,7 @@ from icmor.errors import (
     SpectraOverlap,
 )
 from icmor.linalg import (
+    _is_stable,
     _real_columns,
     _schur_eigvals,
     _sqrt_factor,
@@ -94,6 +95,14 @@ class TestSolveLyapunov:
         A = near_margin(2.0)
         for schur in (None, sla.schur(A, output="real")):
             assert np.all(np.isfinite(solve_lyapunov(A, np.eye(len(A)), schur)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_tolerance_past_the_float_range(self, scale):
+        # at scale 1e300, ||A||_F^2 overflows; the verdict does not move, and
+        # no RuntimeWarning (an error in this suite) is raised
+        for ratio, stable in ((0.5, False), (2.0, True)):
+            A = scale * near_margin(ratio)
+            assert _is_stable(np.max(np.diag(A)), A) == stable
 
     def test_given_schur_form_and_norm_change_nothing(self, rng):
         A = make_stable(rng, 7)

@@ -379,21 +379,21 @@ class TestIrkaReduce:
         assert min(errors) < warm.h2_error
 
     def test_unstable_candidate_solve_is_not_scored(self, monkeypatch):
-        # the first candidate's Lyapunov solve fails: that iterate goes
-        # unscored and the run goes on to the same stall and iterate
+        # the first candidate's order-r solve, for Q22, fails: that iterate
+        # goes unscored and the run goes on to the same stall and iterate
         aux, warm, errors = self.case2_x0_map(monkeypatch)
-        solves, original = [], gramians.solve_lyapunov
+        solves, original = [], gramians.solve_sylvester
 
-        def solve(A, *args, **kwargs):
-            solves.append(len(A))
-            if len(solves) == 1:
+        def solve(A, M, *args, **kwargs):
+            solves.append((len(A), len(M)))
+            if solves == [(300, 20), (20, 20)]:
                 raise NotStable("injected")
-            return original(A, *args, **kwargs)
+            return original(A, M, *args, **kwargs)
 
-        monkeypatch.setattr(gramians, "solve_lyapunov", solve)
+        monkeypatch.setattr(gramians, "solve_sylvester", solve)
         with pytest.warns(MaxItersExceeded, match=r"no gain in 3 scorings at iteration 5"):
             R = irka_reduce(aux, 20, warm_start=warm)
-        assert solves == [20] * 5 and len(errors) == 4
+        assert solves == [(300, 20), (20, 20)] * 5 and len(errors) == 4
         assert R.h2_error == min(errors)
         assert h2_error_norm(aux, R.sys) == pytest.approx(R.h2_error, rel=1e-9)
 
