@@ -107,11 +107,16 @@ def _is_stable(abscissa, A):
     return abscissa / s < -1e-12 * max(1.0 / s, np.linalg.norm(A / s))
 
 
-def _trsyl(trsyl, *args, **kwargs):
-    """The solution ``X / scale`` of a LAPACK ``*trsyl`` call."""
-    X, scale, info = trsyl(*args, **kwargs)
+def _trsyl(A, B, C, **kwargs):
+    """``X / scale`` of ``lapack.dtrsyl(A, B, C, **kwargs)``, ``op(A) X + isgn X op(B) =
+    scale C``; ``SpectraOverlap`` when ``info = 1`` (``A`` and ``-isgn B`` (nearly) share an
+    eigenvalue, which LAPACK perturbed), ``ValueError`` naming the illegal argument if < 0."""
+    X, scale, info = lapack.dtrsyl(A, B, C, **kwargs)
     if info < 0:
-        raise NonFinite(f"trsyl failed with info={info}")
+        arg = ("trana", "tranb", "isgn", "m", "n", "a", "lda", "b", "ldb", "c", "ldc")[-info - 1]
+        raise ValueError(f"dtrsyl: argument {arg} has an illegal value")
+    if info == 1:
+        raise SpectraOverlap("dtrsyl: the spectra (nearly) intersect, so LAPACK perturbed them")
     # scale is 1 unless trsyl had to avoid overflow; skip the n x n copy
     return X if scale == 1.0 else X / scale
 
@@ -120,27 +125,30 @@ def _schur_eigvals(T):
     """Eigenvalues of a standardized real Schur form, read off its diagonal
     blocks: a 2x2 block ``[[a, b], [c, a]]`` holds ``a +- i sqrt(-bc)``."""
     ev = np.diag(T).astype(complex)
-    for i in np.flatnonzero(np.diag(T, -1)):
-        ev[i:i + 2] += np.array([1j, -1j]) * np.sqrt(-T[i, i + 1] * T[i + 1, i])
+    i = np.flatnonzero(np.diag(T, -1))
+    ev[np.stack([i, i + 1])] += np.array([[1j], [-1j]]) * np.sqrt(-T[i, i + 1] * T[i + 1, i])
     return ev
+
+
+def _first_columns(shifts):
+    """Which shifts are complex (real columns Re, Im; Re alone if real), and where each starts."""
+    two = np.asarray(shifts).imag != 0
+    return two, np.arange(len(two)) + np.cumsum(two) - two
 
 
 def _real_columns(R, shifts):
     """``[Re r_k, Im r_k]`` for each complex ``shifts[k]``, ``Re r_k`` for
     each real one: the right-hand side of ``shifted_solve``."""
-    cols = []
-    for r, s in zip(R.T, shifts):
-        cols += [r.real, r.imag] if s.imag else [r.real]
-    return np.column_stack(cols)
+    two, j = _first_columns(shifts)
+    X = np.empty((R.shape[0], len(two) + two.sum()))
+    X[:, j], X[:, j[two] + 1] = R.real, R.imag[:, two]
+    return X
 
 
 def _complex_columns(X, shifts):
     """The columns ``x_k`` whose real columns ``_real_columns`` gives."""
-    cols, j = [], 0
-    for s in shifts:
-        cols.append(X[:, j] + 1j * X[:, j + 1] if s.imag else X[:, j] + 0j)
-        j += 2 if s.imag else 1
-    return np.column_stack(cols)
+    two, j = _first_columns(shifts)
+    return X[:, j] + 1j * np.where(two, X[:, j + two], 0.0)
 
 
 def shifted_solve(T, shifts, K, transpose=False):
@@ -151,10 +159,10 @@ def shifted_solve(T, shifts, K, transpose=False):
     real Schur form of ``A``, and ``K = U^T _real_columns(R, shifts)``, ``U
     Y`` holds the real columns ``[Re x_k, Im x_k]`` (``[Re x_k]`` for a real
     shift) of ``x_k = (s_k I - op(A))^{-1} r_k``."""
-    blocks = [[[s.real, s.imag], [-s.imag, s.real]] if s.imag else [[s.real]]
-              for s in shifts]
-    return _trsyl(lapack.dtrsyl, T, sla.block_diag(*blocks), -K,
-                  trana="T" if transpose else "N", isgn=-1)
+    two, j = _first_columns(shifts)
+    S, c = np.diag(np.repeat(shifts.real, 1 + two)), j[two]
+    S[c, c + 1], S[c + 1, c] = shifts.imag[two], -shifts.imag[two]
+    return _trsyl(T, S, -K, trana="T" if transpose else "N", isgn=-1)
 
 
 def _sqrt_factor(P, name):
@@ -191,7 +199,7 @@ def solve_lyapunov(A, G, schur=None):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
     # T Y + Y T^T = -Gt
-    P = U @ _trsyl(lapack.dtrsyl, T, T, -Gt, tranb="T") @ U.T
+    P = U @ _trsyl(T, T, -Gt, tranb="T") @ U.T
     return (P + P.T) / 2.0
 
 
@@ -222,7 +230,7 @@ def solve_sylvester(A, M, K, schur=None, schur_m=None):
         )
     Kt = Ua.T @ K @ Um
     # Ta^T Z + Z Tm = -Kt  with Ta quasi-triangular (Schur of A)
-    return Ua @ _trsyl(lapack.dtrsyl, Ta, Tm, -Kt, trana="T") @ Um.T
+    return Ua @ _trsyl(Ta, Tm, -Kt, trana="T") @ Um.T
 
 
 # Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3: theta_m, the

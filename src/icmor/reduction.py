@@ -232,30 +232,27 @@ def _tangential_basis(real_schur, Bmat, s, dirs, r, transpose=False):
     return Q[:, :np.sum(sv > np.finfo(float).eps * max(X.shape) * sv[0])], Y
 
 
-def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, s, Y, bdirs, cdirs):
-    """Relative Hermite interpolation residuals of ``R`` against ``M`` at
-    the shifts ``s`` and tangential directions ``bdirs``, ``cdirs``, one of
-    each conjugate pair (the other's residuals are the conjugates).  ``Y``
-    is ``_tangential_basis``' solve for ``(s I - A)^{-1} B b`` on
-    ``M.real_schur``; ``Y2`` for ``(s I - A)^{-2} B b`` solves ``T Y2 - Y2 S
-    = -Y`` in Schur coordinates."""
-    T, U = M.real_schur
-    CU = M.C @ U
-    H, H2 = _complex_columns(CU @ Y, s), _complex_columns(CU @ shifted_solve(T, s, Y), s)
-    Ar, Br, Cr = R.A, R.B, R.C
-    Ir = np.eye(Ar.shape[0])
-    val = der = 0.0
-    for i, (b, c) in enumerate(zip(bdirs.T, cdirs.T)):
-        xr = np.linalg.solve(s[i] * Ir - Ar, Br @ b)
-        hb, hrb = H[:, i], Cr @ xr
-        ref = max(np.linalg.norm(hb), 1e-300)
-        val = max(val, np.linalg.norm(hb - hrb) / ref)
-        # Hermite condition: c^T H'(s) b with H'(s) = -C (sI-A)^{-2} B
-        xr2 = np.linalg.solve(s[i] * Ir - Ar, xr)
-        hd, hrd = -(c @ H2[:, i]), -(c @ (Cr @ xr2))
-        dref = max(abs(hd), 1e-300)
-        der = max(der, abs(hd - hrd) / dref)
-    return {"value": float(val), "derivative": float(der)}
+def _full_samples(M: StateSpaceModel, s, Yv, Yw):
+    """``H(s_k) b_k`` (columns of ``H``) and ``c_k^T H'(s_k) b_k = -w_k^T v_k``
+    (``Hd``, no conjugation) from ``_tangential_basis``' solves for ``v_k = (s_k
+    I - A)^{-1} B b_k`` (``Yv``) and ``w_k = (s_k I - A^T)^{-1} C^T c_k`` (``Yw``)
+    on ``M.real_schur``, whose ``U`` is orthogonal."""
+    H = _complex_columns(M.C @ M.real_schur[1] @ Yv, s)
+    return H, -np.sum(_complex_columns(Yw, s) * _complex_columns(Yv, s), axis=0)
+
+
+def tangential_residuals(M: StateSpaceModel, R: StateSpaceModel, s, Yv, Yw, bdirs, cdirs):
+    """Relative Hermite interpolation residuals of ``R`` against ``M`` at the
+    shifts ``s`` and directions ``bdirs``, ``cdirs``, one of each conjugate pair
+    (the other's are the conjugates); ``R``'s side from two batched solves."""
+    H, Hd = _full_samples(M, s, Yv, Yw)
+    K = np.broadcast_to(-R.A, (len(s), R.n, R.n)).astype(complex)
+    K[:, range(R.n), range(R.n)] += s[:, None]
+    xr = np.linalg.solve(K, (R.B @ bdirs).T[:, :, None])
+    Hr, Hr2 = ((R.C @ x)[:, :, 0].T for x in (xr, np.linalg.solve(K, xr)))
+    val = np.linalg.norm(H - Hr, axis=0) / np.maximum(np.linalg.norm(H, axis=0), 1e-300)
+    der = np.abs(Hd + np.sum(cdirs * Hr2, axis=0)) / np.maximum(np.abs(Hd), 1e-300)
+    return {"value": float(val.max(initial=0.0)), "derivative": float(der.max(initial=0.0))}
 
 
 def _pole_data(Ar, Br, Cr):
@@ -303,8 +300,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
     With no scored iterate the warm start is returned, with its
     ``h2_error`` and flagged by ``interp_residuals['fallback']``, or else
     ``UnstableReduction`` is raised; warnings and errors name each start's
-    stop.  At ``r = n`` ``M``
-    itself is returned at once (H2 error 0).
+    stop.  At ``r = n`` ``M`` itself is returned at once (H2 error 0).
     """
     if r < 1 or r > M.n:
         raise InvalidParameter(f"need 1 <= r <= n, got r={r}, n={M.n}")
@@ -354,8 +350,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             keep, s = _one_per_pair(shifts)
             bk, ck = bdirs[:, keep], cdirs[:, keep]
             try:
-                V, Y = _tangential_basis(M.real_schur, B, s, bk, r)
-                W, _ = _tangential_basis(M.real_schur, C.T, s, ck, r, transpose=True)
+                V, Yv = _tangential_basis(M.real_schur, B, s, bk, r)
+                W, Yw = _tangential_basis(M.real_schur, C.T, s, ck, r, transpose=True)
             except NonFinite:
                 stop = f"non-finite basis at iteration {it}"
                 break
@@ -392,7 +388,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             ) / max(np.linalg.norm(shifts[order_old]), 1e-300)
             fixed = change < _SHIFT_TOL
             if np.isfinite(err) and (not fixed, err) < best_key:
-                best_key, best = (not fixed, err), (sys, reflected, s, Y, bk, ck)
+                best_key, best = (not fixed, err), (sys, reflected, s, Yv, Yw, bk, ck)
             if fixed:
                 stop = f"fixed point at iteration {it}"
                 break
@@ -425,14 +421,14 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
                             h2_error=warm_start.h2_error,
                             interp_residuals={"fallback": True})
-    (unconverged, h2_error), (sys, reflected, s, Y, bk, ck) = best_key, best
+    (unconverged, h2_error), (sys, reflected, *samples) = best_key, best
     if unconverged:
         warnings.warn(
             f"IRKA stopped ({why}); returning the stable iterate with the "
             "smallest H2 error",
             MaxItersExceeded,
         )
-    res = tangential_residuals(M, sys, s, Y, bk, ck)
+    res = tangential_residuals(M, sys, *samples)
     return ReducedModel(sys=sys, method="irka", converged=not unconverged, h2_error=h2_error,
                         interp_residuals={**res, "pole_reflection": bool(reflected),
                                           "fallback": False})
@@ -441,12 +437,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
 def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
                  sel_u: OrderSelection, sel_x0: OrderSelection,
                  x0_method="bt") -> SplitReducedModel:
-    """Reduce the input map and the initial-condition map independently.
-
-    The input map is always reduced by balanced truncation.  The auxiliary
-    system driven by the basis columns (state matrix ``A``, input ``X0``,
-    output ``C``) is reduced by BT, then combined by ``split_from_bt``.
-    """
+    """The input map and the x0 map ``(A, X0, C)`` reduced independently, each
+    by BT, and combined by ``split_from_bt``."""
     aux = M.with_input(basis.X0)
     return split_from_bt(bt_reduce(M, sel_u), aux, bt_reduce(aux, sel_x0),
                          basis, x0_method)

@@ -3,8 +3,13 @@
 The oracles deliberately avoid the library's own solution paths: Lyapunov
 and Sylvester equations are checked against dense Kronecker linear
 systems, matrix functions against eigendecompositions, H2 norms against
-time-domain quadrature of the impulse response, and Hankel singular values
-against the Hankel operator of the sampled impulse response.  The subtraction
+time-domain quadrature of the impulse response, Hankel singular values
+against the Hankel operator of the sampled impulse response, and the
+printed error bounds against the error simulated to six horizons
+(``long_horizon_error``).  IRKA's Hermite derivative is checked against
+the second shifted solve it used to make (``second_solve_derivative``),
+and its batched reduced-order solves against one pair per shift
+(``per_shift_residuals``).  The subtraction
 H2 error (``h2_error_norm``) and the augmented system (``augmented_system``)
 use the library's solvers, but on formulas that the pipeline does not use:
 the reachability side ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` against the
@@ -23,8 +28,9 @@ from scipy.sparse.linalg import LinearOperator, svds
 
 from icmor import InputSignal, StateSpaceModel
 from icmor.errors import DimensionMismatch, InvalidParameter, NonFinite
-from icmor.linalg import solve_lyapunov, solve_sylvester
-from icmor.simulation import SimulationTrace
+from icmor.linalg import _complex_columns, shifted_solve, solve_lyapunov, solve_sylvester
+from icmor.reduction import SplitReducedModel
+from icmor.simulation import SimulationTrace, online_phase, simulate
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -187,6 +193,52 @@ def hankel_oracle(A, b, c, k, dt, t_f):
 
     G = LinearOperator((N, N), matvec=matvec, rmatvec=matvec, dtype=float)
     return np.sort(svds(G, k=k, return_singular_vectors=False, random_state=0))[::-1]
+
+
+def second_solve_derivative(M, s, Yv, cdirs):
+    """``c_k^T H'(s_k) b_k = -c_k^T C (s_k I - A)^{-2} B b_k`` by a second
+    shifted solve, ``T Y2 - Y2 S = -Yv`` on ``M.real_schur``, where ``Yv`` is
+    the Schur-coordinate solve for ``(s_k I - A)^{-1} B b_k``: the reference
+    for the derivative ``-w_k^T v_k`` that ``reduction._full_samples`` reads
+    off the two basis solves."""
+    T, U = M.real_schur
+    H2 = _complex_columns(M.C @ U @ shifted_solve(T, s, Yv), s)
+    return -np.sum(cdirs * H2, axis=0)
+
+
+def per_shift_residuals(H, Hd, R, s, bdirs, cdirs):
+    """The relative Hermite residuals of ``R`` against the full model's
+    samples ``H`` (columns ``H(s_k) b_k``) and ``Hd`` (``c_k^T H'(s_k)
+    b_k``), with two dense solves per shift: the reference for
+    ``tangential_residuals``' two batched solves."""
+    Ir = np.eye(R.n)
+    val = der = 0.0
+    for i, (b, c) in enumerate(zip(bdirs.T, cdirs.T)):
+        xr = np.linalg.solve(s[i] * Ir - R.A, R.B @ b)
+        val = max(val, np.linalg.norm(H[:, i] - R.C @ xr) / max(np.linalg.norm(H[:, i]), 1e-300))
+        hrd = -(c @ (R.C @ np.linalg.solve(s[i] * Ir - R.A, xr)))
+        der = max(der, abs(Hd[i] - hrd) / max(abs(Hd[i]), 1e-300))
+    return {"value": float(val), "derivative": float(der)}
+
+
+def long_horizon_error(M, R, X0, z0, u, t_f, dt, horizons=6):
+    """L2 output error of ``R`` against ``M`` on ``[0, horizons t_f]``, with
+    the input ``u`` up to ``t_f`` and zero after it, and the initial state
+    ``X0 z0``: ``R`` is a split model (``online_phase``) or an augmented-BT
+    one (its ``X0til z0``).  Both are stepped by ``simulate`` at the step
+    ``dt``, and the error is the trapezoidal norm on that grid, so no matrix
+    equation is solved; the tail past ``t_f``, which the report's errors
+    leave out, is counted."""
+    T = horizons * t_f
+    t = np.arange(int(round(T / dt)) + 1) * dt
+    u_T = InputSignal.sampled(t, np.where(t[:, None] <= t_f, u(t), 0.0))
+    x0 = X0 @ z0
+    if isinstance(R, SplitReducedModel):
+        y_r = online_phase(R, u_T, x0, T, dt).y
+    else:
+        y_r = simulate(R.sys, u_T, R.X0til @ z0, T, dt).y
+    e = simulate(M, u_T, x0, T, dt).y - y_r
+    return float(np.sqrt(np.trapezoid(np.sum(e * e, axis=1), t)))
 
 
 def foh_block(A, B):

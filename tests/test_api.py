@@ -1,5 +1,6 @@
 """The public names: each module's ``__all__`` and the package re-exports,
-and no module importing a name it does not use."""
+no module importing a name it does not use, and LAPACK's ``dtrsyl`` called
+only through ``linalg._trsyl``."""
 
 import ast
 import importlib
@@ -56,3 +57,34 @@ def _unused_imports(path):
 def test_every_import_is_used(module):
     # the package's __init__ only re-exports, which the test above checks
     assert _unused_imports(importlib.import_module(f"icmor.{module}").__file__) == []
+
+
+def _trsyl_sites(path):
+    """For each reference to LAPACK's ``dtrsyl`` in the module at ``path``
+    (``lapack.dtrsyl``, a bare ``dtrsyl`` or an import of it), the name of
+    the innermost function around it, or ``<module>``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "dtrsyl"
+                    or isinstance(child, ast.Name) and child.id == "dtrsyl"
+                    or isinstance(child, ast.alias) and child.name.endswith("dtrsyl")):
+                sites.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_dtrsyl_is_called_only_by_trsyl():
+    # linalg._trsyl reads LAPACK's info (a perturbed or illegal solve
+    # raises), so every triangular Sylvester solve goes through it
+    sites = {module: _trsyl_sites(importlib.import_module(f"icmor.{module}").__file__)
+             for module in MODULES}
+    assert {module: s for module, s in sites.items() if s} == {"linalg": ["_trsyl"]}

@@ -276,6 +276,46 @@ class TestShiftedSolve:
         assert np.allclose((np.eye(10) - A) @ X[:, 2] - 2.0 * X[:, 3], B[:, 2], atol=1e-10)
         assert np.allclose((np.eye(10) - A) @ X[:, 3] + 2.0 * X[:, 2], 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("shifts", [
+        [0.5, 2.0, 1.5], [1.0 + 3.0j, 1.0 - 3.0j, 0.2 + 0.7j, 0.2 - 0.7j],
+        [0.5, 1.0 + 3.0j, 2.0, 2.0, 0.2 - 0.7j, 1.5],
+    ], ids=["real", "conjugate pairs", "unpaired complex"])
+    def test_shift_matrix_is_the_block_diagonal(self, monkeypatch, shifts):
+        # S by indexing, bit for bit the block_diag of one block per shift,
+        # and the real columns of the right-hand side in the same order
+        shifts = np.array(shifts, dtype=complex)
+        blocks = [[[s.real, s.imag], [-s.imag, s.real]] if s.imag else [[s.real]]
+                  for s in shifts]
+        seen, trsyl = [], linalg._trsyl
+        monkeypatch.setattr(linalg, "_trsyl",
+                            lambda T, S, K, **kw: seen.append(S) or trsyl(T, S, K, **kw))
+        A = make_stable(np.random.default_rng(0), 8)
+        T, U = sla.schur(A, output="real")
+        R = np.arange(8 * len(shifts)).reshape(8, -1) * (1.0 + 0.5j)
+        shifted_solve(T, shifts, U.T @ _real_columns(R, shifts))
+        assert seen[0].tobytes() == sla.block_diag(*blocks).tobytes()
+        cols = [c for r, s in zip(R.T, shifts) for c in ([r.real, r.imag] if s.imag else [r.real])]
+        assert _real_columns(R, shifts).tobytes() == np.column_stack(cols).tobytes()
+        back = linalg._complex_columns(_real_columns(R, shifts), shifts)
+        assert np.array_equal(back, np.where(shifts.imag != 0, R, R.real))
+
+    @pytest.mark.parametrize("shift", [-1.0, -0.5 + 2.0j])
+    def test_shift_on_the_spectrum_raises(self, shift):
+        # dtrsyl perturbs T and S apart when they share an eigenvalue, and
+        # says so by info = 1: no perturbed solution is returned
+        T = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -0.5, 2.0, 0.0],
+                      [0.0, -2.0, -0.5, 0.0], [0.0, 0.0, 0.0, -3.0]])
+        K = np.ones((4, 2 if shift.imag else 1))
+        with pytest.raises(SpectraOverlap, match="dtrsyl"):
+            shifted_solve(T, np.array([shift]), K)
+
+    def test_illegal_argument_is_named(self, monkeypatch):
+        # scipy's wrapper checks the arguments first, so LAPACK's info < 0
+        # is faked: info = -6 is the sixth argument, A
+        monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **kw: (None, 1.0, -6))
+        with pytest.raises(ValueError, match="argument a "):
+            linalg._trsyl(np.eye(2), np.eye(2), np.eye(2))
+
 
 class TestSqrtFactor:
     def test_indefinite_gramian_raises(self):
@@ -295,8 +335,17 @@ class TestSqrtFactor:
 
 
 def test_schur_block_eigenvalues(rng):
+    # several 2x2 blocks, each between 1x1 blocks, as the form itself and
+    # rotated by an orthogonal Q
+    blocks = sla.block_diag([[-1.0]], [[-0.5, 2.0], [-3.0, -0.5]], [[-2.0]],
+                            [[-0.1, 1.0], [-4.0, -0.1]], [[-3.0]], [[0.2, 5.0], [-0.5, 0.2]],
+                            [[-4.0]])
+    assert np.array_equal(_schur_eigvals(blocks), np.array(
+        [-1, -0.5 + np.sqrt(6) * 1j, -0.5 - np.sqrt(6) * 1j, -2, -0.1 + 2j, -0.1 - 2j, -3,
+         0.2 + np.sqrt(2.5) * 1j, 0.2 - np.sqrt(2.5) * 1j, -4]))
+    Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
     for A in (make_stable(rng, 12), np.array([[0.1, 1.0], [-1.0, 0.1]]),
-              np.diag([-1.0, -2.0])):
+              np.diag([-1.0, -2.0]), Q @ blocks @ Q.T):
         T, _ = sla.schur(A, output="real")
         ev = np.sort_complex(_schur_eigvals(T))
         assert np.allclose(ev, np.sort_complex(np.linalg.eigvals(A)), atol=1e-10)

@@ -26,12 +26,15 @@ from icmor import (
     unit_vector_basis,
 )
 import icmor
-from icmor import gramians, reduction
+from icmor import gramians, linalg, reduction
 from icmor.gramians import GramianFactors, projected_h2_error
 from icmor.errors import InvalidParameter, MaxItersExceeded, NotStable, UnstableReduction
 from icmor.simulation import simulate, l2_norm, SimulationTrace
 
-from conftest import augmented_system, h2_error_norm, h2_norm, random_system
+from conftest import (
+    augmented_system, h2_error_norm, h2_norm, per_shift_residuals, random_system,
+    second_solve_derivative,
+)
 
 
 class TestOrderSelection:
@@ -494,6 +497,46 @@ class TestTangentialBasis:
         assert V.shape == ref.shape == (M.n, rank)
         assert np.max(sla.subspace_angles(V, ref)) < 1e-12
         assert np.allclose(V.T @ V, np.eye(rank), rtol=0.0, atol=1e-14)
+
+
+class TestTangentialResiduals:
+    """The Hermite derivative off the two basis solves, against a second
+    shifted solve, and the two batched reduced-order solves, against one
+    pair of solves per shift."""
+
+    @staticmethod
+    def _samples(M, warm):
+        # a warm-started iterate's kept shifts, directions and basis solves
+        shifts, bdirs, cdirs = reduction._pole_data(warm.sys.A, warm.sys.B, warm.sys.C)[2]
+        keep, s = reduction._one_per_pair(shifts)
+        bk, ck = bdirs[:, keep], cdirs[:, keep]
+        _, Yv = reduction._tangential_basis(M.real_schur, M.B, s, bk, warm.r)
+        _, Yw = reduction._tangential_basis(M.real_schur, M.C.T, s, ck, warm.r, transpose=True)
+        return s, Yv, Yw, bk, ck
+
+    @pytest.mark.parametrize("x0_index", [300, 30])
+    def test_derivative_matches_the_second_solve(self, x0_index):
+        # the x0 maps of case1 and case2 at their warm-start shifts
+        M = build_msd(150, m_inputs=10)
+        aux = M.with_input(unit_vector_basis(M.n, [x0_index]).X0)
+        s, Yv, Yw, bk, ck = self._samples(aux, bt_reduce(aux, OrderSelection.tolerance(1e-2)))
+        _, Hd = reduction._full_samples(aux, s, Yv, Yw)
+        ref = second_solve_derivative(aux, s, Yv, ck)
+        # -w^T v sums n products, whose rounding is a few eps times the sum
+        # of their magnitudes: up to 4e4 |w^T v| on case1's map, so the two
+        # agree to 1e-12 relative only where the sum does not cancel (README)
+        wv = np.abs(linalg._complex_columns(Yw, s) * linalg._complex_columns(Yv, s))
+        floor = 16 * np.finfo(float).eps * np.sum(wv, axis=0)
+        assert np.all(np.abs(Hd - ref) <= 1e-12 * np.abs(ref) + floor)
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3)])
+    def test_batched_solves_match_a_per_shift_loop(self, rng, m, p):
+        M = random_system(rng, 14, m, p, margin=0.5)
+        warm = bt_reduce(M, OrderSelection.fixed(5))
+        s, Yv, Yw, bk, ck = self._samples(M, warm)
+        got = reduction.tangential_residuals(M, warm.sys, s, Yv, Yw, bk, ck)
+        want = per_shift_residuals(*reduction._full_samples(M, s, Yv, Yw), warm.sys, s, bk, ck)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestSplitReduce:
