@@ -68,7 +68,7 @@ def abt_bound(R_abt, u_l2, z0_norm):
 
 def aca_bound(Sx0y: StateSpaceModel, r_x0):
     """H2 norm of the balanced-truncation error of ``Sx0y`` at order
-    ``r_x0``: the ``h2_error`` of ``bt_reduce`` (README)."""
+    ``r_x0``: the ``h2_error`` of ``bt_reduce`` (``projected_h2_error``)."""
     return bt_reduce(Sx0y, OrderSelection.fixed(r_x0)).h2_error
 
 

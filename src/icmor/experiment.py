@@ -85,6 +85,8 @@ class ExperimentConfig:
         for m in methods:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"methods: unknown method '{m}'")
+        if len(set(methods)) != len(methods):
+            raise ConfigError(f"methods: must be distinct, got {methods!r}")
         for key, kind in (("x0_indices", int), ("z0", float)):
             for value in d.get(key) or ():
                 _check(value, kind, f"{key} entry")

@@ -75,7 +75,7 @@ def projected_h2_error(M: StateSpaceModel, V, Mr: StateSpaceModel) -> float:
     Ar``, ``||L^T Bp||_F^2 + 2 tr(Bp^T Q12 Br) + tr(Br^T Q22 Br)``, where
     ``A^T Q12 + Q12 Ar + L L^T R = 0`` and ``Ar^T Q22 + Q22 Ar + R^T Q12 +
     Q12^T R = 0`` read the forms ``M`` and ``Mr`` hold, so no Schur form is
-    computed (README).  0.0 when ``V`` spans the whole state space."""
+    computed (Wolf, Panzer and Lohmann, IFAC 2011).  0.0 when ``V`` spans the state space."""
     if V.shape[1] == M.n:
         return 0.0
     L, Ar, Br = M.obs_factor, Mr.A, Mr.B

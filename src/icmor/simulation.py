@@ -145,8 +145,8 @@ def suggest_grid(M: StateSpaceModel):
 def _flush(Z):
     """Set the entries of ``Z`` below ``1e-150 max|Z|``, and the subnormal
     ones, to 0, in place; returns ``Z``.  Products of two entries below
-    about 1e-154 underflow and put a GEMM with ``Z`` on its slow path, and
-    the flushed entries move no output digit (README)."""
+    about 1e-154 underflow and put a GEMM with ``Z`` on its slow path; a
+    flushed entry moves a product only at 1e-150 of its largest entries."""
     absZ = np.abs(Z)
     Z[absZ < max(1e-150 * absZ.max(initial=0.0), np.finfo(float).tiny)] = 0.0
     return Z

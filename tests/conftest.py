@@ -134,7 +134,7 @@ def h2_error_norm(M, R):
     ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` from ``h2_squared`` and ``A^T Y
     + Y Ar + C^T Cr = 0``, solved on ``M.real_schur``.  The subtraction
     cancels: its relative accuracy is about ``eps ||C||^2 ||P|| / ||H -
-    Hr||^2`` (README), so checks against it carry a floor."""
+    Hr||^2``, so checks against it carry a floor."""
     if R.m != M.m or R.p != M.p:
         raise DimensionMismatch("input/output dimensions differ between models")
     Y = solve_sylvester(M.A, R.A, M.C.T @ R.C, M.real_schur)

@@ -94,6 +94,8 @@ class TestExperimentConfig:
         ({"input": {"period": 0}}, "input.period"),
         ({"input": {"period": -15}}, "input.period"),
         ({"input": {"width": 0}}, "input.width"),
+        # a repeated method would run, and be timed, twice
+        ({"methods": ["bt-bt", "augbt", "bt-bt"]}, "methods"),
     ])
     def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
         cfg = [small_config(tmp_path)] if overrides is None \

@@ -524,7 +524,7 @@ class TestTangentialResiduals:
         ref = second_solve_derivative(aux, s, Yv, ck)
         # -w^T v sums n products, whose rounding is a few eps times the sum
         # of their magnitudes: up to 4e4 |w^T v| on case1's map, so the two
-        # agree to 1e-12 relative only where the sum does not cancel (README)
+        # agree to 1e-12 relative only where the sum does not cancel
         wv = np.abs(linalg._complex_columns(Yw, s) * linalg._complex_columns(Yv, s))
         floor = 16 * np.finfo(float).eps * np.sum(wv, axis=0)
         assert np.all(np.abs(Hd - ref) <= 1e-12 * np.abs(ref) + floor)
