@@ -1,12 +1,10 @@
 """Command-line interface.
 
-Verbs mirror the offline/online split of the workflow:
-
-* ``bench msd``  -- generate the mass-spring-damper benchmark and save it
-* ``reduce``     -- offline phase: reduce a model, write reduced matrices
-* ``simulate``   -- simulate a full model and write the output trace
-* ``report``     -- full experiment from a JSON config: reduce, simulate,
-                    evaluate bounds, emit tables and plot data
+* ``bench msd``  -- build the mass-spring-damper chain and save it as a model directory
+* ``reduce``     -- reduce a model with one method and write the reduced matrices
+* ``simulate``   -- simulate the full model and write its output trace
+* ``report``     -- run an experiment from a JSON config: reduce, simulate,
+                    evaluate bounds and write the report files
 
 Exit codes: 0 on success, 2 if a measured error exceeded its bound, 1 on
 any other error, a usage error included.
@@ -40,62 +38,46 @@ from .model import save_model
 from .reduction import abt_reduce, split_reduce
 from .simulation import SimulationTrace, l2_norm, linf_norm, simulate
 
+# the flag that sets each config field: the x0 indices, the orders and grid
+# of reduce and simulate, and build_msd's parameters
+FLAGS = {"x0_indices": "--x0-indices", "tol": "--tol", "order_u": "--order-u",
+         "order_x0": "--order-x0", "horizon": "--tf", "dt": "--dt",
+         **{"model." + key: "--" + key.replace("_", "-") for key in MSD_FIELDS}}
 
-def _flag_error(exc, flags):
-    """``exc``, a ``ConfigError`` naming fields, each renamed to the flag
-    that ``flags`` maps it to; ``exc`` itself when a field has no flag."""
+
+def _flag_error(exc):
+    """The message of ``exc``, with the fields a ``ConfigError`` names
+    renamed to their flags when ``FLAGS`` has each one."""
     keys, _, why = str(exc).partition(": ")
-    keys = keys.split(", ")
-    if all(key in flags for key in keys):
-        return ConfigError(f"{', '.join(flags[key] for key in keys)}: {why}")
-    return exc
-
-
-# the config fields that flags set: build_msd's parameters and x0_indices
-_MODEL_FLAGS = {"x0_indices": "--x0-indices",
-                **{"model." + key: "--" + key.replace("_", "-") for key in MSD_FIELDS}}
-
-
-def _load(model, x0_indices):
-    """``_build_model`` of a model entry; an error names the flag it
-    rejects."""
-    try:
-        return _build_model(_model_spec(model), x0_indices)
-    except ConfigError as exc:
-        raise _flag_error(exc, _MODEL_FLAGS) from None
+    flags = [FLAGS.get(key) for key in keys.split(", ")]
+    if isinstance(exc, ConfigError) and all(flags):
+        return f"{', '.join(flags)}: {why}"
+    return str(exc)
 
 
 def cmd_bench(args):
     spec = {key: value for key, value in vars(args).items() if key in MSD_FIELDS}
-    M, basis = _load({"kind": "msd", **spec}, args.x0_indices or None)
+    M, basis = _build_model(_model_spec({"kind": "msd", **spec}), args.x0_indices or None)
     save_model(M, args.out, basis=basis)
     print(f"wrote order-{M.n} benchmark model to {args.out}")
     return 0
 
 
-def _check_reduce_flags(args):
-    """``ExperimentConfig.from_dict``'s checks of the flags of ``reduce``; an
-    error names the flag it rejects.  augbt has one order, ``--order-u``."""
-    if args.method == "augbt" and args.order_x0 is not None:
-        raise ConfigError("--order-x0: not used by augbt; --order-u sets r_aug")
-    flags = {"tol": args.tol, "order_u": args.order_u, "order_x0": args.order_x0}
-    try:
-        ExperimentConfig.from_dict({"model": args.model, "methods": [args.method], **flags})
-    except ConfigError as exc:
-        raise _flag_error(exc, {key: "--" + key.replace("_", "-") for key in flags}) from None
-
-
 def cmd_reduce(args):
-    _check_reduce_flags(args)
-    M, basis = _load(args.model, args.x0_indices)
+    # augbt has one order, --order-u
+    if args.method == "augbt" and args.order_x0 is not None:
+        raise ConfigError("order_x0: not used by augbt; --order-u sets r_aug")
+    cfg = ExperimentConfig.from_dict({
+        "model": args.model, "methods": [args.method], "x0_indices": args.x0_indices,
+        "tol": args.tol, "order_u": args.order_u, "order_x0": args.order_x0})
+    M, basis = _build_model(cfg.model, cfg.x0_indices)
     if basis is None:
-        print(f"{args.method} needs --x0-indices or a model directory with X0.mtx",
-              file=sys.stderr)
-        return 1
+        raise ConfigError(f"x0_indices: {args.method} needs x0 indices "
+                          "or a model directory with X0.mtx")
     os.makedirs(args.out, exist_ok=True)
-    sel_u = _selection(args.order_u, args.tol)
+    sel_u = _selection(cfg.order_u, cfg.tol)
     if args.method in SPLIT_METHODS:
-        S = split_reduce(M, basis, sel_u, _selection(args.order_x0, args.tol),
+        S = split_reduce(M, basis, sel_u, _selection(cfg.order_x0, cfg.tol),
                          x0_method=SPLIT_METHODS[args.method])
         systems = {"u": S.suy.sys, "x0": S.sxy.sys}
         orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
@@ -114,11 +96,8 @@ def cmd_reduce(args):
 
 
 def cmd_simulate(args):
-    M, basis = _load(args.model, args.x0_indices)
-    try:
-        t_f, dt = _grid(M, args.tf, args.dt)
-    except ConfigError as exc:
-        raise _flag_error(exc, {"horizon": "--tf", "dt": "--dt"}) from None
+    M, basis = _build_model(_model_spec(args.model), args.x0_indices)
+    t_f, dt = _grid(M, args.tf, args.dt)
     u = _build_input({"kind": args.input}, M.m)
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
     tr = simulate(M, u, x0, t_f, dt)
@@ -136,12 +115,9 @@ def cmd_report(args):
         cfg.out = args.out
     rep = run_experiment(cfg)
     files = emit_report(rep, cfg.out)
+    with open(os.path.join(cfg.out, "summary.txt")) as fh:
+        print(fh.read(), end="")
     print(f"wrote {len(files)} files to {cfg.out}")
-    for method, res in rep.report["methods"].items():
-        rel = res.get("rel_l2")
-        rel_s = f"{rel:.3e}" if rel is not None else "n/a"
-        print(f"  {method}: orders={res['orders']} rel_l2={rel_s} "
-              f"bound={res['bound']:.3e} ok={res['bound_ok']}")
     return 0 if rep.bound_ok else 2
 
 
@@ -157,7 +133,7 @@ def build_parser():
     msd = bsub.add_parser("msd", help="coupled mass-spring-damper chain")
     # build_msd's parameters; one not given keeps build_msd's default
     for key, kind in MSD_FIELDS.items():
-        msd.add_argument("--" + key.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
+        msd.add_argument(FLAGS["model." + key], type=kind, default=argparse.SUPPRESS)
     msd.add_argument("--x0-indices", type=int, nargs="*", default=None)
     msd.add_argument("--out", required=True)
     msd.set_defaults(func=cmd_bench)
@@ -199,8 +175,9 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except IcmorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IcmorError, OSError) as exc:
+        # a config file's error names its field, a flag's error the flag
+        print(f"error: {exc if args.verb == 'report' else _flag_error(exc)}", file=sys.stderr)
         return 1
 
 

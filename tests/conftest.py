@@ -17,6 +17,7 @@ projected error, and a direct solve of the augmented Gramian against the
 QR of the two reachability factors that ``abt_reduce`` takes.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -59,6 +60,18 @@ def golden_mismatches(report, name):
 
     walk(golden["report"], report, "")
     return out
+
+
+def _verbs(parser, prefix=()):
+    """Every verb path of ``parser`` and the flags of its parser, such as
+    ``("bench", "msd")`` and ``{"--n-masses", ...}``."""
+    verbs = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags = {s for a in sub._actions for s in a.option_strings}
+                verbs.update(_verbs(sub, prefix + (name,)) or {prefix + (name,): flags})
+    return verbs
 
 
 def make_stable(rng, n, margin=0.3):

@@ -1,6 +1,6 @@
 """The public names: each module's ``__all__`` and the package re-exports,
-no module importing a name it does not use, and LAPACK's ``dtrsyl`` called
-only through ``linalg._trsyl``."""
+no module importing a name it does not use, LAPACK's ``dtrsyl`` called
+only through ``linalg._trsyl``, and stderr written only by ``cli.main``."""
 
 import ast
 import importlib
@@ -59,10 +59,9 @@ def test_every_import_is_used(module):
     assert _unused_imports(importlib.import_module(f"icmor.{module}").__file__) == []
 
 
-def _trsyl_sites(path):
-    """For each reference to LAPACK's ``dtrsyl`` in the module at ``path``
-    (``lapack.dtrsyl``, a bare ``dtrsyl`` or an import of it), the name of
-    the innermost function around it, or ``<module>``."""
+def _sites(path, refers):
+    """For each node of the module at ``path`` that ``refers`` accepts, the
+    name of the innermost function around it, or ``<module>``."""
     with open(path) as fh:
         tree = ast.parse(fh.read())
     sites = []
@@ -72,9 +71,7 @@ def _trsyl_sites(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "dtrsyl"
-                    or isinstance(child, ast.Name) and child.id == "dtrsyl"
-                    or isinstance(child, ast.alias) and child.name.endswith("dtrsyl")):
+            if refers(child):
                 sites.append(where)
             visit(child, where)
 
@@ -82,9 +79,25 @@ def _trsyl_sites(path):
     return sites
 
 
+def _names(child, name):
+    """Whether ``child`` refers to ``name``: ``mod.name``, a bare ``name`` or
+    an import of it."""
+    return (isinstance(child, ast.Attribute) and child.attr == name
+            or isinstance(child, ast.Name) and child.id == name
+            or isinstance(child, ast.alias) and child.name.split(".")[-1] == name)
+
+
 def test_dtrsyl_is_called_only_by_trsyl():
     # linalg._trsyl reads LAPACK's info (a perturbed or illegal solve
     # raises), so every triangular Sylvester solve goes through it
-    sites = {module: _trsyl_sites(importlib.import_module(f"icmor.{module}").__file__)
+    sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__,
+                            lambda child: _names(child, "dtrsyl"))
              for module in MODULES}
     assert {module: s for module, s in sites.items() if s} == {"linalg": ["_trsyl"]}
+
+
+def test_only_cli_main_writes_to_stderr():
+    # every error of the icmor command reaches stderr as main's one line
+    sites = _sites(importlib.import_module("icmor.cli").__file__,
+                   lambda child: _names(child, "stderr"))
+    assert set(sites) == {"main"}

@@ -18,13 +18,13 @@ from icmor import (
     reduction, save_model, unit_vector_basis,
 )
 from icmor._mmio import read_matrix
-from icmor.cli import main
+from icmor.cli import FLAGS, build_parser, main
 from icmor.errors import ConfigError, MaxItersExceeded
 from icmor.experiment import ExperimentConfig, _bound_holds, emit_report, run_experiment
 from icmor.linalg import solve_lyapunov
 from icmor.simulation import l2_norm
 
-from conftest import _rebind_in_icmor, golden_mismatches, record_kernels
+from conftest import _rebind_in_icmor, _verbs, golden_mismatches, record_kernels
 
 
 def small_config(tmp_path, **overrides):
@@ -541,12 +541,43 @@ class TestCliVerbs:
         assert "--order-u sets r_aug" in err[0]
         assert not out.exists()
 
-    def test_reduce_augbt_requires_basis(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["augbt", "bt-bt"])
+    def test_reduce_requires_basis(self, tmp_path, capsys, method):
+        # no --x0-indices, and a model directory without X0.mtx
         model_dir = str(tmp_path / "model")
         save_model(build_msd(5, m_inputs=2), model_dir)
-        rc = main(["reduce", "--model", model_dir, "--method", "augbt",
-                   "--out", str(tmp_path / "red")])
-        assert rc == 1
+        out = tmp_path / "red"
+        assert main(["reduce", "--model", model_dir, "--method", method,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --x0-indices: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "msd", "--n-masses", "3", "--m-inputs", "1", "--out", "{file}"],
+        ["simulate", "--model", "builtin:msd", "--tf", "10", "--out", "{file}/t.csv"],
+        ["reduce", "--model", "builtin:msd", "--x0-indices", "300", "--out", "{file}"],
+        ["report", "--config", "{missing}"],
+    ], ids=["bench-msd", "simulate", "reduce", "report"])
+    def test_unusable_path_is_one_error_line(self, tmp_path, capsys, argv):
+        # an output path that is, or lies under, a regular file, and a config
+        # file that does not exist: an OSError is one line, not a traceback
+        file = tmp_path / "file"
+        file.write_text("")
+        assert main([arg.format(file=file, missing=tmp_path / "no-such.json")
+                     for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert file.read_text() == ""
+
+    def test_flags_match_the_parser(self):
+        # FLAGS names only flags the parser has, and every flag of bench msd,
+        # reduce and simulate that sets a config field
+        verbs = _verbs(build_parser())
+        assert set(FLAGS.values()) <= set().union(*verbs.values())
+        others = {"-h", "--help", "--out", "--model", "--method", "--input"}
+        for verb in [("bench", "msd"), ("reduce",), ("simulate",)]:
+            assert verbs[verb] - others <= set(FLAGS.values()), verb
 
     def test_simulate_writes_csv(self, tmp_path):
         model_dir = str(tmp_path / "model")
@@ -588,7 +619,7 @@ class TestCliVerbs:
         assert len(err) == 1 and err[0].startswith(f"error: {flag}: must be a finite number > 0")
         assert not out.parent.exists()
 
-    def test_report_verb_and_exit_code(self, tmp_path):
+    def test_report_verb_and_exit_code(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:
             json.dump(small_config(tmp_path, methods=["bt-bt"]), fh)
@@ -596,6 +627,12 @@ class TestCliVerbs:
         assert rc == 0
         out = small_config(tmp_path)["out"]
         assert os.path.exists(os.path.join(out, "report.json"))
+        # stdout is the summary table, then the count of files written
+        with open(os.path.join(out, "summary.txt")) as fh:
+            table = fh.read()
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(table)
+        assert stdout[len(table):] == f"wrote {len(os.listdir(out))} files to {out}\n"
 
     def test_report_determinism_across_processes(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

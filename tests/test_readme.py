@@ -2,7 +2,6 @@
 table matches the golden reports, and its module table, command lines and
 config example name what the code defines."""
 
-import argparse
 import dataclasses
 import json
 import re
@@ -14,6 +13,8 @@ import pytest
 
 from icmor import cli
 from icmor.experiment import ExperimentConfig
+
+from conftest import _verbs
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -95,18 +96,6 @@ def test_module_table_names_every_module():
     # a private module is named in the row of the public one that uses it
     assert "`icmor._mmio`" in named["model"]
     assert all(any(f"`icmor.{m}`" in text for text in named.values()) for m in private)
-
-
-def _verbs(parser, prefix=()):
-    """Every verb path of ``parser`` and the flags of its parser, such as
-    ``("bench", "msd")`` and ``{"--n-masses", ...}``."""
-    verbs = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                flags = {s for a in sub._actions for s in a.option_strings}
-                verbs.update(_verbs(sub, prefix + (name,)) or {prefix + (name,): flags})
-    return verbs
 
 
 def test_command_line_block_uses_every_verb():
