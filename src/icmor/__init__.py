@@ -6,14 +6,14 @@ independently, with computable output error bounds and an exact-in-scheme
 simulation engine.
 """
 
-from .bounds import ErrorBudget, abt_bound, aca_bound, bt_bound, split_bound
+from .bounds import ErrorBudget, abt_bound, bt_bound, split_bound
 from .gramians import (
     GramianFactors,
     HankelSpectrum,
     gramian_factors,
     hankel_spectrum,
 )
-from .linalg import matrix_exponential, solve_lyapunov, solve_sylvester, stability_margin
+from .linalg import matrix_exponential, solve_lyapunov, solve_sylvester
 from .model import (
     InitialConditionBasis,
     StateSpaceModel,

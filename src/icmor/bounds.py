@@ -5,14 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingProvenance
-from .model import StateSpaceModel
-from .reduction import OrderSelection, bt_reduce
 
 __all__ = [
     "ErrorBudget",
     "bt_bound",
     "abt_bound",
-    "aca_bound",
     "split_bound",
 ]
 
@@ -64,12 +61,6 @@ def abt_bound(R_abt, u_l2, z0_norm):
     term_x0 = 3.0 * 2.0 ** (-1.0 / 3.0) * inner ** (1.0 / 3.0) \
         * tail_sum ** (2.0 / 3.0) * z0_scaled
     return float(term_u + term_x0), float(term_u), float(term_x0)
-
-
-def aca_bound(Sx0y: StateSpaceModel, r_x0):
-    """H2 norm of the balanced-truncation error of ``Sx0y`` at order
-    ``r_x0``: the ``h2_error`` of ``bt_reduce`` (``projected_h2_error``)."""
-    return bt_reduce(Sx0y, OrderSelection.fixed(r_x0)).h2_error
 
 
 def split_bound(S, u_l2, z0_norm):

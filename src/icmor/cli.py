@@ -100,8 +100,8 @@ def cmd_simulate(args):
     t_f, dt = _grid(M, args.tf, args.dt)
     u = _build_input({"kind": args.input}, M.m)
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
-    tr = simulate(M, u, x0, t_f, dt)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    tr = simulate(M, u, x0, t_f, dt)
     # the output alone: a trace of both parts also carries each part
     _write_trace_csv(args.out, SimulationTrace(t=tr.t, y=tr.y))
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
@@ -113,6 +113,12 @@ def cmd_report(args):
     cfg = ExperimentConfig.from_json(args.config)
     if args.out:
         cfg.out = args.out
+    # an unusable out fails now, with makedirs's error; emit_report makes it
+    head = os.path.abspath(cfg.out)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        os.makedirs(cfg.out, exist_ok=True)
     rep = run_experiment(cfg)
     files = emit_report(rep, cfg.out)
     with open(os.path.join(cfg.out, "summary.txt")) as fh:

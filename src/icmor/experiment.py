@@ -243,13 +243,9 @@ def _grid(M, horizon=None, dt=None):
 
 
 def _bound_holds(abs_l2, bound, y_full_l2):
-    """Whether a measured error norm respects its a priori bound.
-
-    The norm is measured by quadrature on a finite grid, so the check
-    carries a small relative slack for the near-equality cases where the
-    bound is essentially attained, and an absolute floor of rounding size
-    relative to the full output: at r = n the bound is exactly 0.
-    """
+    """Whether the error ``abs_l2``, measured by quadrature, is within
+    ``bound``: with a relative slack of 1e-3 for a bound that is attained,
+    and a floor of rounding size, as at r = n the bound is exactly 0."""
     return bool(abs_l2 <= bound * (1.0 + 1e-3) + 1e-12 * y_full_l2)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "solve_lyapunov",
     "solve_sylvester",
     "matrix_exponential",
-    "stability_margin",
 ]
 
 
@@ -90,14 +89,6 @@ def _as_square(A, name="A"):
     return A
 
 
-def stability_margin(A):
-    """Largest real part of the spectrum of ``A`` (negative for stable A)."""
-    A = _as_square(A)
-    if A.size == 0:
-        return -np.inf
-    return float(np.max(np.linalg.eigvals(A).real))
-
-
 def _is_stable(abscissa, A):
     """Whether the spectral abscissa of ``A`` clears the stability
     tolerance ``-1e-12 max(1, ||A||_F)``; ``A`` may be any orthogonally
@@ -121,7 +112,7 @@ def _trsyl(A, B, C, **kwargs):
     return X if scale == 1.0 else X / scale
 
 
-def _schur_eigvals(T):
+def _schur_spectrum(T):
     """Eigenvalues of a standardized real Schur form, read off its diagonal
     blocks: a 2x2 block ``[[a, b], [c, a]]`` holds ``a +- i sqrt(-bc)``."""
     ev = np.diag(T).astype(complex)
@@ -221,8 +212,8 @@ def solve_sylvester(A, M, K, schur=None, schur_m=None):
         return np.zeros((n, r))
     Ta, Ua = _real_schur(A) if schur is None else schur
     Tm, Um = _real_schur(M) if schur_m is None else schur_m
-    ea = _schur_eigvals(Ta)
-    em = _schur_eigvals(Tm)
+    ea = _schur_spectrum(Ta)
+    em = _schur_spectrum(Tm)
     sep = np.min(np.abs(ea[:, None] + em[None, :]))
     if sep < 1e-12 * max(np.linalg.norm(Ta), np.linalg.norm(M), 1.0):
         raise SpectraOverlap(

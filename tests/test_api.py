@@ -1,6 +1,8 @@
 """The public names: each module's ``__all__`` and the package re-exports,
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
-only through ``linalg._trsyl``, and stderr written only by ``cli.main``."""
+only through ``linalg._trsyl``, no ``eigvals`` beside the Schur forms,
+``bounds`` importing only ``errors``, and stderr written only by
+``cli.main``."""
 
 import ast
 import importlib
@@ -94,6 +96,26 @@ def test_dtrsyl_is_called_only_by_trsyl():
                             lambda child: _names(child, "dtrsyl"))
              for module in MODULES}
     assert {module: s for module, s in sites.items() if s} == {"linalg": ["_trsyl"]}
+
+
+def test_no_module_calls_eigvals():
+    # the stability verdict and the spectral abscissa come off the real
+    # Schur form each StateSpaceModel holds, not off a second spectrum
+    sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__,
+                            lambda child: _names(child, "eigvals"))
+             for module in MODULES}
+    assert {module: s for module, s in sites.items() if s} == {}
+
+
+def test_bounds_imports_only_errors():
+    # bounds holds formulas over the reductions it is given and runs none
+    with open(importlib.import_module("icmor.bounds").__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert {name for name in imported if name.startswith((".", "icmor"))} == {".errors"}
 
 
 def test_only_cli_main_writes_to_stderr():

@@ -10,7 +10,6 @@ from icmor import (
     StateSpaceModel,
     abt_bound,
     abt_reduce,
-    aca_bound,
     bt_bound,
     bt_reduce,
     build_msd,
@@ -118,28 +117,29 @@ class TestAbtBound:
         assert _error_l2(tr, tr_r) <= total
 
 
-class TestAcaBound:
+class TestBtH2Error:
+    """The ``h2_error`` of ``bt_reduce``, the x0-map term e2 of the split
+    bound, against the H2 error of its reduced model."""
+
     def test_reuses_the_factors_of_bt(self, lyapunov_orders):
         M = build_msd(12, m_inputs=3)
         aux = M.with_input(unit_vector_basis(M.n, [24]).X0)
         R = bt_reduce(aux, OrderSelection.tolerance(1e-2))
         del lyapunov_orders[:]
-        aca_bound(aux, R.r)
+        bt_reduce(aux, OrderSelection.fixed(R.r)).h2_error
         # the Gramian factors are bt_reduce's, and the error system's order-r
         # block is a Sylvester solve on the reduced model's Schur form
         assert lyapunov_orders == []
 
     def test_full_order_zero(self, rng):
         M = random_system(rng, 5, 1, 1)
-        bound = aca_bound(M, 5)
-        assert bound == 0.0
+        assert bt_reduce(M, OrderSelection.fixed(5)).h2_error == 0.0
 
     def test_diagonal_system_dominates_h2_error(self):
         M = StateSpaceModel(np.diag([-1.0, -2.0]), np.array([[1.0], [0.5]]),
                             np.array([[1.0, 1.0]]))
-        bound = aca_bound(M, 1)
         R = bt_reduce(M, OrderSelection.fixed(1))
-        assert bound >= h2_error_norm(M, R.sys)
+        assert R.h2_error >= h2_error_norm(M, R.sys)
 
     def test_equals_h2_error_on_a_deflated_system(self):
         # the middle state is unreachable and unobservable, so the numerical
@@ -147,21 +147,20 @@ class TestAcaBound:
         M = StateSpaceModel(np.diag([-1.0, -3.0, -2.0]), np.array([[1.0], [0.0], [1.0]]),
                             np.array([[1.0, 0.0, 1.0]]))
         R = bt_reduce(M, OrderSelection.fixed(1))
-        assert aca_bound(M, 1) == pytest.approx(h2_error_norm(M, R.sys), rel=1e-12)
-        assert aca_bound(M, 1) == pytest.approx(0.0339925223681, rel=1e-10)
+        assert R.h2_error == pytest.approx(h2_error_norm(M, R.sys), rel=1e-12)
+        assert R.h2_error == pytest.approx(0.0339925223681, rel=1e-10)
 
     def test_monte_carlo_validity(self, rng):
         for _ in range(20):
             M = random_system(rng, 8, 1, 1, margin=0.4)
             scale = h2_norm(M)
             for r in range(1, 8):
-                bound = aca_bound(M, r)
                 R = bt_reduce(M, OrderSelection.fixed(r))
                 err = h2_error_norm(M, R.sys)
                 # relative slack plus a floor at the cancellation noise of
                 # the subtraction in h2_error_norm, which differs from
-                # aca_bound by up to 3.7e-8 of the system norm here
-                assert bound >= err * (1.0 - 1e-6) - 5e-8 * scale
+                # h2_error by up to 3.7e-8 of the system norm here
+                assert R.h2_error >= err * (1.0 - 1e-6) - 5e-8 * scale
 
     def test_equals_h2_error_on_case2_x0_map(self):
         # the trace formula is the H2 error of BT itself, not only a bound
@@ -171,8 +170,7 @@ class TestAcaBound:
         aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
         R = bt_reduce(aux, OrderSelection.tolerance(1e-2))
         assert R.r == 20
-        bound = aca_bound(aux, R.r)
-        assert bound == pytest.approx(h2_error_norm(aux, R.sys), rel=1e-9)
+        assert R.h2_error == pytest.approx(h2_error_norm(aux, R.sys), rel=1e-9)
 
 
 class TestSplitBound:
@@ -249,22 +247,22 @@ class TestSplitBound:
 
 class TestBoundMonotonicity:
     def test_tail_bounds_nonincreasing_in_order(self, rng):
-        # the Hankel-tail bound shrinks monotonically as order grows; the
-        # trace bound has a cross term that may wiggle locally, so only its
+        # the Hankel-tail bound shrinks monotonically as order grows; the H2
+        # error of BT has a cross term that may wiggle locally, so only its
         # endpoint behavior is checked
         for _ in range(3):
             M = random_system(rng, 10, 2, 1)
             prev_bt = np.inf
-            aca_vals = []
+            h2_vals = []
             for r in range(1, 10):
                 R = bt_reduce(M, OrderSelection.fixed(r))
                 b = bt_bound(R.spectrum_tail, 1.0)
-                a = aca_bound(M, r)
                 assert b <= prev_bt + 1e-12
                 prev_bt = b
-                aca_vals.append(a)
-            assert aca_vals[-1] <= aca_vals[0] + 1e-12
-            assert aca_bound(M, 10) <= 1e-10 * max(1.0, aca_vals[0])
+                h2_vals.append(R.h2_error)
+            assert h2_vals[-1] <= h2_vals[0] + 1e-12
+            assert bt_reduce(M, OrderSelection.fixed(10)).h2_error \
+                <= 1e-10 * max(1.0, h2_vals[0])
 
 
 def test_error_budget_total():

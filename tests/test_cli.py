@@ -14,7 +14,7 @@ from scipy.linalg import lapack
 
 import icmor
 from icmor import (
-    InitialConditionBasis, OrderSelection, build_msd, experiment, linalg, load_model,
+    InitialConditionBasis, OrderSelection, build_msd, cli, experiment, linalg, load_model,
     reduction, save_model, unit_vector_basis,
 )
 from icmor._mmio import read_matrix
@@ -25,6 +25,10 @@ from icmor.linalg import solve_lyapunov
 from icmor.simulation import l2_norm
 
 from conftest import _rebind_in_icmor, _verbs, golden_mismatches, record_kernels
+
+
+# the chain of the paper's cases 1 and 2
+PAPER_MODEL = {"kind": "msd", "n_masses": 150, "m_inputs": 10}
 
 
 def small_config(tmp_path, **overrides):
@@ -256,7 +260,7 @@ class TestRunExperiment:
 
     def test_one_schur_form_per_state_matrix(self, tmp_path, schur_calls):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
-        # the real forms of A and A^T; IRKA and aca_bound work on the one
+        # the real forms of A and A^T; IRKA and the H2 errors work on the one
         # of A, so no complex form and none of the balanced A (order 24
         # here, as nothing is deflated) is computed.  The order-22 forms
         # are of A11 and of IRKA's candidates.
@@ -333,16 +337,22 @@ class TestGoldenNumbers:
         rep = run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
         assert golden_mismatches(rep.report, "mass12") == []
 
-    def test_one_blas_thread_matches_golden(self, tmp_path):
+    @pytest.mark.parametrize("name, overrides", [
+        ("mass12", {}),
+        # the paper's cases, as test_acceptance runs them
+        ("case1", {"model": PAPER_MODEL, "x0_indices": [300]}),
+        ("case2", {"model": PAPER_MODEL, "x0_indices": [30]}),
+    ], ids=["mass12", "case1", "case2"])
+    def test_one_blas_thread_matches_golden(self, tmp_path, name, overrides):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config(tmp_path)))
+        cfg_path.write_text(json.dumps(small_config(tmp_path, **overrides)))
         src = os.path.dirname(os.path.dirname(os.path.abspath(icmor.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-m", "icmor.cli", "report", "--config", str(cfg_path)],
                        env=env, check=True, capture_output=True)
         report = json.loads((tmp_path / "results" / "report.json").read_text())
-        assert golden_mismatches(report, "mass12") == []
+        assert golden_mismatches(report, name) == []
 
     def test_pool_release_moves_no_bit(self, tmp_path, monkeypatch):
         def files(out):
@@ -558,13 +568,22 @@ class TestCliVerbs:
         ["simulate", "--model", "builtin:msd", "--tf", "10", "--out", "{file}/t.csv"],
         ["reduce", "--model", "builtin:msd", "--x0-indices", "300", "--out", "{file}"],
         ["report", "--config", "{missing}"],
-    ], ids=["bench-msd", "simulate", "reduce", "report"])
-    def test_unusable_path_is_one_error_line(self, tmp_path, capsys, argv):
+        ["report", "--config", "{config}", "--out", "{file}"],
+    ], ids=["bench-msd", "simulate", "reduce", "report", "report-out"])
+    def test_unusable_path_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
         # an output path that is, or lies under, a regular file, and a config
-        # file that does not exist: an OSError is one line, not a traceback
+        # file that does not exist: an OSError is one line, not a traceback,
+        # and it is found before the experiment or the simulation runs
+        def ran(*args, **kwargs):
+            pytest.fail("the work ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", ran)
+        monkeypatch.setattr(cli, "simulate", ran)
         file = tmp_path / "file"
         file.write_text("")
-        assert main([arg.format(file=file, missing=tmp_path / "no-such.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(small_config(tmp_path)))
+        assert main([arg.format(file=file, missing=tmp_path / "no-such.json", config=config)
                      for arg in argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -18,7 +18,6 @@ from icmor import (
     matrix_exponential,
     solve_lyapunov,
     solve_sylvester,
-    stability_margin,
     suggest_grid,
 )
 from icmor.errors import (
@@ -31,7 +30,7 @@ from icmor.errors import (
 from icmor.linalg import (
     _is_stable,
     _real_columns,
-    _schur_eigvals,
+    _schur_spectrum,
     _sqrt_factor,
     shifted_solve,
 )
@@ -227,13 +226,6 @@ class TestMatrixExponential:
             matrix_exponential(np.eye(2), np.inf)
 
 
-def test_stability_margin_matches_eigenvalues(rng):
-    A = make_stable(rng, 8)
-    assert stability_margin(A) == pytest.approx(
-        np.max(np.linalg.eigvals(A).real), abs=1e-12
-    )
-
-
 class TestShiftedSolve:
     """The real shifted solve on the real Schur form against one dense solve
     per shift."""
@@ -340,14 +332,14 @@ def test_schur_block_eigenvalues(rng):
     blocks = sla.block_diag([[-1.0]], [[-0.5, 2.0], [-3.0, -0.5]], [[-2.0]],
                             [[-0.1, 1.0], [-4.0, -0.1]], [[-3.0]], [[0.2, 5.0], [-0.5, 0.2]],
                             [[-4.0]])
-    assert np.array_equal(_schur_eigvals(blocks), np.array(
+    assert np.array_equal(_schur_spectrum(blocks), np.array(
         [-1, -0.5 + np.sqrt(6) * 1j, -0.5 - np.sqrt(6) * 1j, -2, -0.1 + 2j, -0.1 - 2j, -3,
          0.2 + np.sqrt(2.5) * 1j, 0.2 - np.sqrt(2.5) * 1j, -4]))
     Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
     for A in (make_stable(rng, 12), np.array([[0.1, 1.0], [-1.0, 0.1]]),
               np.diag([-1.0, -2.0]), Q @ blocks @ Q.T):
         T, _ = sla.schur(A, output="real")
-        ev = np.sort_complex(_schur_eigvals(T))
+        ev = np.sort_complex(_schur_spectrum(T))
         assert np.allclose(ev, np.sort_complex(np.linalg.eigvals(A)), atol=1e-10)
 
 

@@ -1,9 +1,11 @@
 """README.md says what the code does: its library example runs, its results
-table matches the golden reports, and its module table, command lines and
-config example name what the code defines."""
+table matches the golden reports, and its module table, command lines,
+config example, calls and private names name what the code defines."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from decimal import Decimal
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import icmor
 from icmor import cli
 from icmor.experiment import ExperimentConfig
 
@@ -96,6 +99,31 @@ def test_module_table_names_every_module():
     # a private module is named in the row of the public one that uses it
     assert "`icmor._mmio`" in named["model"]
     assert all(any(f"`icmor.{m}`" in text for text in named.values()) for m in private)
+
+
+def _defined_names():
+    """Every attribute of the package and its modules, and of each class
+    one of them defines."""
+    modules = [icmor] + [importlib.import_module(f"icmor.{info.name}")
+                         for info in pkgutil.iter_modules(icmor.__path__)]
+    names = set()
+    for mod in modules:
+        names |= set(dir(mod))
+        names.update(*(dir(value) for value in vars(mod).values()
+                       if isinstance(value, type) and value.__module__ == mod.__name__))
+    return names
+
+
+def test_calls_and_private_names_exist():
+    # each name written as a call, `name(` or `obj.name(`, and each private
+    # name, `_name` or `module._name`, is one the code defines
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", text)
+    calls = {name for span in spans for name in re.findall(r"(\w+)\(", span)}
+    private = {span.rpartition(".")[2] for span in spans
+               if re.fullmatch(r"(\w+\.)*_\w+", span)}
+    assert calls and private
+    assert (calls | private) - _defined_names() == set()
 
 
 def test_command_line_block_uses_every_verb():
