@@ -49,6 +49,8 @@ def read_matrix(path):
         dims = [int(s) for s in sizes]
     except ValueError:
         raise ParseError(f"bad size line '{size_line}'", path=path, line=size_line_no)
+    if min(dims) < 0:
+        raise ParseError(f"negative size in '{size_line}'", path=path, line=size_line_no)
 
     if fmt == "array":
         if len(dims) != 2:

@@ -20,7 +20,6 @@ import numpy as np
 from ._mmio import write_matrix
 from .errors import ConfigError, IcmorError
 from .experiment import (
-    INPUT_KINDS,
     KNOWN_METHODS,
     MSD_FIELDS,
     SPLIT_METHODS,
@@ -36,7 +35,7 @@ from .experiment import (
 )
 from .model import save_model
 from .reduction import abt_reduce, split_reduce
-from .simulation import SimulationTrace, l2_norm, linf_norm, simulate
+from .simulation import INPUT_KINDS, SimulationTrace, l2_norm, linf_norm, simulate
 
 # the flag that sets each config field: the x0 indices, the orders and grid
 # of reduce and simulate, and build_msd's parameters

@@ -25,6 +25,7 @@ from .model import (
 from .reduction import OrderSelection, abt_reduce, bt_reduce, split_from_bt
 from .simulation import (
     GRID_SAMPLES,
+    INPUT_KINDS,
     InputSignal,
     SimulationTrace,
     l2_norm,
@@ -41,8 +42,6 @@ __all__ = ["ExperimentConfig", "ReductionReport", "run_experiment", "emit_report
 # ``icmor reduce``'s default.
 SPLIT_METHODS = {"bt-bt": "bt", "bt-irka": "irka"}
 KNOWN_METHODS = (*SPLIT_METHODS, "augbt")
-# the InputSignal constructors a config may name; the first is the default
-INPUT_KINDS = ("decaying_pulses", "decaying_sinusoid", "zero")
 
 
 @dataclass
@@ -225,9 +224,10 @@ def _selection(order, tol):
 
 def _grid(M, horizon=None, dt=None):
     """Horizon and step: the decay horizon of ``M``, or the given horizon,
-    with ``GRID_SAMPLES`` steps; a given ``dt`` overrides the step.  A horizon
-    or step that is not a finite number > 0, or a step that rounds to no step
-    on the horizon, raises ``ConfigError`` naming ``horizon`` or ``dt``."""
+    with ``GRID_SAMPLES`` steps; a given ``dt`` is rounded to a whole number
+    of steps on the horizon.  A horizon or step that is not a finite number
+    > 0, or a step that rounds to no step on the horizon, raises
+    ``ConfigError`` naming ``horizon`` or ``dt``."""
     t_f, step = suggest_grid(M)
     if horizon is not None:
         t_f = float(horizon)
@@ -237,9 +237,10 @@ def _grid(M, horizon=None, dt=None):
     for key, value in (("horizon", t_f), ("dt", step)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{key}: must be a finite number > 0, got {value!r}")
-    if round(t_f / step) < 1:
+    steps = round(t_f / step)
+    if steps < 1:
         raise ConfigError(f"dt: {step!r} gives no step on the horizon t_f = {t_f!r}")
-    return t_f, step
+    return t_f, t_f / steps
 
 
 def _bound_holds(abs_l2, bound, y_full_l2):
@@ -406,17 +407,12 @@ def emit_report(rep: ReductionReport, out_dir):
         json.dump(rep.timings, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    # hsv.csv: index, sigma, theta, eta (ragged columns padded with blanks)
-    hsv = rep.hsv
-    n_rows = max((len(v) for v in hsv.values()), default=0)
-    with open(os.path.join(out_dir, "hsv.csv"), "w") as fh:
-        fh.write("index,sigma,theta,eta\n")
-        for i in range(n_rows):
-            vals = [
-                f"{hsv[k][i]:.16e}" if i < len(hsv[k]) else ""
-                for k in ("sigma", "theta", "eta")
-            ]
-            fh.write(f"{i + 1}," + ",".join(vals) + "\n")
+    # hsv.csv: index, sigma, theta, eta; each is the SVD of an n x n product
+    cols = [rep.hsv[k] for k in ("sigma", "theta", "eta")]
+    np.savetxt(os.path.join(out_dir, "hsv.csv"),
+               np.column_stack([np.arange(1, len(cols[0]) + 1), *cols]),
+               fmt=["%d"] + ["%.16e"] * 3, delimiter=",",
+               header="index,sigma,theta,eta", comments="")
 
     tr_full = rep.traces["full"]
     _write_trace_csv(os.path.join(out_dir, "trace_full.csv"), tr_full)

@@ -31,16 +31,18 @@ __all__ = [
 
 
 class _Shared:
-    """The real Schur form of ``A``, the spectral abscissa read off it, and
-    the observability factor ``L`` of ``(A, C)``, for a model and those
-    ``with_input`` derives from it.  It refers to no model, so a dropped
-    model is freed at once (no cycle)."""
+    """The real Schur form of ``A``, the spectral abscissa read off it and
+    its stability verdict, and the observability factor ``L`` of ``(A, C)``,
+    for a model and those ``with_input`` derives from it.  It refers to no
+    model, so a dropped model is freed at once (no cycle)."""
 
     def __init__(self, A, C):
         self.A, self.C, self.L = A, C, None
         self.real_schur = _real_schur(A) if A.size else (np.zeros((0, 0)),) * 2
         # a standardized form's diagonal holds the spectrum's real parts
         self.abscissa = float(np.max(np.diag(self.real_schur[0]), initial=-np.inf))
+        if A.size and not _is_stable(self.abscissa, A):
+            raise NotStable(f"A has stability margin {self.abscissa:.3e}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,6 @@ class StateSpaceModel:
         shared = self._shared
         if shared is None or shared.A is not A or shared.C is not C:
             shared = _Shared(A, C)
-        if n > 0 and not _is_stable(shared.abscissa, A):
-            raise NotStable(f"A has stability margin {shared.abscissa:.3e}")
         for name, value in (("A", A), ("B", B), ("C", C), ("_shared", shared),
                             ("abscissa", shared.abscissa)):
             object.__setattr__(self, name, value)
@@ -141,9 +141,8 @@ class InitialConditionBasis:
         if X0.shape[1] > 0:
             sv = np.linalg.svd(X0, compute_uv=False)
             if sv[-1] <= 1e-12 * sv[0]:
-                raise InvalidParameter(
-                    f"X0 is numerically rank deficient (sv ratio {sv[-1] / sv[0]:.2e})"
-                )
+                raise InvalidParameter(f"X0 is numerically rank deficient (singular "
+                                       f"values {sv[0]:.2e} down to {sv[-1]:.2e})")
         object.__setattr__(self, "X0", X0)
 
     @property

@@ -17,6 +17,7 @@ from .linalg import matrix_exponential
 from .model import StateSpaceModel, coordinates_of
 
 __all__ = [
+    "INPUT_KINDS",
     "InputSignal",
     "SimulationTrace",
     "foh_weights",
@@ -28,17 +29,21 @@ __all__ = [
 ]
 
 
+# the InputSignal constructors a config may name; the first is the default
+INPUT_KINDS = ("decaying_pulses", "decaying_sinusoid", "zero")
+
+
 @dataclass(frozen=True)
 class InputSignal:
-    """Finite-energy input on [0, T]; evaluated pointwise on demand."""
+    """Finite-energy input on [0, T] with ``m`` channels; ``f``, built by its
+    constructor, maps times ``t`` to ``(len(t), m)`` samples (None: zero)."""
 
-    kind: str
     m: int
-    params: dict = field(default_factory=dict)
+    f: object = None
 
     @classmethod
     def zero(cls, m):
-        return cls("zero", m)
+        return cls(m)
 
     @classmethod
     def decaying_pulses(cls, m, amplitude=1.0, decay=0.05, period=15.0,
@@ -48,17 +53,28 @@ class InputSignal:
         for key, value in (("period", period), ("width", width)):
             if not value > 0:
                 raise InvalidParameter(f"{key}: must be > 0, got {value!r}")
-        return cls("decaying_pulses", m, dict(
-            amplitude=float(amplitude), decay=float(decay),
-            period=float(period), width=float(width), start=float(start)))
+        amplitude, decay, period, start = map(float, (amplitude, decay, period, start))
+        w = float(width) / 2.0  # the half-width of each pulse
+
+        def f(t):
+            sig = np.zeros_like(t)
+            for tc in np.arange(start, t.max() + period, period):
+                amp = amplitude * np.exp(-decay * tc)
+                sig += amp * np.clip(1.0 - np.abs(t - tc) / w, 0.0, None)
+            return np.repeat(sig[:, None], m, axis=1)
+        return cls(m, f)
 
     @classmethod
     def decaying_sinusoid(cls, m, amplitude=1.0, decay=0.05, freq=0.2,
                           freq_spread=0.5):
         """Exponentially decaying sinusoids, one frequency per channel."""
-        return cls("decaying_sinusoid", m, dict(
-            amplitude=float(amplitude), decay=float(decay),
-            freq=float(freq), freq_spread=float(freq_spread)))
+        amplitude, decay = float(amplitude), float(decay)
+        freqs = [float(freq) * (1.0 + float(freq_spread) * j / max(m - 1, 1)) for j in range(m)]
+
+        def f(t):
+            env = amplitude * np.exp(-decay * t)
+            return np.column_stack([env * np.sin(2.0 * np.pi * fj * t) for fj in freqs])
+        return cls(m, f)
 
     @classmethod
     def sampled(cls, t, values):
@@ -68,35 +84,14 @@ class InputSignal:
             values = values.T
         if values.shape[0] != t.shape[0]:
             raise InvalidParameter("sample count mismatch")
-        return cls("sampled", values.shape[1], dict(t=t, values=values))
+        return cls(values.shape[1],
+                   lambda s: np.column_stack([np.interp(s, t, v) for v in values.T]))
 
     def __call__(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((t.shape[0], self.m))
-        if self.kind == "zero" or self.m == 0:
-            return out
-        p = self.params
-        if self.kind == "decaying_pulses":
-            # triangular bump of half-width w around each pulse center
-            w = p["width"] / 2.0
-            centers = np.arange(p["start"], t.max() + p["period"], p["period"])
-            sig = np.zeros_like(t)
-            for tc in centers:
-                amp = p["amplitude"] * np.exp(-p["decay"] * tc)
-                sig += amp * np.clip(1.0 - np.abs(t - tc) / w, 0.0, None)
-            out[:] = sig[:, None]
-            return out
-        if self.kind == "decaying_sinusoid":
-            env = p["amplitude"] * np.exp(-p["decay"] * t)
-            for j in range(self.m):
-                f = p["freq"] * (1.0 + p["freq_spread"] * j / max(self.m - 1, 1))
-                out[:, j] = env * np.sin(2.0 * np.pi * f * t)
-            return out
-        if self.kind == "sampled":
-            for j in range(self.m):
-                out[:, j] = np.interp(t, p["t"], p["values"][:, j])
-            return out
-        raise InvalidParameter(f"unknown input kind '{self.kind}'")
+        if self.f is None or self.m == 0:
+            return np.zeros((t.shape[0], self.m))
+        return self.f(t)
 
     def l2_norm(self, t_f, dt):
         """L2 norm over [0, t_f] by trapezoidal quadrature at ``dt / 10``."""
@@ -214,7 +209,7 @@ def _lifted_steps(A, B, C, u, X0, t, dt):
     ``X0``; ``u`` drives the first only."""
     S, n, p = X0.shape[0], A.shape[0], C.shape[0]
     N = t.shape[0] - 1
-    if u.kind == "zero":
+    if u.f is None:
         B = B[:, :0]
     m = B.shape[1]
     L = max(1, int(np.ceil(np.sqrt(N / max(m + p, 1)))))

@@ -1,8 +1,8 @@
 """The public names: each module's ``__all__`` and the package re-exports,
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
 only through ``linalg._trsyl``, no ``eigvals`` beside the Schur forms,
-``bounds`` importing only ``errors``, and stderr written only by
-``cli.main``."""
+``bounds`` importing only ``errors``, one table of input kinds, and stderr
+written only by ``cli.main``."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import pkgutil
 import pytest
 
 import icmor
+from icmor.simulation import INPUT_KINDS
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(icmor.__path__))
 
@@ -116,6 +117,24 @@ def test_bounds_imports_only_errors():
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names}
     assert {name for name in imported if name.startswith((".", "icmor"))} == {".errors"}
+
+
+def test_input_kinds_are_one_table_in_simulation():
+    # a signal holds the evaluator its constructor built: the kinds are
+    # assigned once, beside the constructors, and no module compares one
+    def assigns(child):
+        return isinstance(child, ast.Name) and child.id == "INPUT_KINDS" \
+            and isinstance(child.ctx, ast.Store)
+
+    def compares_a_kind(child):
+        return isinstance(child, ast.Compare) and any(
+            isinstance(side, ast.Constant) and side.value in (*INPUT_KINDS, "sampled")
+            for side in (child.left, *child.comparators))
+
+    for refers, want in ((assigns, {"simulation": ["<module>"]}), (compares_a_kind, {})):
+        sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__, refers)
+                 for module in MODULES}
+        assert {module: s for module, s in sites.items() if s} == want
 
 
 def test_only_cli_main_writes_to_stderr():

@@ -1,5 +1,7 @@
 """CLI verbs and the experiment harness."""
 
+import argparse
+import inspect
 import json
 import os
 import re
@@ -14,13 +16,15 @@ from scipy.linalg import lapack
 
 import icmor
 from icmor import (
-    InitialConditionBasis, OrderSelection, build_msd, cli, experiment, linalg, load_model,
-    reduction, save_model, unit_vector_basis,
+    InitialConditionBasis, InputSignal, OrderSelection, build_msd, cli, experiment, linalg,
+    load_model, reduction, save_model, simulation, unit_vector_basis,
 )
-from icmor._mmio import read_matrix
+from icmor._mmio import read_matrix, write_matrix
 from icmor.cli import FLAGS, build_parser, main
 from icmor.errors import ConfigError, MaxItersExceeded
-from icmor.experiment import ExperimentConfig, _bound_holds, emit_report, run_experiment
+from icmor.experiment import (
+    ExperimentConfig, _bound_holds, _grid, emit_report, run_experiment,
+)
 from icmor.linalg import solve_lyapunov
 from icmor.simulation import l2_norm
 
@@ -246,6 +250,25 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="^dt: "):
             run_experiment(cfg)
 
+    def test_trace_ends_at_the_horizon(self, tmp_path):
+        # dt = 0.35 does not divide 100: it is rounded to 286 steps
+        cfg = ExperimentConfig.from_dict(small_config(
+            tmp_path, model={"kind": "msd", "n_masses": 6, "m_inputs": 2},
+            x0_indices=[12], methods=["bt-bt", "augbt"], horizon=100.0, dt=0.35))
+        rep = run_experiment(cfg)
+        grid = rep.report["grid"]
+        assert grid == {"t_f": 100.0, "dt": 100.0 / 286}
+        for tr in rep.traces.values():
+            assert len(tr.t) == 287 and tr.t[-1] == pytest.approx(grid["t_f"], rel=1e-14)
+
+    def test_step_that_divides_the_horizon_is_kept(self):
+        # a dt that divides the horizon, and the default step, keep their bits
+        M = build_msd(6, m_inputs=2)
+        for t_f, dt in ((100.0, 0.1), (100.0, 0.5), (30.0, 0.075)):
+            assert _grid(M, t_f, dt) == (t_f, dt)
+        assert _grid(M) == simulation.suggest_grid(M)
+        assert _grid(M, 100.0) == (100.0, 100.0 / simulation.GRID_SAMPLES)
+
     def test_bound_floor_is_rounding_size(self):
         assert _bound_holds(1e-12, 0.0, 1.0)
         assert not _bound_holds(2e-12, 0.0, 1.0)
@@ -437,6 +460,57 @@ class TestCliVerbs:
         assert len(err) == 1 and err[0].startswith("error: model.path")
         assert lacking is None or lacking in err[0]
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name, text", [
+        ("A.mtx", "%%MatrixMarket matrix coordinate real general\n-1 6 0\n"),
+        ("B.mtx", "%%MatrixMarket matrix array real general\n-1 -2\n1\n2\n"),
+        ("C.mtx", "%%MatrixMarket matrix array real symmetric\n-1 3\n"),
+    ], ids=["coordinate", "array", "array-symmetric"])
+    def test_negative_size_is_one_error_line(self, tmp_path, capsys, name, text):
+        model = tmp_path / "model"
+        save_model(build_msd(3, m_inputs=1), str(model))
+        (model / name).write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(tmp_path, model=str(model), x0_indices=[1])))
+        assert main(["report", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{name}:2: negative size" in err[0]
+        assert not (tmp_path / "results").exists()
+
+    def test_zero_initial_condition_basis_is_one_error_line(self, tmp_path, capsys):
+        model = str(tmp_path / "model")
+        save_model(build_msd(3, m_inputs=1), model)
+        write_matrix(os.path.join(model, "X0.mtx"), np.zeros((6, 1)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(tmp_path, model=model, x0_indices=None)))
+        assert main(["report", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: X0 is numerically rank deficient")
+        assert "nan" not in err[0]
+
+    def test_one_table_of_input_kinds(self, tmp_path):
+        # the --input choices and the kinds a config may name are
+        # simulation.INPUT_KINDS, each an InputSignal constructor of m
+        kinds = simulation.INPUT_KINDS
+        parser = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices["simulate"]
+        flag = next(a for a in parser._actions if "--input" in a.option_strings)
+        assert flag.choices == kinds and flag.default == kinds[0]
+
+        def accepted(kind):
+            try:
+                ExperimentConfig.from_dict(small_config(tmp_path, input={"kind": kind}))
+            except ConfigError:
+                return False
+            return True
+
+        names = [name for name in vars(InputSignal) if not name.startswith("_")]
+        assert {name for name in names + ["bogus"] if accepted(name)} == set(kinds)
+        assert ExperimentConfig.from_dict({"model": "builtin:msd", "methods": ["bt-bt"]}).input \
+            == {"kind": kinds[0]}
+        for kind in kinds:
+            assert next(iter(inspect.signature(getattr(InputSignal, kind)).parameters)) == "m"
 
     @pytest.mark.parametrize("flag, value", [
         ("--order-u", "-1"), ("--order-x0", "-1"), ("--tol", "0")])

@@ -24,7 +24,9 @@ from icmor.errors import (
     ParseError,
 )
 
+from icmor import model
 from icmor._mmio import read_matrix
+from icmor.linalg import _is_stable
 
 from conftest import near_margin
 
@@ -68,6 +70,14 @@ class TestWithInput:
         assert schur_calls == [12]
         assert (aux.A is M.A) and (aux.C is M.C) and aux.m == 1
         assert aux.abscissa == M.abscissa and aux.real_schur is M.real_schur
+
+    def test_one_stability_verdict_per_state_matrix(self, monkeypatch):
+        # the verdict is made with the shared Schur form, not per model
+        calls = []
+        monkeypatch.setattr(model, "_is_stable", lambda *args: calls.append(1) or _is_stable(*args))
+        M = build_msd(6, m_inputs=2)
+        M.with_input(unit_vector_basis(M.n, [12]).X0)
+        assert len(calls) == 1
 
     def test_input_is_still_checked(self):
         M = build_msd(6, m_inputs=2)
@@ -178,6 +188,11 @@ class TestBasisRank:
         X0 = np.ones((4, 2))
         with pytest.raises(InvalidParameter):
             InitialConditionBasis(X0)
+
+    def test_zero_column_rejected_without_dividing_by_zero(self):
+        # RuntimeWarnings are errors here, so a 0 / 0 would fail this test
+        with pytest.raises(InvalidParameter, match=r"singular values 0\.00e\+00"):
+            InitialConditionBasis(np.zeros((4, 1)))
 
 
 class TestModelFiles:

@@ -1,5 +1,7 @@
 """Simulation engine, the reduced online phase, and signal norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -51,6 +53,46 @@ class TestInputSignal:
     def test_pulses_need_positive_period_and_width(self, key, value):
         with pytest.raises(InvalidParameter, match=rf"^{key}: must be > 0"):
             InputSignal.decaying_pulses(2, **{key: value})
+
+    def test_is_its_channel_count_and_evaluator(self):
+        # no kind string and no parameters: the constructor built f, which
+        # the zero input has none of
+        for u in (InputSignal.zero(2), InputSignal.decaying_pulses(2),
+                  InputSignal.decaying_sinusoid(2), InputSignal.sampled([0.0, 1.0], [1.0, 2.0])):
+            assert [f.name for f in dataclasses.fields(u)] == ["m", "f"]
+        assert InputSignal.zero(2).f is None
+        assert np.array_equal(InputSignal.zero(2)(np.arange(3.0)), np.zeros((3, 2)))
+
+    def test_pulse_heights_at_their_centres(self):
+        # amplitude exp(-decay t_c) at each centre t_c = start + k period, in
+        # every channel, and 0 half a width away
+        amplitude, decay, period, width, start = 2.0, 0.1, 5.0, 1.0, 1.0
+        u = InputSignal.decaying_pulses(3, amplitude, decay, period, width, start)
+        t_c = start + period * np.arange(4)
+        y = u(np.concatenate([t_c, t_c - width / 2, t_c + width / 2]))
+        assert y.shape == (12, 3) and np.all(y == y[:, :1])
+        np.testing.assert_allclose(y[:4, 0], amplitude * np.exp(-decay * t_c), rtol=1e-15)
+        assert np.all(y[4:] == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_sinusoid_frequency_per_channel(self, m):
+        # channel j oscillates at freq (1 + freq_spread j / (m - 1))
+        amplitude, decay, freq, spread = 1.5, 0.05, 0.2, 0.5
+        u = InputSignal.decaying_sinusoid(m, amplitude, decay, freq, spread)
+        t = np.linspace(0.0, 40.0, 801)
+        f = freq * (1.0 + spread * np.arange(m) / max(m - 1, 1))
+        want = amplitude * np.exp(-decay * t)[:, None] * np.sin(2.0 * np.pi * f * t[:, None])
+        np.testing.assert_allclose(u(t), want, rtol=1e-12, atol=1e-15)
+
+    def test_sampled_interpolates_each_channel(self):
+        t = np.array([0.0, 1.0, 3.0])
+        values = np.array([[0.0, 2.0], [1.0, 0.0], [-1.0, 4.0]])
+        u = InputSignal.sampled(t, values)
+        s = np.array([0.5, 2.0, 3.0, 5.0])
+        want = [[0.5, 1.0], [0.0, 2.0], [-1.0, 4.0], [-1.0, 4.0]]
+        assert u.m == 2 and np.array_equal(u(s), want)
+        # the samples of each channel as a row give the same input
+        assert np.array_equal(InputSignal.sampled(t, values.T)(s), want)
 
 
 class TestSimulate:
