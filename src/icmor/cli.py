@@ -29,13 +29,13 @@ from .experiment import (
     _grid,
     _model_spec,
     _selection,
-    _write_trace_csv,
+    _write_csv,
     emit_report,
     run_experiment,
 )
 from .model import save_model
 from .reduction import abt_reduce, split_reduce
-from .simulation import INPUT_KINDS, SimulationTrace, l2_norm, linf_norm, simulate
+from .simulation import INPUT_KINDS, l2_norm, linf_norm, simulate
 
 # the flag that sets each config field: the x0 indices, the orders and grid
 # of reduce and simulate, and build_msd's parameters
@@ -101,8 +101,7 @@ def cmd_simulate(args):
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     tr = simulate(M, u, x0, t_f, dt)
-    # the output alone: a trace of both parts also carries each part
-    _write_trace_csv(args.out, SimulationTrace(t=tr.t, y=tr.y))
+    _write_csv(args.out, tr.t, ("y", tr.y))
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
           f"L2={l2_norm(tr):.6g} Linf={linf_norm(tr):.6g}; wrote {args.out}")
     return 0

@@ -112,7 +112,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc})")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReductionReport:
     """Machine-readable experiment outcome plus the arrays behind it."""
 
@@ -226,8 +226,8 @@ def _grid(M, horizon=None, dt=None):
     """Horizon and step: the decay horizon of ``M``, or the given horizon,
     with ``GRID_SAMPLES`` steps; a given ``dt`` is rounded to a whole number
     of steps on the horizon.  A horizon or step that is not a finite number
-    > 0, or a step that rounds to no step on the horizon, raises
-    ``ConfigError`` naming ``horizon`` or ``dt``."""
+    > 0, or a step that rounds to no step on the horizon or to a count that
+    overflows, raises ``ConfigError`` naming ``horizon`` or ``dt``."""
     t_f, step = suggest_grid(M)
     if horizon is not None:
         t_f = float(horizon)
@@ -237,10 +237,11 @@ def _grid(M, horizon=None, dt=None):
     for key, value in (("horizon", t_f), ("dt", step)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{key}: must be a finite number > 0, got {value!r}")
-    steps = round(t_f / step)
-    if steps < 1:
-        raise ConfigError(f"dt: {step!r} gives no step on the horizon t_f = {t_f!r}")
-    return t_f, t_f / steps
+    steps = t_f / step  # inf when the quotient overflows
+    if not 0.5 < steps < math.inf:  # round(steps) >= 1 iff steps > 0.5
+        why = "no step" if steps <= 0.5 else "a step count that overflows"
+        raise ConfigError(f"dt: {step!r} gives {why} on the horizon t_f = {t_f!r}")
+    return t_f, t_f / round(steps)
 
 
 def _bound_holds(abs_l2, bound, y_full_l2):
@@ -381,18 +382,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     )
 
 
-def _write_trace_csv(path, tr):
-    p = tr.y.shape[1]
-    cols = [tr.t] + [tr.y[:, j] for j in range(p)]
-    header = ["t"] + [f"y{j + 1}" for j in range(p)]
-    if tr.components:
-        for name_prefix, arr in (("yu", tr.components["y_u"]),
-                                 ("yx0", tr.components["y_x0"])):
-            for j in range(arr.shape[1]):
-                header.append(f"{name_prefix}_{j + 1}")
-                cols.append(arr[:, j])
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
+def _write_csv(path, t, *columns):
+    """Write the column ``t`` and the columns of each ``(prefix, array)``,
+    headed ``t`` and ``<prefix><j>``, ``j`` from 1, as CSV at ``path``."""
+    header = ["t"] + [f"{prefix}{j + 1}" for prefix, arr in columns for j in range(arr.shape[1])]
+    np.savetxt(path, np.column_stack([t, *(arr for _, arr in columns)]),
+               delimiter=",", header=",".join(header), comments="")
 
 
 def emit_report(rep: ReductionReport, out_dir):
@@ -400,12 +395,10 @@ def emit_report(rep: ReductionReport, out_dir):
     error signals, and wall-clock timings."""
     os.makedirs(out_dir, exist_ok=True)
 
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(rep.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "timings.json"), "w") as fh:
-        json.dump(rep.timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, data in (("report.json", rep.report), ("timings.json", rep.timings)):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     # hsv.csv: index, sigma, theta, eta; each is the SVD of an n x n product
     cols = [rep.hsv[k] for k in ("sigma", "theta", "eta")]
@@ -414,18 +407,13 @@ def emit_report(rep: ReductionReport, out_dir):
                fmt=["%d"] + ["%.16e"] * 3, delimiter=",",
                header="index,sigma,theta,eta", comments="")
 
-    tr_full = rep.traces["full"]
-    _write_trace_csv(os.path.join(out_dir, "trace_full.csv"), tr_full)
-    for method, res in rep.report["methods"].items():
-        tr = rep.traces[method]
-        _write_trace_csv(os.path.join(out_dir, f"trace_{method}.csv"), tr)
-        err = tr_full.y - tr.y
-        header = ["t"] + [f"e{j + 1}" for j in range(err.shape[1])]
-        np.savetxt(
-            os.path.join(out_dir, f"error_{method}.csv"),
-            np.column_stack([tr.t, err]),
-            delimiter=",", header=",".join(header), comments="",
-        )
+    # each trace of a run carries its two components
+    full = rep.traces["full"]
+    for name, tr in rep.traces.items():
+        _write_csv(os.path.join(out_dir, f"trace_{name}.csv"), tr.t, ("y", tr.y),
+                   ("yu_", tr.components["y_u"]), ("yx0_", tr.components["y_x0"]))
+        if tr is not full:
+            _write_csv(os.path.join(out_dir, f"error_{name}.csv"), tr.t, ("e", full.y - tr.y))
 
     methods = list(rep.report["methods"])
     lines = []

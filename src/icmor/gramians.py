@@ -17,7 +17,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianFactors:
     """Square-root factors ``P = U U^T`` (reachability), ``Q = L L^T``
     (observability)."""
@@ -26,7 +26,7 @@ class GramianFactors:
     L: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HankelSpectrum:
     """SVD of ``U^T L``: descending singular values and orthogonal factors."""
 

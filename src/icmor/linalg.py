@@ -101,7 +101,10 @@ def _is_stable(abscissa, A):
 def _trsyl(A, B, C, **kwargs):
     """``X / scale`` of ``lapack.dtrsyl(A, B, C, **kwargs)``, ``op(A) X + isgn X op(B) =
     scale C``; ``SpectraOverlap`` when ``info = 1`` (``A`` and ``-isgn B`` (nearly) share an
-    eigenvalue, which LAPACK perturbed), ``ValueError`` naming the illegal argument if < 0."""
+    eigenvalue, which LAPACK perturbed), ``ValueError`` naming the illegal argument if < 0.
+    An empty ``C``, which LAPACK rejects, is its own solution."""
+    if C.size == 0:
+        return C
     X, scale, info = lapack.dtrsyl(A, B, C, **kwargs)
     if info < 0:
         arg = ("trana", "tranb", "isgn", "m", "n", "a", "lda", "b", "ldb", "c", "ldc")[-info - 1]
@@ -159,10 +162,8 @@ def shifted_solve(T, shifts, K, transpose=False):
 def _sqrt_factor(P, name):
     """``U = V diag(sqrt(w))`` from ``eigh``, ``P = V diag(w) V^T = U U^T``,
     ``w`` descending; negative ``w`` of rounding size are clipped to 0."""
-    if P.shape[0] == 0:
-        return np.zeros((0, 0))
     w, V = np.linalg.eigh(P)
-    if np.all(np.isfinite(w)) and w.min() >= -1e-8 * max(abs(w.max()), 1e-300):
+    if np.all(np.isfinite(w)) and w.min(initial=0.0) >= -1e-8 * max(w.max(initial=0.0), 1e-300):
         w = np.clip(w, 0.0, None)
         order = np.argsort(w)[::-1]
         return V[:, order] * np.sqrt(w[order])
@@ -179,13 +180,11 @@ def solve_lyapunov(A, G, schur=None):
     G = _as_square(G, "G")
     if A.shape != G.shape:
         raise DimensionMismatch(f"A is {A.shape}, G is {G.shape}")
-    if A.size == 0:
-        return np.zeros((0, 0))
     T, U = _real_schur(A) if schur is None else schur
     # LAPACK returns the standardized real Schur form: each 2x2 block has
     # equal diagonal entries, so the diagonal holds the real parts of the
     # whole spectrum and is the stability verdict.
-    abscissa = float(np.max(np.diag(T)))
+    abscissa = float(np.max(np.diag(T), initial=-np.inf))
     if not _is_stable(abscissa, T):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
     Gt = U.T @ G @ U
@@ -208,13 +207,11 @@ def solve_sylvester(A, M, K, schur=None, schur_m=None):
     n, r = A.shape[0], M.shape[0]
     if K.shape != (n, r):
         raise DimensionMismatch(f"K must be {(n, r)}, got {K.shape}")
-    if n == 0 or r == 0:
-        return np.zeros((n, r))
     Ta, Ua = _real_schur(A) if schur is None else schur
     Tm, Um = _real_schur(M) if schur_m is None else schur_m
     ea = _schur_spectrum(Ta)
     em = _schur_spectrum(Tm)
-    sep = np.min(np.abs(ea[:, None] + em[None, :]))
+    sep = np.min(np.abs(ea[:, None] + em[None, :]), initial=np.inf)
     if sep < 1e-12 * max(np.linalg.norm(Ta), np.linalg.norm(M), 1.0):
         raise SpectraOverlap(
             f"spectra of -A^T and M nearly intersect (separation {sep:.3e})"
@@ -280,8 +277,6 @@ def matrix_exponential(A, t=1.0):
     A = _as_square(A)
     if not np.isfinite(t):
         raise NonFinite("t must be finite")
-    if A.size == 0:
-        return np.zeros((0, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         At = A * float(t)
         norm = np.linalg.norm(At, 1)

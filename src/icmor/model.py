@@ -38,14 +38,14 @@ class _Shared:
 
     def __init__(self, A, C):
         self.A, self.C, self.L = A, C, None
-        self.real_schur = _real_schur(A) if A.size else (np.zeros((0, 0)),) * 2
+        self.real_schur = _real_schur(A)
         # a standardized form's diagonal holds the spectrum's real parts
         self.abscissa = float(np.max(np.diag(self.real_schur[0]), initial=-np.inf))
-        if A.size and not _is_stable(self.abscissa, A):
+        if not _is_stable(self.abscissa, A):
             raise NotStable(f"A has stability margin {self.abscissa:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Continuous-time LTI system ``x' = A x + B u``, ``y = C x``.
 
@@ -61,22 +61,20 @@ class StateSpaceModel:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    _shared: _Shared = field(default=None, repr=False, compare=False)
-    abscissa: float = field(init=False, repr=False, compare=False)
+    _shared: _Shared = field(default=None, repr=False)
+    abscissa: float = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _as_square(self.A)
         B = _as_matrix(self.B, "B")
         C = _as_matrix(self.C, "C")
         n = A.shape[0]
-        if n > 0 and B.size and B.shape[0] != n:
+        if B.shape == (1, 0):  # B = []: no inputs
+            B = B.reshape(n, 0)
+        if B.shape[0] != n:
             raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
-        if n > 0 and C.size and C.shape[1] != n:
+        if C.shape[1] != n:
             raise DimensionMismatch(f"C has {C.shape[1]} cols, expected {n}")
-        if B.size == 0:
-            B = B.reshape(n, B.shape[1])
-        if C.size == 0:
-            C = C.reshape(C.shape[0], n)
         shared = self._shared
         if shared is None or shared.A is not A or shared.C is not C:
             shared = _Shared(A, C)
@@ -130,7 +128,7 @@ class StateSpaceModel:
         return S.L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialConditionBasis:
     """Full-column-rank basis ``X0`` of the admissible initial conditions."""
 

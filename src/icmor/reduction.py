@@ -63,7 +63,7 @@ class OrderSelection:
         return min(r, _numerical_rank(sigma))
 
 
-@dataclass
+@dataclass(eq=False)
 class ReducedModel:
     """Projected realization ``sys`` plus the data needed by the error bounds.
 
@@ -97,7 +97,7 @@ class ReducedModel:
         return self.hankel[self.r:]
 
 
-@dataclass
+@dataclass(eq=False)
 class SplitReducedModel:
     """Independent reductions of the input map (``suy``) and of the
     initial-condition map (``sxy``), recombined by superposition."""
@@ -281,6 +281,10 @@ def _pole_data(Ar, Br, Cr):
 
 _STALL_SCORINGS = 3
 _SHIFT_TOL = 1e-6
+# the interp_residuals of an IRKA model that interpolates nothing: the
+# fallback and the order-0 model; every exit fills these four keys
+_NO_INTERPOLATION = {"value": None, "derivative": None, "pole_reflection": False,
+                     "fallback": False}
 
 
 def irka_reduce(M: StateSpaceModel, r, max_iters=100,
@@ -420,7 +424,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         )
         return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
                             h2_error=warm_start.h2_error,
-                            interp_residuals={"fallback": True})
+                            interp_residuals={**_NO_INTERPOLATION, "fallback": True})
     (unconverged, h2_error), (sys, reflected, *samples) = best_key, best
     if unconverged:
         warnings.warn(
@@ -453,7 +457,8 @@ def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
     if x0_method == "irka":
         if sxy.r == 0:
-            sxy = ReducedModel(sys=sxy.sys, method="irka", h2_error=sxy.h2_error)
+            sxy = ReducedModel(sys=sxy.sys, method="irka", h2_error=sxy.h2_error,
+                               interp_residuals=dict(_NO_INTERPOLATION))
         else:
             sxy = irka_reduce(aux, sxy.r, warm_start=sxy)
     return SplitReducedModel(suy=suy, sxy=sxy, basis=basis)

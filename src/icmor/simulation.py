@@ -58,7 +58,7 @@ class InputSignal:
 
         def f(t):
             sig = np.zeros_like(t)
-            for tc in np.arange(start, t.max() + period, period):
+            for tc in np.arange(start, t.max(initial=start) + period, period):
                 amp = amplitude * np.exp(-decay * tc)
                 sig += amp * np.clip(1.0 - np.abs(t - tc) / w, 0.0, None)
             return np.repeat(sig[:, None], m, axis=1)
@@ -100,7 +100,7 @@ class InputSignal:
         return float(np.sqrt(np.trapezoid(np.sum(u * u, axis=1), t)))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationTrace:
     """Output samples on a uniform grid; ``y`` is (samples, outputs)."""
 
@@ -177,7 +177,7 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     ``C F1``) of them; the sample maps of all blocks are one GEMM each.
     """
     A, B, C = M.A, M.B, M.C
-    n, m, p = A.shape[0], B.shape[1], C.shape[0]
+    n, m = A.shape[0], B.shape[1]
     if t_f <= 0 or dt <= 0:
         raise InvalidParameter("need positive horizon and step")
     N = int(round(t_f / dt))
@@ -194,14 +194,10 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
         raise InvalidParameter(f"x0 has length {x0.shape[0]}, expected {n}")
     # one row per run: the input run starts at rest, the x0 run unforced
     X0 = np.stack([np.zeros(n), x0]) if split else x0[None]
-    S = X0.shape[0]
-
-    if n == 0:
-        ys, provenance = np.zeros((S, N + 1, p)), {"order": 0}
-    else:
-        ys, provenance = _lifted_steps(A, B, C, u, X0, t, dt), {"order": n, "substeps": 1}
+    ys = _lifted_steps(A, B, C, u, X0, t, dt)
     components = {"y_u": ys[0], "y_x0": ys[1]} if split else None
-    return SimulationTrace(t=t, y=ys.sum(axis=0), components=components, provenance=provenance)
+    return SimulationTrace(t=t, y=ys.sum(axis=0), components=components,
+                           provenance={"order": n, "substeps": 1})
 
 
 def _lifted_steps(A, B, C, u, X0, t, dt):
@@ -258,14 +254,13 @@ def online_phase(S, u, x0, t_f, dt) -> SimulationTrace:
     tr_u = simulate(S.suy.sys, u, None, t_f, dt)
     tr_x0 = simulate(S.sxy.sys, None, S.sxy.sys.B @ z0, t_f, dt)
     return SimulationTrace(t=tr_u.t, y=tr_u.y + tr_x0.y,
-                           components={"y_u": tr_u.y, "y_x0": tr_x0.y},
-                           provenance={"superposition": [tr_u.provenance, tr_x0.provenance]})
+                           components={"y_u": tr_u.y, "y_x0": tr_x0.y})
 
 
 def l2_norm(tr: SimulationTrace) -> float:
     """Trapezoidal L2 norm of the sampled output over its horizon."""
     mag = np.sqrt(np.sum(tr.y * tr.y, axis=1))
-    peak = mag.max() if mag.size else 0.0
+    peak = mag.max(initial=0.0)
     if peak > 0 and mag[-1] > 1e-6 * peak:
         warnings.warn(
             f"trace has not decayed at the horizon (last/peak = {mag[-1] / peak:.1e})",
@@ -275,6 +270,4 @@ def l2_norm(tr: SimulationTrace) -> float:
 
 
 def linf_norm(tr: SimulationTrace) -> float:
-    if tr.y.size == 0:
-        return 0.0
-    return float(np.max(np.abs(tr.y)))
+    return float(np.max(np.abs(tr.y), initial=0.0))

@@ -1,16 +1,24 @@
 """The public names: each module's ``__all__`` and the package re-exports,
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
-only through ``linalg._trsyl``, no ``eigvals`` beside the Schur forms,
-``bounds`` importing only ``errors``, one table of input kinds, and stderr
-written only by ``cli.main``."""
+only through ``linalg._trsyl``, the one empty-size guard there, no
+``eigvals`` beside the Schur forms, ``bounds`` importing only ``errors``,
+one table of input kinds, stderr written only by ``cli.main``, and the
+types of arrays compared and hashed by identity."""
 
 import ast
+import copy
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import icmor
+from icmor import (
+    OrderSelection, build_msd, gramian_factors, hankel_spectrum, simulate, split_reduce,
+    unit_vector_basis,
+)
+from icmor.experiment import ReductionReport
 from icmor.simulation import INPUT_KINDS
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(icmor.__path__))
@@ -99,6 +107,14 @@ def test_dtrsyl_is_called_only_by_trsyl():
     assert {module: s for module, s in sites.items() if s} == {"linalg": ["_trsyl"]}
 
 
+def test_only_trsyl_reads_a_size_in_linalg():
+    # an empty matrix runs through the general kernels; only LAPACK's
+    # dtrsyl, which rejects size 0, needs a guard
+    sites = _sites(importlib.import_module("icmor.linalg").__file__,
+                   lambda child: isinstance(child, ast.Attribute) and child.attr == "size")
+    assert sites == ["_trsyl"]
+
+
 def test_no_module_calls_eigvals():
     # the stability verdict and the spectral abscissa come off the real
     # Schur form each StateSpaceModel holds, not off a second spectrum
@@ -142,3 +158,25 @@ def test_only_cli_main_writes_to_stderr():
     sites = _sites(importlib.import_module("icmor.cli").__file__,
                    lambda child: _names(child, "stderr"))
     assert set(sites) == {"main"}
+
+
+def _instances():
+    """One instance of each dataclass that holds arrays."""
+    M = build_msd(3, m_inputs=2)
+    basis = unit_vector_basis(M.n, [6])
+    F = gramian_factors(M)
+    S = split_reduce(M, basis, OrderSelection.fixed(2), OrderSelection.fixed(1))
+    tr = simulate(M, None, basis.X0[:, 0], 1.0, 0.5)
+    return {"StateSpaceModel": M, "InitialConditionBasis": basis, "GramianFactors": F,
+            "HankelSpectrum": hankel_spectrum(F), "ReducedModel": S.suy,
+            "SplitReducedModel": S, "SimulationTrace": tr,
+            "ReductionReport": ReductionReport({}, {"full": tr}, {"sigma": np.ones(2)}, {})}
+
+
+@pytest.mark.parametrize("name", list(_instances()))
+def test_compares_and_hashes_by_identity(name):
+    # an array field has no truth value, so == and hash of its fields raise
+    x = _instances()[name]
+    twin = copy.copy(x)
+    assert x == x and x != twin
+    assert len({x, twin, build_msd(2, m_inputs=1)}) == 3

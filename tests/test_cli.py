@@ -404,6 +404,26 @@ class TestEmitReport:
             header = fh.readline().strip()
         assert header == "index,sigma,theta,eta"
 
+    def test_trace_and_error_csv_layouts(self, tmp_path):
+        # p = 1: a trace holds t, y and its two parts, an error file full - method
+        out = tmp_path / "results"
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path, out=str(out)))
+        emit_report(run_experiment(cfg), str(out))
+
+        def read(name):
+            with open(out / name) as fh:
+                return fh.readline().strip(), np.loadtxt(fh, delimiter=",")
+
+        _, full = read("trace_full.csv")
+        for method in ["full", *cfg.methods]:
+            header, trace = read(f"trace_{method}.csv")
+            assert header == "t,y1,yu_1,yx0_1" and trace.shape == full.shape
+            if method != "full":
+                header, err = read(f"error_{method}.csv")
+                assert header == "t,e1"
+                assert np.array_equal(err, np.column_stack([trace[:, 0],
+                                                            full[:, 1] - trace[:, 1]]))
+
     def test_summary_layout(self, tmp_path):
         out = str(tmp_path / "results")
         cfg = ExperimentConfig.from_dict(small_config(tmp_path, out=out))
@@ -682,6 +702,42 @@ class TestCliVerbs:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape[1] == 2  # t plus single output
         assert np.all(np.isfinite(data))
+
+    def test_simulate_csv_holds_the_output(self, tmp_path):
+        # with x0 the run steps both parts; the file holds their sum alone
+        model_dir = str(tmp_path / "model")
+        M = build_msd(6, m_inputs=2)
+        save_model(M, model_dir)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--model", model_dir, "--x0-indices", "12", "--tf", "50",
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert fh.readline().strip() == "t,y1"
+            data = np.loadtxt(fh, delimiter=",")
+        t_f, dt = _grid(M, 50.0)
+        tr = simulation.simulate(M, InputSignal.decaying_pulses(2),
+                                 unit_vector_basis(M.n, [12]).X0[:, 0], t_f, dt)
+        assert np.array_equal(data, np.column_stack([tr.t, tr.y]))
+
+    @pytest.mark.parametrize("verb, grid", [
+        ("simulate", {"horizon": 100.0, "dt": 1e-320}), ("report", {"dt": 1e-320}),
+        ("report", {"horizon": 1e300, "dt": 1e-10})], ids=["simulate", "report", "report-horizon"])
+    def test_step_count_that_overflows_is_one_error_line(self, tmp_path, capsys, verb, grid):
+        # t_f / dt overflows to inf, which no step count rounds from
+        out = str(tmp_path / "out")
+        if verb == "report":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(small_config(tmp_path, methods=["bt-bt"], **grid)))
+            argv = ["report", "--config", str(cfg), "--out", out]
+        else:
+            argv = ["simulate", "--model", "builtin:msd", "--tf", str(grid["horizon"]),
+                    "--dt", str(grid["dt"]), "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        flag = "dt" if verb == "report" else "--dt"
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}: ")
+        assert "a step count that overflows" in err[0]
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("verb, dt", [("report", 100.0), ("simulate", 100.0),
                                           ("simulate", 0.0)])

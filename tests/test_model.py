@@ -53,6 +53,20 @@ class TestStateSpaceModel:
         with pytest.raises(DimensionMismatch):
             StateSpaceModel(-np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("A, B, C", [
+        (np.zeros((0, 0)), np.ones((3, 2)), np.zeros((1, 0))),
+        (np.zeros((0, 0)), np.zeros((0, 2)), np.ones((1, 4))),
+        (-np.eye(3), np.zeros((0, 2)), np.ones((1, 3))),
+        (-np.eye(3), np.ones((3, 2)), np.zeros((2, 0))),
+    ], ids=["n0-B3x2", "n0-C1x4", "n3-B0x2", "n3-C2x0"])
+    def test_every_size_is_checked(self, A, B, C):
+        with pytest.raises(DimensionMismatch):
+            StateSpaceModel(A, B, C)
+
+    def test_empty_input_list_means_no_inputs(self):
+        M = StateSpaceModel(-np.eye(3), [], np.ones((1, 3)))
+        assert M.B.shape == (3, 0) and M.m == 0
+
     def test_keeps_its_spectral_abscissa(self):
         # read off the diagonal of the real Schur form built with the model
         M = build_msd(6, m_inputs=2)

@@ -460,6 +460,31 @@ class TestIrkaReduce:
         assert schur_calls.complex == []
         assert schur_calls and set(schur_calls) == {warm.r}
 
+    @pytest.mark.parametrize("stop", ["iterate", "full-order", "fallback", "order-0"])
+    def test_residual_keys_at_every_exit(self, monkeypatch, stop):
+        # value and derivative are None where nothing was interpolated
+        M = build_msd(12, m_inputs=3) if stop == "iterate" else build_msd(6, m_inputs=6)
+        aux = M.with_input(unit_vector_basis(M.n, [M.n]).X0)
+        warm = bt_reduce(aux, OrderSelection.fixed(3) if stop == "fallback"
+                         else OrderSelection.tolerance(1e-2))
+        if stop == "fallback":
+            monkeypatch.setattr(reduction, "shifted_solve",
+                                lambda T, shifts, K, transpose=False: np.full(K.shape, np.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MaxItersExceeded)
+            if stop == "order-0":
+                R = split_reduce(M, InitialConditionBasis(np.zeros((M.n, 0))),
+                                 OrderSelection.tolerance(1e-2), OrderSelection.tolerance(1e-2),
+                                 x0_method="irka").sxy
+            else:
+                R = irka_reduce(aux, warm.r, warm_start=warm)
+        res = R.interp_residuals
+        assert R.method == "irka" and (R.r == aux.n) == (stop == "full-order")
+        assert set(res) == {"value", "derivative", "pole_reflection", "fallback"}
+        nothing = stop in ("fallback", "order-0")
+        assert (res["value"] is None, res["derivative"] is None) == (nothing, nothing)
+        assert res["fallback"] == (stop == "fallback") and res["pole_reflection"] in (True, False)
+
     def test_collapse_without_warm_start_raises(self):
         # B reaches only a 2-dimensional subspace, so no order-3 basis exists
         M = StateSpaceModel(np.diag([-1.0, -2.0, -3.0, -4.0]),

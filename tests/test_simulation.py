@@ -95,6 +95,14 @@ class TestInputSignal:
         assert np.array_equal(InputSignal.sampled(t, values.T)(s), want)
 
 
+    @pytest.mark.parametrize("u", [
+        InputSignal.zero(2), InputSignal.decaying_pulses(2), InputSignal.decaying_sinusoid(2),
+        InputSignal.sampled([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])],
+        ids=["zero", "decaying_pulses", "decaying_sinusoid", "sampled"])
+    def test_empty_grid_gives_no_samples(self, u):
+        assert np.array_equal(u([]), np.zeros((0, 2)))
+
+
 class TestSimulate:
     def test_scalar_homogeneous(self):
         M = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
