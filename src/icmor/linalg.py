@@ -7,12 +7,12 @@ for dense problems up to n of a few hundred.
 """
 
 import ctypes
+import os
 import threading
+from importlib import machinery, util
 from math import factorial
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, FactorizationFailure, NonFinite, NotStable, SpectraOverlap
 
@@ -22,6 +22,19 @@ __all__ = [
     "solve_sylvester",
     "matrix_exponential",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK wrappers, ``scipy.linalg._flapack``, loaded from its file: the
+    ``scipy.linalg`` package also imports scipy's array-API layer (0.2 s, 20 MB)."""
+    where = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    for suffix in machinery.EXTENSION_SUFFIXES:
+        spec = util.spec_from_file_location("scipy.linalg._flapack", f"{where}/_flapack{suffix}")
+        if os.path.isfile(spec.origin):
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no scipy LAPACK module _flapack in {where}")
 
 
 def _openblas_releases():
@@ -45,8 +58,9 @@ def _openblas_releases():
     return tuple(releases)
 
 
-# numpy and scipy each load an OpenBLAS copy with its own worker pool; both
-# are loaded by now, as this module imports scipy.linalg
+# numpy and scipy each load an OpenBLAS copy with its own worker pool;
+# scipy's is mapped with _flapack, so load that before looking them up
+_flapack = _load_flapack()
 _BLAS_RELEASES = _openblas_releases()
 
 
@@ -61,15 +75,21 @@ def _release_blas_threads():
 
 
 def _real_schur(A):
-    """``(T, U) = scipy.linalg.schur(A, output="real")``, with the OpenBLAS
-    pools released before and after.  Schur forms run on scipy's pool and
-    the GEMMs around them on numpy's; a pool left idle spins beside the
-    other's work.  Releasing changes no thread count and no arithmetic."""
+    """``(T, U)``, ``A = U T U^T``, by ``dgees`` as in ``scipy.linalg.schur``, with the OpenBLAS
+    pools released before and after.  Schur forms run on scipy's pool and the GEMMs around
+    them on numpy's; a pool left idle spins beside the other's work.  Releasing changes no
+    thread count and no arithmetic.  ``dgees`` rejects n = 0, so 0 x 0 is its own form."""
+    if A.size == 0:
+        return np.empty((0, 0)), np.empty((0, 0))
     _release_blas_threads()
     try:
-        return sla.schur(A, output="real")
+        lwork = int(_flapack.dgees(lambda x: None, A, lwork=-1)[-2][0])
+        T, _, _, _, U, _, info = _flapack.dgees(lambda x: None, A, lwork=lwork)
     finally:
         _release_blas_threads()
+    if info:
+        raise np.linalg.LinAlgError(f"dgees: no Schur form found (info = {info})")
+    return T, U
 
 
 def _as_matrix(x, name):
@@ -99,13 +119,13 @@ def _is_stable(abscissa, A):
 
 
 def _trsyl(A, B, C, **kwargs):
-    """``X / scale`` of ``lapack.dtrsyl(A, B, C, **kwargs)``, ``op(A) X + isgn X op(B) =
+    """``X / scale`` of ``_flapack.dtrsyl(A, B, C, **kwargs)``, ``op(A) X + isgn X op(B) =
     scale C``; ``SpectraOverlap`` when ``info = 1`` (``A`` and ``-isgn B`` (nearly) share an
     eigenvalue, which LAPACK perturbed), ``ValueError`` naming the illegal argument if < 0.
     An empty ``C``, which LAPACK rejects, is its own solution."""
     if C.size == 0:
         return C
-    X, scale, info = lapack.dtrsyl(A, B, C, **kwargs)
+    X, scale, info = _flapack.dtrsyl(A, B, C, **kwargs)
     if info < 0:
         arg = ("trana", "tranb", "isgn", "m", "n", "a", "lda", "b", "ldb", "c", "ldc")[-info - 1]
         raise ValueError(f"dtrsyl: argument {arg} has an illegal value")

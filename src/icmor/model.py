@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._mmio import read_matrix, write_matrix
 from .errors import (
@@ -16,7 +15,7 @@ from .errors import (
     NotStable,
 )
 from .linalg import (
-    _as_matrix, _as_square, _is_stable, _real_schur, _sqrt_factor, solve_lyapunov,
+    _as_matrix, _as_square, _flapack, _is_stable, _real_schur, _sqrt_factor, solve_lyapunov,
 )
 
 __all__ = [
@@ -153,19 +152,23 @@ class InitialConditionBasis:
 
 
 def coordinates_of(x0, basis, rtol=1e-8):
-    """Coordinates ``z0`` with ``x0 = X0 z0``, by QR least squares.
+    """Coordinates ``z0`` with ``x0 = X0 z0``, by QR least squares (``dgelsy``, as in
+    ``scipy.linalg.lstsq``).
 
     Raises ``NotInSubspace`` if the residual exceeds ``rtol * ||x0||``.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _as_matrix(x0, "x0").ravel()
     X0 = basis.X0
     if x0.shape[0] != X0.shape[0]:
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, basis is {X0.shape}")
-    if X0.shape[1] == 0:
+    n, n0 = X0.shape
+    if n0 == 0:
         if np.linalg.norm(x0) > 0:
             raise NotInSubspace("nonzero x0 with empty basis")
         return np.zeros(0)
-    z0, _, _, _ = sla.lstsq(X0, x0, lapack_driver="gelsy")
+    eps = np.finfo(float).eps
+    lwork = int(_flapack.dgelsy_lwork(n, n0, 1, eps)[0])
+    z0 = _flapack.dgelsy(X0, x0, np.zeros((n0, 1), np.int32), eps, lwork, 0, 0)[1][:n0]
     resid = np.linalg.norm(X0 @ z0 - x0)
     if resid > rtol * max(np.linalg.norm(x0), 1e-300):
         raise NotInSubspace(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NonFinite, TailWarning
-from .linalg import matrix_exponential
+from .linalg import _as_matrix, matrix_exponential
 from .model import StateSpaceModel, coordinates_of
 
 __all__ = [
@@ -79,11 +79,13 @@ class InputSignal:
     @classmethod
     def sampled(cls, t, values):
         t = np.asarray(t, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        values = _as_matrix(values, "values")
         if values.shape[0] != t.shape[0]:
             values = values.T
         if values.shape[0] != t.shape[0]:
             raise InvalidParameter("sample count mismatch")
+        if not (np.all(np.diff(t) > 0) and np.all(np.isfinite(t))):
+            raise InvalidParameter("t: sample times must be finite and strictly increasing")
         return cls(values.shape[1],
                    lambda s: np.column_stack([np.interp(s, t, v) for v in values.T]))
 

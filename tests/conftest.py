@@ -331,8 +331,8 @@ def expm_orders(monkeypatch):
     return _recorded_orders(monkeypatch, linalg.matrix_exponential)
 
 
-def _recorded_orders(monkeypatch, original):
-    orders = []
+def _recorded_orders(monkeypatch, original, orders=None):
+    orders = [] if orders is None else orders
 
     def counted(A, *args, **kwargs):
         orders.append(np.shape(A)[0])
@@ -353,22 +353,26 @@ class SchurOrders(list):
 
 @pytest.fixture()
 def schur_calls(monkeypatch):
-    """The order of every Schur form ``scipy.linalg.schur`` computes, called
-    as ``sla.schur`` or wherever an icmor module binds the function: the
-    real forms as the list, the complex ones as its ``complex``."""
+    """The order of every Schur form icmor computes from here on: the real
+    forms, from ``linalg._real_schur`` wherever an icmor module binds it, as
+    the list, and the complex ones, from LAPACK's ``zgees`` on
+    ``linalg._flapack``, as its ``complex``."""
     return _schur_orders(monkeypatch)
 
 
 def _schur_orders(monkeypatch):
-    orders = SchurOrders()
-    original = sla.schur
+    from icmor import linalg
 
-    def counted(a, output="real", *args, **kwargs):
-        (orders if output in ("real", "r") else orders.complex).append(np.shape(a)[0])
-        return original(a, output, *args, **kwargs)
+    orders = _recorded_orders(monkeypatch, linalg._real_schur, SchurOrders())
+    zgees = linalg._flapack.zgees
 
-    monkeypatch.setattr(sla, "schur", counted)
-    _rebind_in_icmor(monkeypatch, original, counted)
+    def counted(select, a, *args, **kwargs):
+        # a workspace query (lwork = -1) computes no form
+        if kwargs.get("lwork") != -1:
+            orders.complex.append(np.shape(a)[0])
+        return zgees(select, a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg._flapack, "zgees", counted)
     return orders
 
 

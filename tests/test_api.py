@@ -1,9 +1,10 @@
 """The public names: each module's ``__all__`` and the package re-exports,
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
-only through ``linalg._trsyl``, the one empty-size guard there, no
-``eigvals`` beside the Schur forms, ``bounds`` importing only ``errors``,
-one table of input kinds, stderr written only by ``cli.main``, and the
-types of arrays compared and hashed by identity."""
+only through ``linalg._trsyl``, the empty-size guards of the two LAPACK
+callers in ``linalg``, no ``scipy.linalg`` import, no ``eigvals`` beside
+the Schur forms, ``bounds`` importing only ``errors``, one table of input
+kinds, stderr written only by ``cli.main``, and the types of arrays
+compared and hashed by identity."""
 
 import ast
 import copy
@@ -107,12 +108,25 @@ def test_dtrsyl_is_called_only_by_trsyl():
     assert {module: s for module, s in sites.items() if s} == {"linalg": ["_trsyl"]}
 
 
-def test_only_trsyl_reads_a_size_in_linalg():
-    # an empty matrix runs through the general kernels; only LAPACK's
-    # dtrsyl, which rejects size 0, needs a guard
+def test_only_the_lapack_calls_read_a_size_in_linalg():
+    # an empty matrix runs through the general kernels; only LAPACK's dgees
+    # and dtrsyl, which reject size 0, need a guard
     sites = _sites(importlib.import_module("icmor.linalg").__file__,
                    lambda child: isinstance(child, ast.Attribute) and child.attr == "size")
-    assert sites == ["_trsyl"]
+    assert sites == ["_real_schur", "_trsyl"]
+
+
+def test_no_module_imports_scipy_linalg():
+    # linalg loads scipy's LAPACK wrappers from their file; the scipy.linalg
+    # package would import scipy's array-API layer into every process
+    def imports_scipy(child):
+        return (isinstance(child, ast.ImportFrom) and (child.module or "").startswith("scipy")
+                or isinstance(child, ast.Import)
+                and any(alias.name.startswith("scipy.linalg") for alias in child.names))
+
+    sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__, imports_scipy)
+             for module in MODULES}
+    assert {module: s for module, s in sites.items() if s} == {}
 
 
 def test_no_module_calls_eigvals():

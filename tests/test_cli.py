@@ -11,8 +11,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 import icmor
 from icmor import (
@@ -292,20 +290,17 @@ class TestRunExperiment:
 
     def test_every_schur_form_through_one_helper(self, tmp_path, monkeypatch):
         # the OpenBLAS pools are released around each Schur form only when
-        # every one of them comes from linalg._real_schur
-        original, outside = sla.schur, []
+        # every LAPACK dgees call comes from linalg._real_schur
+        dgees, inside, outside = linalg._flapack.dgees, [], []
 
-        def guarded(a, *args, **kwargs):
+        def guarded(*args, **kwargs):
             caller = sys._getframe(1).f_code
-            if caller is not linalg._real_schur.__code__:
-                outside.append(caller.co_name)
-            return original(a, *args, **kwargs)
+            (inside if caller is linalg._real_schur.__code__ else outside).append(caller.co_name)
+            return dgees(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "schur", guarded)
-        _rebind_in_icmor(monkeypatch, original, guarded)
-        monkeypatch.setattr(lapack, "dgees", lambda *a, **k: outside.append("dgees"))
+        monkeypatch.setattr(linalg._flapack, "dgees", guarded)
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
-        assert outside == []
+        assert inside and outside == []
 
     def test_each_gramian_solved_once(self, tmp_path, lyapunov_orders):
         run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))

@@ -1,19 +1,25 @@
 """Matrix-equation solvers and the matrix exponential against dense
 Kronecker and eigendecomposition oracles."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 import icmor
 from icmor import (
+    InitialConditionBasis,
     build_msd,
+    coordinates_of,
     linalg,
     matrix_exponential,
     solve_lyapunov,
@@ -304,7 +310,7 @@ class TestShiftedSolve:
     def test_illegal_argument_is_named(self, monkeypatch):
         # scipy's wrapper checks the arguments first, so LAPACK's info < 0
         # is faked: info = -6 is the sixth argument, A
-        monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **kw: (None, 1.0, -6))
+        monkeypatch.setattr(linalg._flapack, "dtrsyl", lambda *a, **kw: (None, 1.0, -6))
         with pytest.raises(ValueError, match="argument a "):
             linalg._trsyl(np.eye(2), np.eye(2), np.eye(2))
 
@@ -343,6 +349,86 @@ def test_schur_block_eigenvalues(rng):
         assert np.allclose(ev, np.sort_complex(np.linalg.eigvals(A)), atol=1e-10)
 
 
+class TestScipyWrappers:
+    """The LAPACK calls on scipy's ``_flapack`` give, bit for bit, what
+    scipy's public functions give; a scipy release that changes the
+    wrappers fails here."""
+
+    @staticmethod
+    def _matrices():
+        chain = build_msd(150).A
+        blocks = np.random.default_rng(3).standard_normal((40, 40))
+        return {"chain": chain, "2x2 blocks": blocks, "empty": np.zeros((0, 0))}
+
+    @pytest.mark.parametrize("name", ["chain", "2x2 blocks", "empty"])
+    def test_real_schur(self, name):
+        A = self._matrices()[name]
+        T, U = linalg._real_schur(A)
+        Ts, Us = sla.schur(A, output="real")
+        assert name != "2x2 blocks" or np.any(np.diag(T, -1))
+        for mine, ref in ((T, Ts), (U, Us)):
+            assert mine.shape == ref.shape and mine.dtype == ref.dtype
+            assert mine.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["chain", "2x2 blocks", "empty"])
+    def test_trsyl(self, name):
+        T, _ = sla.schur(self._matrices()[name], output="real")
+        C = np.random.default_rng(4).standard_normal(T.shape)
+        X = linalg._trsyl(T, T, C, tranb="T")
+        if T.size == 0:
+            # scipy's dtrsyl rejects size 0; the empty right-hand side is returned
+            assert X.shape == (0, 0)
+            return
+        Xs, scale, info = lapack.dtrsyl(T, T, C, tranb="T")
+        assert info == 0 and scale == 1.0 and X.tobytes() == Xs.tobytes()
+
+    @pytest.mark.parametrize("name", ["chain", "2x2 blocks", "empty"])
+    def test_coordinates_of(self, name):
+        # a basis of 5 Schur vectors (none at 0 x 0) and a point off its span
+        _, U = sla.schur(self._matrices()[name], output="real")
+        X0 = U[:, :5] + 1e-3 * np.random.default_rng(5).standard_normal(U[:, :5].shape)
+        x0 = X0 @ np.arange(1.0, 1.0 + X0.shape[1]) + 1e-12 * np.ones(len(X0))
+        z0 = coordinates_of(x0, InitialConditionBasis(X0))
+        ref = sla.lstsq(X0, x0, lapack_driver="gelsy")[0]
+        assert z0.shape == ref.shape and z0.tobytes() == ref.tobytes()
+
+    def test_no_scipy_linalg_and_both_pools_found(self):
+        # the CLI's import leaves scipy.linalg unimported, and _flapack is
+        # loaded before the pools are looked up, so scipy's OpenBLAS is among them
+        code = textwrap.dedent("""
+            import sys
+            import icmor.cli
+            from icmor import linalg
+            with open("/proc/self/maps") as fh:
+                mapped = {line.split(None, 5)[5] for line in fh if "openblas" in line.lower()}
+            print("scipy.linalg" in sys.modules, len(mapped), len(linalg._BLAS_RELEASES))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], env=_env(),
+                             capture_output=True, text=True)
+        if "/proc/self/maps" in out.stderr:
+            pytest.skip("no /proc/self/maps")
+        assert out.returncode == 0, out.stderr
+        imported, mapped, releases = out.stdout.split()
+        assert imported == "False"
+        if mapped != "2":
+            pytest.skip(f"{mapped} OpenBLAS copies mapped")
+        assert releases == "2"
+
+    def test_missing_module_names_the_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            linalg._load_flapack()
+
+
+def _env():
+    """The environment of a child interpreter that imports this icmor, with
+    each OpenBLAS pool at 2 threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(icmor.__file__)))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestRealSchur:
     """``_real_schur``: ``sla.schur``'s arrays, with every OpenBLAS pool
     released before and after."""
@@ -367,10 +453,7 @@ class TestRealSchur:
             A @ A, sla.schur(A, output="real")
             print(warm, released, threads())
         """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(icmor.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=_env(),
                              capture_output=True, text=True)
         if "no OpenBLAS pool" in out.stderr:
             pytest.skip("no OpenBLAS pool loaded")

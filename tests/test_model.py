@@ -136,6 +136,12 @@ class TestCoordinatesOf:
         z = rng.standard_normal(3)
         assert np.allclose(coordinates_of(X0 @ z, basis), z, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0_is_named(self, bad):
+        # LAPACK's dgelsy would solve it to NaN coordinates without an error
+        with pytest.raises(NonFinite, match="x0"):
+            coordinates_of([0.0, bad, 0.0, 0.0], unit_vector_basis(4, [2]))
+
 
 class TestBuildMsd:
     def test_paper_scale_dimensions(self):

@@ -19,7 +19,7 @@ from icmor import (
     split_reduce,
     suggest_grid,
 )
-from icmor.errors import InvalidParameter, TailWarning
+from icmor.errors import InvalidParameter, NonFinite, TailWarning
 from icmor.linalg import matrix_exponential
 from icmor.model import coordinates_of
 from icmor import simulation
@@ -47,6 +47,20 @@ class TestInputSignal:
         m, t_f = 3, 10.0
         u = InputSignal.sampled([0.0, 2 * t_f], np.ones((2, m)))
         assert u.l2_norm(t_f, 0.5) == pytest.approx(np.sqrt(m * t_f), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, np.nan, 2.0],
+                                   [0.0, 1.0, np.inf]],
+                             ids=["decreasing", "repeated", "nan", "inf"])
+    def test_sample_times_must_increase(self, t):
+        # np.interp reads unsorted times without an error: [0, 2, 1] gave 5 at t = 1.5
+        with pytest.raises(InvalidParameter, match=r"^t: "):
+            InputSignal.sampled(t, [0.0, 1.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sample_values_must_be_finite(self, bad):
+        # a NaN sample made l2_norm return nan
+        with pytest.raises(NonFinite, match="values"):
+            InputSignal.sampled([0.0, 1.0, 2.0], [[0.0, 1.0], [bad, 1.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("key, value", [("period", 0.0), ("period", -15.0),
                                             ("width", 0.0), ("width", np.nan)])
@@ -258,7 +272,6 @@ class TestNoScipyExponential:
             raise AssertionError("scipy.linalg.expm called")
 
         monkeypatch.setattr("scipy.linalg.expm", refuse)
-        monkeypatch.setattr("icmor.linalg.sla.expm", refuse)
         M = build_msd(12, m_inputs=3)
         t_f, dt = suggest_grid(M)
         u = InputSignal.decaying_pulses(3)
