@@ -10,7 +10,9 @@ class DimensionMismatch(IcmorError):
 
 
 class NotStable(IcmorError):
-    pass
+    def __init__(self, message, abscissa=None):
+        super().__init__(message)
+        self.abscissa = abscissa  # the spectral abscissa that failed the verdict
 
 
 class SpectraOverlap(IcmorError):
@@ -54,7 +56,9 @@ class MissingProvenance(IcmorError):
 
 
 class UnstableReduction(IcmorError):
-    pass
+    def __init__(self, message, map_name=None):
+        super().__init__(message)
+        self.map_name = map_name  # the map, input, x0 or augmented, it truncated
 
 
 class ConfigError(IcmorError):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import abt_bound, split_bound
-from .errors import ConfigError, IndexOutOfRange, InvalidParameter, NonFinite, NotStable
+from .errors import (ConfigError, IndexOutOfRange, InvalidParameter, NonFinite, NotStable,
+                     UnstableReduction)
 from .gramians import gramian_factors  # noqa: F401 (perfbench's tests expect it bound here)
 from .model import (
     InitialConditionBasis,
@@ -307,10 +308,14 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     # and give sigma, theta and eta.  After the simulations, so the factors the
     # models keep add nothing to their peak.
     with _timed(timings, "reductions"):
-        suy = bt_reduce(M, _selection(cfg.order_u, cfg.tol))
-        aux = M.with_input(basis.X0)
-        sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol))
-        abt = abt_reduce(M, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
+        try:
+            suy = bt_reduce(M, _selection(cfg.order_u, cfg.tol))
+            aux = M.with_input(basis.X0)
+            sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol), "x0")
+            abt = abt_reduce(M, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
+        except UnstableReduction as exc:
+            key = {"input": "order_u", "x0": "order_x0", "augmented": "order_aug"}[exc.map_name]
+            raise ConfigError(f"{key if getattr(cfg, key) is not None else 'tol'}: {exc}") from None
 
     traces = {"full": tr_full}
     methods_report = {}
@@ -400,7 +405,7 @@ def emit_report(rep: ReductionReport, out_dir):
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    # hsv.csv: index, sigma, theta, eta; each is the SVD of an n x n product
+    # hsv.csv: index, sigma, theta, eta; each is padded with exact zeros to n
     cols = [rep.hsv[k] for k in ("sigma", "theta", "eta")]
     np.savetxt(os.path.join(out_dir, "hsv.csv"),
                np.column_stack([np.arange(1, len(cols[0]) + 1), *cols]),

@@ -19,8 +19,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GramianFactors:
-    """Square-root factors ``P = U U^T`` (reachability), ``Q = L L^T``
-    (observability)."""
+    """Square-root factors ``P = U U^T`` (reachability, n x k_U), ``Q = L
+    L^T`` (observability, n x k_L)."""
 
     U: np.ndarray
     L: np.ndarray
@@ -28,7 +28,7 @@ class GramianFactors:
 
 @dataclass(frozen=True, eq=False)
 class HankelSpectrum:
-    """SVD of ``U^T L``: descending singular values and orthogonal factors."""
+    """SVD of ``U^T L``: n descending singular values and orthogonal factors."""
 
     sigma: np.ndarray
     Z: np.ndarray
@@ -42,11 +42,11 @@ def gramian_factors(M: StateSpaceModel) -> GramianFactors:
 
 
 def hankel_spectrum(F: GramianFactors) -> HankelSpectrum:
-    """Hankel singular values as the SVD of ``U^T L``."""
+    """Hankel singular values, the economy SVD of ``U^T L``, padded with 0 to n."""
     if F.U.shape[0] != F.L.shape[0]:
         raise DimensionMismatch("factors come from different state dimensions")
-    Z, s, Yt = np.linalg.svd(F.U.T @ F.L)
-    return HankelSpectrum(sigma=s, Z=Z, Y=Yt.T)
+    Z, s, Yt = np.linalg.svd(F.U.T @ F.L, full_matrices=False)
+    return HankelSpectrum(sigma=np.pad(s, (0, F.U.shape[0] - len(s))), Z=Z, Y=Yt.T)
 
 
 def _numerical_rank(sigma):

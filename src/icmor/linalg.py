@@ -180,26 +180,27 @@ def shifted_solve(T, shifts, K, transpose=False):
 
 
 def _sqrt_factor(P, name):
-    """``U = V diag(sqrt(w))`` from ``eigh``, ``P = V diag(w) V^T = U U^T``,
-    ``w`` descending; negative ``w`` of rounding size are clipped to 0."""
+    """``U = V_k diag(sqrt(w_k))`` from ``eigh``, ``P = V diag(w) V^T``, for
+    the ``k`` positive ``w``, descending; the others, of rounding size, are
+    dropped.  Callers pass ``P`` as a temporary, freed once ``eigh`` returns."""
     w, V = np.linalg.eigh(P)
+    del P
     if np.all(np.isfinite(w)) and w.min(initial=0.0) >= -1e-8 * max(w.max(initial=0.0), 1e-300):
-        w = np.clip(w, 0.0, None)
-        order = np.argsort(w)[::-1]
-        return V[:, order] * np.sqrt(w[order])
+        k = np.count_nonzero(w > 0)
+        return V[:, ::-1][:, :k] * np.sqrt(w[::-1][:k])
     raise FactorizationFailure(f"{name} Gramian is indefinite")
 
 
-def solve_lyapunov(A, G, schur=None):
-    """Solve ``A P + P A^T + G = 0`` (``A`` stable, ``G`` symmetric) for
-    the symmetrized ``P``.  ``schur``, the real Schur form ``(T, U)`` of
-    ``A``, is computed by ``_real_schur`` when not given.  ``NotStable`` is
-    raised off ``diag(T)``, with the tolerance ``-1e-12 max(1, ||T||_F)``.
+def solve_lyapunov(A, F, schur=None):
+    """Solve ``A P + P A^T + F F^T = 0`` (``A`` stable, ``F`` n x k) for the
+    symmetrized ``P``.  ``schur``, the real Schur form ``(T, U)`` of ``A``,
+    is computed by ``_real_schur`` when not given.  ``NotStable`` is raised
+    off ``diag(T)``, with the tolerance ``-1e-12 max(1, ||T||_F)``.
     """
     A = _as_square(A)
-    G = _as_square(G, "G")
-    if A.shape != G.shape:
-        raise DimensionMismatch(f"A is {A.shape}, G is {G.shape}")
+    F = _as_matrix(F, "F")
+    if F.shape[0] != A.shape[0]:
+        raise DimensionMismatch(f"A is {A.shape}, F is {F.shape}")
     T, U = _real_schur(A) if schur is None else schur
     # LAPACK returns the standardized real Schur form: each 2x2 block has
     # equal diagonal entries, so the diagonal holds the real parts of the
@@ -207,10 +208,17 @@ def solve_lyapunov(A, G, schur=None):
     abscissa = float(np.max(np.diag(T), initial=-np.inf))
     if not _is_stable(abscissa, T):
         raise NotStable(f"matrix has an eigenvalue with real part {abscissa:.3e}")
-    Gt = U.T @ G @ U
-    # T Y + Y T^T = -Gt
-    P = U @ _trsyl(T, T, -Gt, tranb="T") @ U.T
-    return (P + P.T) / 2.0
+    W = U.T @ F
+    # T Y + Y T^T = -Gt, Gt = W W^T exactly symmetric (numpy's syrk): Gt.T is
+    # Gt in Fortran order, which dtrsyl overwrites with Y without a copy
+    Gt = W @ W.T
+    P = U @ _trsyl(T, T, np.negative(Gt, out=Gt).T, tranb="T", overwrite_c=1)
+    del Gt  # it holds Y, which P = U Y U^T no longer needs
+    P = P @ U.T
+    # the bits of (P + P^T) / 2, with no third order-n array
+    P += P.T
+    P *= 0.5
+    return P
 
 
 def solve_sylvester(A, M, K, schur=None, schur_m=None):
@@ -259,53 +267,47 @@ def _poly(c0, coeffs, powers, out=None):
     return out
 
 
-def _pade(A, m):
-    """The degree-``m`` Pade approximant ``(V - U)^{-1} (V + U)`` to
-    ``exp(A)``: ``U`` holds the odd terms of the numerator, ``V`` the even
-    ones, from the even powers of ``A`` (Higham 2005, (2.2), (2.10) and, for
-    ``m = 13``, (2.11))."""
-    b = [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j)))
-         for j in range(m + 1)]
-    A2 = A @ A
-    powers = [A2]
-    # A^2, A^4, ..., A^{m-1}; degree 13 stops at A^6
-    for _ in range(2 if m == 13 else (m - 3) // 2):
-        powers.append(powers[-1] @ A2)
-    if m < 13:
-        U = A @ _poly(b[1], b[3::2], powers)
-        V = _poly(b[0], b[2::2], powers)
-    else:
-        A6 = powers[2]
-        U = A @ _poly(b[1], b[3:9:2], powers, out=A6 @ _poly(0.0, b[9::2], powers))
-        V = _poly(b[0], b[2:8:2], powers, out=A6 @ _poly(0.0, b[8::2], powers))
-        del A6
-    # free the powers before the solve, and form V + U and V - U in place
-    del A2, powers
-    V += U
-    U *= -2.0
-    U += V
-    return np.linalg.solve(U, V)
-
-
 def matrix_exponential(A, t=1.0):
     """Compute ``exp(A t)`` by scaling and squaring with Pade approximants,
     Higham (2005), Algorithm 2.3: the degree ``m`` is the lowest of 3, 5,
     7, 9 and 13 whose ``theta_m`` bounds ``||A t||_1``; past ``theta_13``,
     the degree-13 approximant of ``A t / 2^s``, ``s = ceil(log2(||A t||_1 /
-    theta_13))``, is squared ``s`` times.  ``NonFinite`` is raised when ``A
-    t`` or the result overflows."""
+    theta_13))``, is squared ``s`` times.  The approximant is ``(V - U)^{-1}
+    (V + U)``: ``U`` holds the odd terms of the numerator, ``V`` the even
+    ones, from the even powers of ``A t`` ((2.2), (2.10) and, for ``m =
+    13``, (2.11)).  ``A`` is dropped once scaled, ``A t`` once ``U`` is
+    formed.  ``NonFinite`` is raised when ``A t`` or the result overflows."""
     A = _as_square(A)
     if not np.isfinite(t):
         raise NonFinite("t must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        At = A * float(t)
-        norm = np.linalg.norm(At, 1)
+        A = A * float(t)
+        norm = np.linalg.norm(A, 1)
         if not np.isfinite(norm):
             raise NonFinite("matrix exponential overflowed")
         m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
         s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
-        At *= 2.0 ** -s
-        E = _pade(At, m)
+        A *= 2.0 ** -s
+        b = [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j)))
+             for j in range(m + 1)]
+        powers = [A @ A]
+        # A^2, A^4, ..., A^{m-1}; degree 13 stops at A^6 and sums b_8 .. b_13
+        # into A^6 times a polynomial in the three
+        for _ in range(2 if m == 13 else (m - 3) // 2):
+            powers.append(powers[-1] @ powers[0])
+        low = b if m < 13 else b[:8]
+        U = A @ _poly(b[1], low[3::2], powers,
+                      out=None if m < 13 else powers[2] @ _poly(0.0, b[9::2], powers))
+        del A
+        V = _poly(b[0], low[2::2], powers,
+                  out=None if m < 13 else powers[2] @ _poly(0.0, b[8::2], powers))
+        # free the powers before the solve, and form V + U and V - U in place
+        del powers
+        V += U
+        U *= -2.0
+        U += V
+        E = np.linalg.solve(U, V)
+        del U, V
         for _ in range(s):
             E = E @ E
     if not np.all(np.isfinite(E)):

@@ -41,7 +41,7 @@ class _Shared:
         # a standardized form's diagonal holds the spectrum's real parts
         self.abscissa = float(np.max(np.diag(self.real_schur[0]), initial=-np.inf))
         if not _is_stable(self.abscissa, A):
-            raise NotStable(f"A has stability margin {self.abscissa:.3e}")
+            raise NotStable(f"A has stability margin {self.abscissa:.3e}", self.abscissa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +107,9 @@ class StateSpaceModel:
 
     @cached_property
     def reach_factor(self):
-        """``U`` with ``P = U U^T``, ``P`` solved on the shared real Schur form
-        of ``A``."""
-        P = solve_lyapunov(self.A, self.B @ self.B.T, self.real_schur)
-        return _sqrt_factor(P, "reachability")
+        """``U`` (n x k) with ``P = U U^T``, ``A P + P A^T + B B^T = 0`` solved
+        on the shared real Schur form of ``A``."""
+        return _sqrt_factor(solve_lyapunov(self.A, self.B, self.real_schur), "reachability")
 
     def drop_reach_factor(self):
         """Forget the kept ``reach_factor``; its next use solves it again."""
@@ -118,12 +117,11 @@ class StateSpaceModel:
 
     @property
     def obs_factor(self):
-        """``L`` with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``, solved on
-        the real Schur form of ``A^T``."""
+        """``L`` (n x k) with ``Q = L L^T``, ``A^T Q + Q A + C^T C = 0``,
+        solved on the real Schur form of ``A^T``."""
         S = self._shared
         if S.L is None:
-            Q = solve_lyapunov(self.A.T, self.C.T @ self.C)
-            S.L = _sqrt_factor(Q, "observability")
+            S.L = _sqrt_factor(solve_lyapunov(self.A.T, self.C.T), "observability")
         return S.L
 
 

@@ -132,17 +132,22 @@ def order_from_tolerance(sigma, tau):
     return r
 
 
-def _truncate(M: StateSpaceModel, F: GramianFactors, sel: OrderSelection):
+def _truncate(M: StateSpaceModel, F: GramianFactors, sel: OrderSelection, name="input"):
     """``V``, ``W``, ``(W^T A V, W^T B, C V)`` and the Hankel values of the
-    balanced truncation of ``M`` from its Gramian factors ``F``."""
+    balanced truncation of ``M`` from its Gramian factors ``F``; one that is
+    not stable raises ``UnstableReduction`` naming the ``name`` map."""
     spec = hankel_spectrum(F)
-    V, W = _balancing_transform(F, spec, sel.resolve(spec.sigma))
-    return V, W, StateSpaceModel(W.T @ M.A @ V, W.T @ M.B, M.C @ V), spec.sigma
+    V, W = _balancing_transform(F, spec, r := sel.resolve(spec.sigma))
+    try:
+        return V, W, StateSpaceModel(W.T @ M.A @ V, W.T @ M.B, M.C @ V), spec.sigma
+    except NotStable as exc:
+        raise UnstableReduction(f"the {name} map's balanced truncation at order {r} is not "
+                                f"stable (spectral abscissa {exc.abscissa:.3e})", name) from None
 
 
-def bt_reduce(M: StateSpaceModel, sel: OrderSelection) -> ReducedModel:
-    """Balanced truncation of ``M`` at the selected order, with its H2 error."""
-    V, _, sys, sigma = _truncate(M, gramian_factors(M), sel)
+def bt_reduce(M: StateSpaceModel, sel: OrderSelection, name="input") -> ReducedModel:
+    """Balanced truncation of ``M``, the ``name`` map, at the selected order, with its H2 error."""
+    V, _, sys, sigma = _truncate(M, gramian_factors(M), sel, name)
     return ReducedModel(sys=sys, method="bt", hankel=sigma,
                         h2_error=projected_h2_error(M, V, sys))
 
@@ -171,12 +176,13 @@ def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
     if not (np.array_equal(aux.A, M.A) and np.array_equal(aux.C, M.C)):
         raise InvalidParameter("the x0 map does not share the model's A and C")
     gamma = _x0_scale(M.B, X0, scaling)
-    G = np.hstack([M.reach_factor, gamma * aux.reach_factor]).T
+    G = np.hstack([M.reach_factor, aux.reach_factor]).T
+    G[M.reach_factor.shape[1]:] *= gamma
     # dropped, M's factor is not part of the QR's and Hankel SVD's memory peak
     M.drop_reach_factor()
     F = GramianFactors(U=np.linalg.qr(G, mode="r").T, L=M.obs_factor)
     del G
-    _, W, sys, eta = _truncate(M, F, sel)
+    _, W, sys, eta = _truncate(M, F, sel, "augmented")
     return ReducedModel(sys=sys, X0til=W.T @ X0, method="abt", hankel=eta,
                         obs_x0=F.L.T @ (M.A @ (gamma * X0)), x0_scale=gamma)
 
@@ -444,7 +450,7 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
     """The input map and the x0 map ``(A, X0, C)`` reduced independently, each
     by BT, and combined by ``split_from_bt``."""
     aux = M.with_input(basis.X0)
-    return split_from_bt(bt_reduce(M, sel_u), aux, bt_reduce(aux, sel_x0),
+    return split_from_bt(bt_reduce(M, sel_u), aux, bt_reduce(aux, sel_x0, "x0"),
                          basis, x0_method)
 
 

@@ -31,6 +31,7 @@ __all__ = [
 
 # the InputSignal constructors a config may name; the first is the default
 INPUT_KINDS = ("decaying_pulses", "decaying_sinusoid", "zero")
+_CHUNK = 1024  # the input samples InputSignal.l2_norm evaluates at a time
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,15 @@ class InputSignal:
         return self.f(t)
 
     def l2_norm(self, t_f, dt):
-        """L2 norm over [0, t_f] by trapezoidal quadrature at ``dt / 10``."""
+        """L2 norm over [0, t_f] by trapezoidal quadrature at ``dt / 10``, its
+        terms summed as ``np.trapezoid`` sums them, from the input sampled in
+        chunks of ``_CHUNK`` steps: no samples x m array is formed."""
         t = np.linspace(0.0, t_f, 10 * max(int(round(t_f / dt)), 1) + 1)
-        u = self(t)
-        return float(np.sqrt(np.trapezoid(np.sum(u * u, axis=1), t)))
+        terms = np.empty(len(t) - 1)
+        for i in range(0, len(terms), _CHUNK):
+            sq = np.sum(np.square(self(t[i:i + _CHUNK + 1])), axis=1)
+            terms[i:i + _CHUNK] = np.diff(t[i:i + _CHUNK + 1]) * (sq[1:] + sq[:-1]) / 2.0
+        return float(np.sqrt(terms.sum()))
 
 
 @dataclass(eq=False)
@@ -113,19 +119,13 @@ class SimulationTrace:
 
 
 def foh_weights(A, B, dt):
-    """Exact first-order-hold step matrices (E, F0, F1) for step ``dt``."""
+    """Exact first-order-hold step matrices (E, F0, F1) for step ``dt``, from the
+    exponential of ``[[A, B, 0], [0, 0, I], [0, 0, 0]]``, passed as a temporary."""
     n, m = A.shape[0], B.shape[1]
-    blk = np.zeros((n + 2 * m, n + 2 * m))
-    blk[:n, :n] = A
-    blk[:n, n:n + m] = B
-    blk[n:n + m, n + m:] = np.eye(m)
-    Eb = matrix_exponential(blk, dt)
-    E = Eb[:n, :n]
-    P1 = Eb[:n, n:n + m]
-    P2 = Eb[:n, n + m:]
-    F1 = P2 / dt
-    F0 = P1 - F1
-    return E, F0, F1
+    Eb = matrix_exponential(np.block([[A, B, np.zeros((n, m))], [np.zeros((m, n + m)), np.eye(m)],
+                                      [np.zeros((m, n + 2 * m))]]), dt)
+    F1 = Eb[:n, n + m:] / dt
+    return Eb[:n, :n], Eb[:n, n:n + m] - F1, F1
 
 
 GRID_SAMPLES = 4000

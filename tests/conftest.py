@@ -14,13 +14,17 @@ H2 error (``h2_error_norm``) and the augmented system (``augmented_system``)
 use the library's solvers, but on formulas that the pipeline does not use:
 the reachability side ``||H||^2 - 2 tr(B^T Y Br) + ||Hr||^2`` against the
 projected error, and a direct solve of the augmented Gramian against the
-QR of the two reachability factors that ``abt_reduce`` takes.
+QR of the two reachability factors that ``abt_reduce`` takes.  The
+Gramian of a formed right-hand side (``formed_lyapunov``) and the clipped
+``eigh`` factor (``clipped_sqrt_factor``) are the library's former paths, the
+oracles of the factored ones.
 """
 
 import argparse
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from scipy.sparse.linalg import LinearOperator, svds
 
 from icmor import InputSignal, StateSpaceModel
 from icmor.errors import DimensionMismatch, InvalidParameter, NonFinite
+from icmor import linalg
 from icmor.linalg import _complex_columns, shifted_solve, solve_lyapunov, solve_sylvester
 from icmor.reduction import SplitReducedModel
 from icmor.simulation import SimulationTrace, online_phase, simulate
@@ -107,6 +112,36 @@ def kron_lyapunov(A, G):
     return vec.reshape((n, n), order="F")
 
 
+def formed_lyapunov(A, G, schur):
+    """``P`` of ``A P + P A^T + G = 0`` from the formed ``G``, on the real
+    Schur form ``(T, U)`` of ``A``, as ``solve_lyapunov`` solved it before it
+    took a factor of ``G``: ``U^T G U``, ``dtrsyl``, ``(P + P^T) / 2``."""
+    T, U = schur
+    P = U @ linalg._trsyl(T, T, -(U.T @ G @ U), tranb="T") @ U.T
+    return (P + P.T) / 2.0
+
+
+def clipped_sqrt_factor(P):
+    """The n x n factor ``V diag(sqrt(max(w, 0)))`` of ``eigh(P)``, ``w``
+    descending, as ``_sqrt_factor`` took it before it dropped the columns of
+    the clipped ``w``."""
+    w, V = np.linalg.eigh(P)
+    w = np.clip(w, 0.0, None)
+    order = np.argsort(w)[::-1]
+    return V[:, order] * np.sqrt(w[order])
+
+
+def traced_peak(f):
+    """The ``tracemalloc`` peak, in bytes, of the arrays ``f()`` allocates.
+    numpy's LAPACK workspaces are allocated with malloc, unseen by it."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def kron_sylvester(A, M, K):
     """Solve A^T Y + Y M + K = 0 via Kronecker vectorization."""
     n, r = A.shape[0], M.shape[0]
@@ -133,7 +168,7 @@ def h2_squared(M):
     """``tr(C P C^T)``, ``A P + P A^T + B B^T = 0``, from its own solve on
     the shared real Schur form of ``A``: ``||H||^2`` from the reachability
     side."""
-    P = solve_lyapunov(M.A, M.B @ M.B.T, M.real_schur)
+    P = solve_lyapunov(M.A, M.B, M.real_schur)
     return float(np.sum((M.C @ P) * M.C))
 
 
@@ -331,11 +366,11 @@ def expm_orders(monkeypatch):
     return _recorded_orders(monkeypatch, linalg.matrix_exponential)
 
 
-def _recorded_orders(monkeypatch, original, orders=None):
+def _recorded_orders(monkeypatch, original, orders=None, order=lambda A: np.shape(A)[0]):
     orders = [] if orders is None else orders
 
     def counted(A, *args, **kwargs):
-        orders.append(np.shape(A)[0])
+        orders.append(order(A))
         return original(A, *args, **kwargs)
 
     _rebind_in_icmor(monkeypatch, original, counted)
@@ -400,10 +435,12 @@ def record_kernels(monkeypatch):
     ``budget(n, m)``, the number of calls of each of order >= n (>= n + 2m
     for the FOH step's exponential, n x r for Sylvester solves, the order of
     ``T`` for IRKA's shifted solves, that of the Gramian for
-    ``_sqrt_factor``), of real Schur forms of order 1 to n - 1, and the
+    ``_sqrt_factor``, the state order for the Hankel spectra, whose SVD is of
+    the k_U x k_L product of the factors, and the smaller dimension for
+    ``np.linalg.svd``), of real Schur forms of order 1 to n - 1, and the
     number of ``np.linalg.cholesky`` and ``np.linalg.eigvals`` calls of any
     order."""
-    from icmor import linalg
+    from icmor import gramians, linalg
 
     schur = _schur_orders(monkeypatch)
     lyapunov = _recorded_orders(monkeypatch, linalg.solve_lyapunov)
@@ -411,6 +448,7 @@ def record_kernels(monkeypatch):
     expm = _recorded_orders(monkeypatch, linalg.matrix_exponential)
     shifted = _recorded_orders(monkeypatch, linalg.shifted_solve)
     factor = _recorded_orders(monkeypatch, linalg._sqrt_factor)
+    hankel = _recorded_orders(monkeypatch, gramians.hankel_spectrum, order=lambda F: F.U.shape[0])
     eigvals = _recorded_shapes(monkeypatch, np.linalg, "eigvals")
     svd = _recorded_shapes(monkeypatch, np.linalg, "svd")
     cholesky = _recorded_shapes(monkeypatch, np.linalg, "cholesky")
@@ -423,7 +461,8 @@ def record_kernels(monkeypatch):
             "solve_lyapunov": sum(k >= n for k in lyapunov),
             "Gramian factorization": sum(k >= n for k in factor),
             "Cholesky": len(cholesky),
-            "Hankel SVD": sum(min(shape) >= n for shape in svd),
+            "Hankel SVD": sum(k >= n for k in hankel),
+            "order-n SVD": sum(min(shape) >= n for shape in svd),
             "eigvals": len(eigvals),
             "FOH expm": sum(k >= n + 2 * m for k in expm),
             "n x r solve_sylvester": sum(k >= n for k in sylvester),

@@ -47,9 +47,9 @@ from icmor.experiment import ExperimentConfig, run_experiment
 from icmor.simulation import SimulationTrace
 
 from conftest import (
-    _recorded_orders, augmented_system, golden_mismatches, h2_error_norm, h2_norm,
+    _recorded_orders, augmented_system, foh_block, golden_mismatches, h2_error_norm, h2_norm,
     hankel_oracle, kron_lyapunov, kron_sylvester, long_horizon_error, make_stable,
-    random_system, record_kernels,
+    random_system, record_kernels, traced_peak,
 )
 
 ISS_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "iss")
@@ -148,7 +148,7 @@ class TestCriterion2MatrixEquations:
             A = make_stable(rng, n)
             R = rng.standard_normal((n, n))
             G = R @ R.T
-            P = solve_lyapunov(A, G)
+            P = solve_lyapunov(A, R)
             assert np.linalg.norm(A @ P + P @ A.T + G) <= \
                 1e-10 * max(1.0, np.linalg.norm(G))
             assert np.allclose(P, kron_lyapunov(A, G), atol=1e-10 * max(1.0, np.abs(P).max()))
@@ -165,7 +165,7 @@ class TestCriterion2MatrixEquations:
     def test_msd300_self_residual(self, msd300):
         M = msd300
         G = M.B @ M.B.T
-        P = solve_lyapunov(M.A, G)
+        P = solve_lyapunov(M.A, M.B)
         assert np.linalg.norm(M.A @ P + P @ M.A.T + G) <= \
             1e-9 * max(1.0, np.linalg.norm(G))
 
@@ -368,17 +368,54 @@ class TestKernelBudget:
     # verdict reads a Schur form, so no eigvals runs.  The Gramian
     # factorizations are of P_B, P_X0 and Q; augmented BT takes its factor
     # from a QR of the first two, and each factor comes from eigh, with no
-    # Cholesky tried.  The Sylvester solves are the H2 errors of the BT
-    # reductions at r_u = 16 and r_x0 = 86 and of IRKA's 2 scored iterates.
+    # Cholesky tried.  Each factor keeps only its columns of positive
+    # eigenvalues (255 to 263 of 300), so the three Hankel SVDs, of the
+    # k_U x k_L products, are not of order n, and no SVD is.  The Sylvester
+    # solves are the H2 errors of the BT reductions at r_u = 16 and r_x0 = 86
+    # and of IRKA's 2 scored iterates.
     # IRKA's shifted solves are 2 for each of its 3 iterates, the bases V and
     # W; the Hermite derivative is read off the two solves of iterate 2.
     CASE1 = {"real Schur form": 2, "reduced-order real Schur form": 5,
              "complex Schur form": 0, "solve_lyapunov": 3,
-             "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 0,
-             "FOH expm": 1, "n x r solve_sylvester": 4, "IRKA shifted_solve": 6}
+             "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "order-n SVD": 0,
+             "eigvals": 0, "FOH expm": 1, "n x r solve_sylvester": 4, "IRKA shifted_solve": 6}
 
     def test_case1(self, case1):
         assert case1.kernels == self.CASE1
+
+
+class TestMemoryBudget:
+    """``tracemalloc``'s peak of two order-n kernels of case1, in order-n
+    arrays: the reachability factor of the n = 300 chain (2.1: ``P`` with the
+    copy of ``P^T`` its in-place symmetrization takes, then ``eigh``'s ``V``
+    with the n x k factor) and the FOH exponential of order 320, handed its
+    block as a temporary (6.0: the scaled block, its three even powers, U's
+    sum and U).  A change that raises a peak updates this table and says why.
+    Before the solve took the factor of its right-hand side and each order-n
+    temporary was freed after its last use, the two read 4.1 and 8.0."""
+
+    def test_reach_factor(self, msd300):
+        M = msd300.with_input(msd300.B)
+        assert traced_peak(lambda: M.reach_factor) < 2.5 * M.n ** 2 * 8
+
+    def test_foh_exponential(self, msd300):
+        _, dt = suggest_grid(msd300)
+        k = msd300.n + 2 * msd300.m
+        peak = traced_peak(lambda: linalg.matrix_exponential(foh_block(msd300.A, msd300.B), dt))
+        assert peak < 6.5 * k ** 2 * 8
+
+
+class TestHankelValuesPadded:
+    def test_case1_zero_past_the_smaller_factor_rank(self, case1, msd300):
+        # sigma, theta and eta are of k_U x k_L products, padded to n; eta's
+        # k_U is the rank of the QR factor of [U_B, gamma U_X0]^T
+        aux = msd300.with_input(unit_vector_basis(300, [300]).X0)
+        k_B, k_X0 = msd300.reach_factor.shape[1], aux.reach_factor.shape[1]
+        k_L = msd300.obs_factor.shape[1]
+        for name, k_U in (("sigma", k_B), ("theta", k_X0), ("eta", min(k_B + k_X0, 300))):
+            values, k = case1.rep.hsv[name], min(k_U, k_L)
+            assert values.shape == (300,) and k < 300
+            assert np.all(values[k:] == 0.0), name
 
 
 class TestCriterion9Case2:

@@ -19,7 +19,7 @@ from icmor import (
 )
 from icmor._mmio import read_matrix, write_matrix
 from icmor.cli import FLAGS, build_parser, main
-from icmor.errors import ConfigError, MaxItersExceeded
+from icmor.errors import ConfigError, MaxItersExceeded, NotStable
 from icmor.experiment import (
     ExperimentConfig, _bound_holds, _grid, emit_report, run_experiment,
 )
@@ -199,14 +199,17 @@ class TestRunExperiment:
     # stability verdict reads a Schur form, so no eigvals runs.  The Gramian
     # factorizations are of P_B, P_X0 and Q; augmented BT takes its factor
     # from a QR of the first two, and each factor comes from eigh, with no
-    # Cholesky tried.  The Sylvester solves are the H2 errors of the two BT
-    # reductions and of IRKA's 5 scored iterates.  IRKA's shifted solves are
+    # Cholesky tried.  All 24 eigenvalues of each Gramian are positive, so
+    # the factors are 24 x 24 and the three Hankel SVDs are of order n.  The
+    # Sylvester solves are the H2 errors of the two BT reductions and of
+    # IRKA's 5 scored iterates.  IRKA's shifted solves are
     # 2 per iterate (the bases V and W); the Hermite derivative of the
     # returned iterate is read off its two.
     KERNEL_BUDGET = {"real Schur form": 2, "reduced-order real Schur form": 8,
                      "complex Schur form": 0, "solve_lyapunov": 3,
-                     "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3, "eigvals": 0,
-                     "FOH expm": 1, "n x r solve_sylvester": 7, "IRKA shifted_solve": 10}
+                     "Gramian factorization": 3, "Cholesky": 0, "Hankel SVD": 3,
+                     "order-n SVD": 3, "eigvals": 0, "FOH expm": 1,
+                     "n x r solve_sylvester": 7, "IRKA shifted_solve": 10}
 
     def test_order_n_kernel_budget(self, tmp_path, monkeypatch):
         budget = record_kernels(monkeypatch)
@@ -341,6 +344,28 @@ class TestRunExperiment:
                             lambda tr: calls.append(1) or l2_norm(tr))
         rep = run_experiment(ExperimentConfig.from_dict(small_config(tmp_path)))
         assert len(calls) == 3 + len(rep.report["methods"])
+
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "tol"])
+    @pytest.mark.parametrize("call, name, key", [
+        (1, "input", "order_u"), (2, "x0", "order_x0"), (3, "augmented", "order_aug"),
+    ], ids=["input", "x0", "augmented"])
+    def test_unstable_truncation_names_its_order(self, tmp_path, monkeypatch, call, name, key,
+                                                 fixed):
+        # the three truncations build their reduced models in this order; the
+        # one whose verdict fails names the order the config fixed, else tol
+        built, model = [], reduction.StateSpaceModel
+
+        def failing(*args, **kwargs):
+            built.append(1)
+            if len(built) == call:
+                raise NotStable("A has stability margin 1.000e-03", 1e-3)
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "StateSpaceModel", failing)
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path, **({key: 2} if fixed else {})))
+        with pytest.raises(ConfigError, match=rf"^{key if fixed else 'tol'}: the {name} map's "
+                           r"balanced truncation at order \d+ is not stable"):
+            run_experiment(cfg)
 
     def test_determinism(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -603,6 +628,17 @@ class TestCliVerbs:
         assert main(["report", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    def test_report_names_the_unstable_fixed_order(self, tmp_path, capsys):
+        # case1's input map truncated at order 57 is not stable (ROADMAP item
+        # 14): one line naming order_u, the map and the order, no traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config(tmp_path, model=PAPER_MODEL, x0_indices=[300],
+                                               methods=["bt-bt"], order_u=57)))
+        assert main(["report", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: order_u: the input map's balanced truncation at order 57 is not stable")
 
     def test_reduce_split(self, tmp_path):
         model_dir = str(tmp_path / "model")

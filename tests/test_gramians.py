@@ -20,8 +20,8 @@ from icmor.gramians import projected_h2_error
 from icmor.model import unit_vector_basis
 
 from conftest import (
-    augmented_system, dense_h2_error, h2_error_norm, h2_norm, h2_quadrature, h2_squared,
-    kron_lyapunov, random_system,
+    augmented_system, clipped_sqrt_factor, dense_h2_error, formed_lyapunov, h2_error_norm,
+    h2_norm, h2_quadrature, h2_squared, kron_lyapunov, random_system,
 )
 
 
@@ -65,6 +65,52 @@ class TestGramianFactors:
         rq = np.linalg.norm(M.A.T @ Q + Q @ M.A + M.C.T @ M.C)
         assert rp <= 1e-9 * max(1.0, np.linalg.norm(M.B @ M.B.T))
         assert rq <= 1e-9 * max(1.0, np.linalg.norm(M.C.T @ M.C))
+
+
+class TestFactorsAtTheirRank:
+    """``solve_lyapunov`` takes the factor of its right-hand side, and each
+    Gramian factor keeps only the columns of its positive eigenvalues.  On
+    the chains with x0 at the far end, where X0 and C are unit vectors, each
+    entry of ``U^T F F^T U`` is one exact product: P_X0 and Q are, bit for
+    bit, those of the formed right-hand side, and the factors are the leading
+    columns of the clipped ``eigh`` factor, whose other columns are 0."""
+
+    @pytest.fixture(scope="class", params=[150, 300], ids=["n300", "n600"])
+    def chain(self, request):
+        M = build_msd(request.param, m_inputs=10)
+        aux = M.with_input(unit_vector_basis(M.n, [M.n]).X0)
+        schur_t = linalg._real_schur(M.A.T)
+        # (factor, its Gramian by the factored solve, by the formed one)
+        return M.n, {
+            "P_X0": (aux.reach_factor, linalg.solve_lyapunov(M.A, aux.B, M.real_schur),
+                     formed_lyapunov(M.A, aux.B @ aux.B.T, M.real_schur)),
+            "Q": (M.obs_factor, linalg.solve_lyapunov(M.A.T, M.C.T, schur_t),
+                  formed_lyapunov(M.A.T, M.C.T @ M.C, schur_t)),
+        }
+
+    @pytest.mark.parametrize("name", ["P_X0", "Q"])
+    def test_gramian_bit_for_bit_the_formed_one(self, chain, name):
+        _, gramians = chain
+        _, P, formed = gramians[name]
+        assert np.array_equal(P, formed)
+
+    @pytest.mark.parametrize("name", ["P_X0", "Q"])
+    def test_factor_is_the_positive_columns_of_the_clipped_one(self, chain, name):
+        n, gramians = chain
+        factor, _, formed = gramians[name]
+        k = np.count_nonzero(np.linalg.eigh(formed)[0] > 0)
+        want = clipped_sqrt_factor(formed)
+        assert factor.shape == (n, k) and k < n
+        assert np.array_equal(factor, want[:, :k])
+        assert np.all(want[:, k:] == 0.0)
+
+    def test_hankel_values_padded_with_zeros(self, chain):
+        n, gramians = chain
+        U, L = gramians["P_X0"][0], gramians["Q"][0]
+        sigma = hankel_spectrum(reduction.GramianFactors(U, L)).sigma
+        k = min(U.shape[1], L.shape[1])
+        assert sigma.shape == (n,) and np.all(sigma[k:] == 0.0)
+        assert np.all(np.diff(sigma) <= 0.0)
 
 
 class TestSharedFactors:

@@ -46,7 +46,7 @@ from conftest import foh_block, kron_lyapunov, kron_sylvester, make_stable, near
 
 class TestSolveLyapunov:
     def test_scalar(self):
-        P = solve_lyapunov(np.array([[-1.0]]), np.array([[4.0]]))
+        P = solve_lyapunov(np.array([[-1.0]]), np.array([[2.0]]))
         assert P == pytest.approx(np.array([[2.0]]))
 
     def test_identity_pair(self):
@@ -55,8 +55,9 @@ class TestSolveLyapunov:
 
     def test_diagonal_against_kronecker(self):
         A = np.diag([-1.0, -2.0])
-        G = np.ones((2, 2))
-        P = solve_lyapunov(A, G)
+        F = np.ones((2, 1))
+        G = F @ F.T
+        P = solve_lyapunov(A, F)
         expected = np.array([[0.5, 1.0 / 3.0], [1.0 / 3.0, 0.25]])
         assert np.allclose(P, expected, atol=1e-12)
         assert np.allclose(P, kron_lyapunov(A, G), atol=1e-12)
@@ -66,7 +67,7 @@ class TestSolveLyapunov:
             A = make_stable(rng, n)
             R = rng.standard_normal((n, n))
             G = R @ R.T
-            P = solve_lyapunov(A, G)
+            P = solve_lyapunov(A, R)
             resid = np.linalg.norm(A @ P + P @ A.T + G)
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(G))
             assert np.allclose(P, kron_lyapunov(A, G), atol=1e-9)
@@ -80,7 +81,7 @@ class TestSolveLyapunov:
     def test_psd_for_stable_input(self, rng):
         A = make_stable(rng, 7)
         B = rng.standard_normal((7, 2))
-        P = solve_lyapunov(A, B @ B.T)
+        P = solve_lyapunov(A, B)
         w = np.linalg.eigvalsh(P)
         assert w.min() >= -1e-10 * np.linalg.norm(P, 2)
 
@@ -112,8 +113,8 @@ class TestSolveLyapunov:
     def test_given_schur_form_and_norm_change_nothing(self, rng):
         A = make_stable(rng, 7)
         R = rng.standard_normal((7, 2))
-        P = solve_lyapunov(A, R @ R.T)
-        Ps = solve_lyapunov(A, R @ R.T, sla.schur(A, output="real"))
+        P = solve_lyapunov(A, R)
+        Ps = solve_lyapunov(A, R, sla.schur(A, output="real"))
         assert np.array_equal(P, Ps)
 
     def test_dimension_mismatch(self):

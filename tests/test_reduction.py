@@ -73,6 +73,24 @@ class TestOrderFromTolerance:
 
 
 class TestBtReduce:
+    @pytest.mark.parametrize("name", ["input", "x0", "augmented"])
+    def test_unstable_truncation_names_map_order_and_abscissa(self, monkeypatch, name):
+        # the reduced model's own verdict fails: the error names the map the
+        # caller reduced and the order, not the reduced model's A
+        def unstable(*args, **kwargs):
+            raise NotStable("A has stability margin 2.500e-03", 2.5e-3)
+
+        monkeypatch.setattr(reduction, "StateSpaceModel", unstable)
+        M = build_msd(6, m_inputs=2)
+        aux = M.with_input(unit_vector_basis(M.n, [12]).X0)
+        reduce = {"input": lambda sel: bt_reduce(M, sel),
+                  "x0": lambda sel: bt_reduce(aux, sel, "x0"),
+                  "augmented": lambda sel: abt_reduce(M, aux, sel)}[name]
+        with pytest.raises(UnstableReduction, match=rf"^the {name} map's balanced truncation at "
+                           r"order 3 is not stable \(spectral abscissa 2\.500e-03\)$") as info:
+            reduce(OrderSelection.fixed(3))
+        assert info.value.map_name == name
+
     def test_full_order_preserves_transfer(self, rng):
         M = random_system(rng, 5, 2, 2)
         R = bt_reduce(M, OrderSelection.fixed(5))

@@ -25,7 +25,7 @@ from icmor.model import coordinates_of
 from icmor import simulation
 from icmor.simulation import SimulationTrace, _flush, _power, foh_weights
 
-from conftest import random_system, step_simulate
+from conftest import random_system, step_simulate, traced_peak
 
 
 class TestFohWeights:
@@ -43,6 +43,29 @@ class TestFohWeights:
 
 
 class TestInputSignal:
+    @pytest.mark.parametrize("u", [
+        InputSignal.decaying_pulses(10), InputSignal.decaying_sinusoid(10), InputSignal.zero(10),
+        InputSignal.decaying_pulses(3, amplitude=-2.0, period=7.0, start=0.0),
+        InputSignal.sampled(np.linspace(0.0, 400.0, 77),
+                            np.random.default_rng(0).standard_normal((77, 3))),
+    ], ids=["pulses", "sinusoid", "zero", "negative-pulses", "sampled"])
+    def test_l2_norm_bit_for_bit_the_whole_grid_quadrature(self, u):
+        # sampled in chunks, the norm is the trapezoid of the whole grid's
+        # samples: on case1's grid, one of 512 steps (5 whole chunks), one
+        # shorter than a chunk and one off the grid's steps
+        t_f, dt = suggest_grid(build_msd(150, m_inputs=10))
+        for horizon, step in ((t_f, dt), (t_f, t_f / 512), (1.0, 0.3), (0.7 * t_f, 1.3 * dt)):
+            t = np.linspace(0.0, horizon, 10 * max(int(round(horizon / step)), 1) + 1)
+            samples = u(t)
+            want = float(np.sqrt(np.trapezoid(np.sum(samples * samples, axis=1), t)))
+            assert u.l2_norm(horizon, step) == want
+
+    def test_l2_norm_forms_no_sample_array(self):
+        # case1's grid has 40001 samples: one array of them in 10 channels is
+        # 3.2 MB, the vector of the trapezoid's terms 0.32 MB
+        t_f, dt = suggest_grid(build_msd(150, m_inputs=10))
+        assert traced_peak(lambda: InputSignal.decaying_pulses(10).l2_norm(t_f, dt)) < 1e6
+
     def test_l2_norm_of_constant_input(self):
         m, t_f = 3, 10.0
         u = InputSignal.sampled([0.0, 2 * t_f], np.ones((2, m)))
