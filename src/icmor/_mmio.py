@@ -51,6 +51,9 @@ def read_matrix(path):
         raise ParseError(f"bad size line '{size_line}'", path=path, line=size_line_no)
     if min(dims) < 0:
         raise ParseError(f"negative size in '{size_line}'", path=path, line=size_line_no)
+    if symmetry == "symmetric" and len(dims) > 1 and dims[0] != dims[1]:
+        raise ParseError(f"symmetric matrix is not square: '{size_line}'",
+                         path=path, line=size_line_no)
 
     if fmt == "array":
         if len(dims) != 2:

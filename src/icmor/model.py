@@ -133,6 +133,9 @@ class InitialConditionBasis:
 
     def __post_init__(self):
         X0 = _as_matrix(self.X0, "X0")
+        if X0.shape[1] > X0.shape[0]:
+            raise InvalidParameter(f"X0 has {X0.shape[1]} columns but only {X0.shape[0]} "
+                                   "rows, so it cannot have full column rank")
         if X0.shape[1] > 0:
             sv = np.linalg.svd(X0, compute_uv=False)
             if sv[-1] <= 1e-12 * sv[0]:

@@ -3,7 +3,7 @@ split reduction that treats the input map and the initial-condition map
 independently."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,8 +72,10 @@ class ReducedModel:
     truncated tail is ``spectrum_tail``.  Augmented-BT models additionally
     carry the projected basis ``X0til``, the basis scaling and ``obs_x0 =
     L^T A X0s`` (augmented ``Q = L L^T``), which the a-priori bound needs.
-    ``h2_error`` is the H2 norm of the error against the reduced system, set
-    by ``bt_reduce`` and ``irka_reduce``; the split bound's ``e2`` reads it.
+    ``V`` is the basis ``bt_reduce`` and ``abt_reduce`` project on (``sys =
+    (W^T A V, W^T B, C V)``).  ``h2_error`` is the H2 norm of the error
+    against the reduced system, set by ``irka_reduce`` and, for the x0 map,
+    by ``split_from_bt``; the split bound's ``e2`` reads it.
     """
 
     sys: StateSpaceModel
@@ -85,6 +87,7 @@ class ReducedModel:
     interp_residuals: dict = field(default_factory=dict)
     converged: bool = True
     h2_error: float = None
+    V: np.ndarray = None
 
     @property
     def r(self):
@@ -146,10 +149,9 @@ def _truncate(M: StateSpaceModel, F: GramianFactors, sel: OrderSelection, name="
 
 
 def bt_reduce(M: StateSpaceModel, sel: OrderSelection, name="input") -> ReducedModel:
-    """Balanced truncation of ``M``, the ``name`` map, at the selected order, with its H2 error."""
+    """Balanced truncation of ``M``, the ``name`` map, at the selected order."""
     V, _, sys, sigma = _truncate(M, gramian_factors(M), sel, name)
-    return ReducedModel(sys=sys, method="bt", hankel=sigma,
-                        h2_error=projected_h2_error(M, V, sys))
+    return ReducedModel(sys=sys, method="bt", hankel=sigma, V=V)
 
 
 def _x0_scale(B, X0, scaling):
@@ -182,8 +184,8 @@ def abt_reduce(M: StateSpaceModel, aux: StateSpaceModel,
     M.drop_reach_factor()
     F = GramianFactors(U=np.linalg.qr(G, mode="r").T, L=M.obs_factor)
     del G
-    _, W, sys, eta = _truncate(M, F, sel, "augmented")
-    return ReducedModel(sys=sys, X0til=W.T @ X0, method="abt", hankel=eta,
+    V, W, sys, eta = _truncate(M, F, sel, "augmented")
+    return ReducedModel(sys=sys, X0til=W.T @ X0, method="abt", hankel=eta, V=V,
                         obs_x0=F.L.T @ (M.A @ (gamma * X0)), x0_scale=gamma)
 
 
@@ -307,8 +309,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
     also ends at an ill-conditioned basis, of numerical rank < ``r``, or
     after ``_STALL_SCORINGS`` scorings in a row that do not beat its own
     best.  A candidate whose solves raise ``NotStable`` goes unscored.
-    With no scored iterate the warm start is returned, with its
-    ``h2_error`` and flagged by ``interp_residuals['fallback']``, or else
+    With no scored iterate the warm start is returned, scored on its basis
+    ``V`` and flagged by ``interp_residuals['fallback']``, or else
     ``UnstableReduction`` is raised; warnings and errors name each start's
     stop.  At ``r = n`` ``M`` itself is returned at once (H2 error 0).
     """
@@ -429,7 +431,7 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             MaxItersExceeded,
         )
         return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
-                            h2_error=warm_start.h2_error,
+                            h2_error=projected_h2_error(M, warm_start.V, warm_start.sys),
                             interp_residuals={**_NO_INTERPOLATION, "fallback": True})
     (unconverged, h2_error), (sys, reflected, *samples) = best_key, best
     if unconverged:
@@ -457,14 +459,17 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
 def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
                   basis, x0_method="bt") -> SplitReducedModel:
     """The split model from BT reductions (not modified) of the input map
-    and of ``aux``; with ``x0_method`` "irka", ``sxy`` warm-starts IRKA on
-    ``aux`` at its order.  The reduced x0 map takes ``z0`` through its B."""
+    and of ``aux``; ``x0_method`` "bt" scores ``sxy``'s H2 error on ``aux``
+    (the bound's ``e2``), "irka" warm-starts IRKA on ``aux`` at its order.
+    The reduced x0 map takes ``z0`` through its B."""
     if x0_method not in ("bt", "irka"):
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
-    if x0_method == "irka":
-        if sxy.r == 0:
-            sxy = ReducedModel(sys=sxy.sys, method="irka", h2_error=sxy.h2_error,
-                               interp_residuals=dict(_NO_INTERPOLATION))
-        else:
-            sxy = irka_reduce(aux, sxy.r, warm_start=sxy)
+    if x0_method == "bt":
+        sxy = replace(sxy, h2_error=projected_h2_error(aux, sxy.V, sxy.sys))
+    elif sxy.r == 0:
+        sxy = ReducedModel(sys=sxy.sys, method="irka",
+                           h2_error=projected_h2_error(aux, sxy.V, sxy.sys),
+                           interp_residuals=dict(_NO_INTERPOLATION))
+    else:
+        sxy = irka_reduce(aux, sxy.r, warm_start=sxy)
     return SplitReducedModel(suy=suy, sxy=sxy, basis=basis)

@@ -2,7 +2,8 @@
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
 only through ``linalg._trsyl``, the empty-size guards of the two LAPACK
 callers in ``linalg``, no ``scipy.linalg`` import, no ``eigvals`` beside
-the Schur forms, ``bounds`` importing only ``errors``, one table of input
+the Schur forms, H2 scoring only where an H2 error is read, ``bounds``
+importing only ``errors``, one table of input
 kinds, stderr written only by ``cli.main``, and the types of arrays
 compared and hashed by identity."""
 
@@ -136,6 +137,17 @@ def test_no_module_calls_eigvals():
                             lambda child: _names(child, "eigvals"))
              for module in MODULES}
     assert {module: s for module, s in sites.items() if s} == {}
+
+
+def test_only_irka_and_the_split_methods_score_h2_errors():
+    # balanced truncation only truncates; IRKA picks its iterate by the
+    # score, and split_from_bt gives the split bound its e2
+    sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__,
+                            lambda child: isinstance(child, ast.Call)
+                            and _names(child.func, "projected_h2_error"))
+             for module in MODULES}
+    assert {module: set(s) for module, s in sites.items() if s} == \
+        {"reduction": {"irka_reduce", "split_from_bt"}}
 
 
 def test_bounds_imports_only_errors():

@@ -20,6 +20,7 @@ from icmor import (
 )
 from icmor.bounds import ErrorBudget
 from icmor.errors import MaxItersExceeded, MissingProvenance
+from icmor.gramians import projected_h2_error
 from icmor.simulation import (
     SimulationTrace,
     l2_norm,
@@ -118,28 +119,31 @@ class TestAbtBound:
 
 
 class TestBtH2Error:
-    """The ``h2_error`` of ``bt_reduce``, the x0-map term e2 of the split
-    bound, against the H2 error of its reduced model."""
+    """``projected_h2_error`` of a ``bt_reduce`` model on its basis ``V``,
+    the x0-map term e2 of the split bound, against the H2 error of its
+    reduced model."""
 
     def test_reuses_the_factors_of_bt(self, lyapunov_orders):
         M = build_msd(12, m_inputs=3)
         aux = M.with_input(unit_vector_basis(M.n, [24]).X0)
         R = bt_reduce(aux, OrderSelection.tolerance(1e-2))
         del lyapunov_orders[:]
-        bt_reduce(aux, OrderSelection.fixed(R.r)).h2_error
+        R = bt_reduce(aux, OrderSelection.fixed(R.r))
+        projected_h2_error(aux, R.V, R.sys)
         # the Gramian factors are bt_reduce's, and the error system's order-r
         # block is a Sylvester solve on the reduced model's Schur form
         assert lyapunov_orders == []
 
     def test_full_order_zero(self, rng):
         M = random_system(rng, 5, 1, 1)
-        assert bt_reduce(M, OrderSelection.fixed(5)).h2_error == 0.0
+        R = bt_reduce(M, OrderSelection.fixed(5))
+        assert projected_h2_error(M, R.V, R.sys) == 0.0
 
     def test_diagonal_system_dominates_h2_error(self):
         M = StateSpaceModel(np.diag([-1.0, -2.0]), np.array([[1.0], [0.5]]),
                             np.array([[1.0, 1.0]]))
         R = bt_reduce(M, OrderSelection.fixed(1))
-        assert R.h2_error >= h2_error_norm(M, R.sys)
+        assert projected_h2_error(M, R.V, R.sys) >= h2_error_norm(M, R.sys)
 
     def test_equals_h2_error_on_a_deflated_system(self):
         # the middle state is unreachable and unobservable, so the numerical
@@ -147,8 +151,9 @@ class TestBtH2Error:
         M = StateSpaceModel(np.diag([-1.0, -3.0, -2.0]), np.array([[1.0], [0.0], [1.0]]),
                             np.array([[1.0, 0.0, 1.0]]))
         R = bt_reduce(M, OrderSelection.fixed(1))
-        assert R.h2_error == pytest.approx(h2_error_norm(M, R.sys), rel=1e-12)
-        assert R.h2_error == pytest.approx(0.0339925223681, rel=1e-10)
+        h2_error = projected_h2_error(M, R.V, R.sys)
+        assert h2_error == pytest.approx(h2_error_norm(M, R.sys), rel=1e-12)
+        assert h2_error == pytest.approx(0.0339925223681, rel=1e-10)
 
     def test_monte_carlo_validity(self, rng):
         for _ in range(20):
@@ -159,8 +164,8 @@ class TestBtH2Error:
                 err = h2_error_norm(M, R.sys)
                 # relative slack plus a floor at the cancellation noise of
                 # the subtraction in h2_error_norm, which differs from
-                # h2_error by up to 3.7e-8 of the system norm here
-                assert R.h2_error >= err * (1.0 - 1e-6) - 5e-8 * scale
+                # projected_h2_error by up to 3.7e-8 of the system norm here
+                assert projected_h2_error(M, R.V, R.sys) >= err * (1.0 - 1e-6) - 5e-8 * scale
 
     def test_equals_h2_error_on_case2_x0_map(self):
         # the trace formula is the H2 error of BT itself, not only a bound
@@ -170,7 +175,8 @@ class TestBtH2Error:
         aux = M.with_input(unit_vector_basis(M.n, [30]).X0)
         R = bt_reduce(aux, OrderSelection.tolerance(1e-2))
         assert R.r == 20
-        assert R.h2_error == pytest.approx(h2_error_norm(aux, R.sys), rel=1e-9)
+        assert projected_h2_error(aux, R.V, R.sys) == \
+            pytest.approx(h2_error_norm(aux, R.sys), rel=1e-9)
 
 
 class TestSplitBound:
@@ -259,10 +265,10 @@ class TestBoundMonotonicity:
                 b = bt_bound(R.spectrum_tail, 1.0)
                 assert b <= prev_bt + 1e-12
                 prev_bt = b
-                h2_vals.append(R.h2_error)
+                h2_vals.append(projected_h2_error(M, R.V, R.sys))
             assert h2_vals[-1] <= h2_vals[0] + 1e-12
-            assert bt_reduce(M, OrderSelection.fixed(10)).h2_error \
-                <= 1e-10 * max(1.0, h2_vals[0])
+            R = bt_reduce(M, OrderSelection.fixed(10))
+            assert projected_h2_error(M, R.V, R.sys) <= 1e-10 * max(1.0, h2_vals[0])
 
 
 def test_error_budget_total():

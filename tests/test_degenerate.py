@@ -24,6 +24,7 @@ from icmor import (
     unit_vector_basis,
 )
 from icmor.errors import MaxItersExceeded
+from icmor.gramians import projected_h2_error
 from icmor.linalg import _sqrt_factor
 from icmor.model import InitialConditionBasis
 from icmor.simulation import SimulationTrace, l2_norm, linf_norm
@@ -61,7 +62,7 @@ def _split(M, basis, x0_method):
 
 def _bt(M, sel=TOL):
     R = bt_reduce(M, sel)
-    return R.r, R.hankel, R.sys.B.shape, R.h2_error
+    return R.r, R.hankel, R.sys.B.shape, projected_h2_error(M, R.V, R.sys)
 
 
 def _augbt(M, aux):

@@ -214,6 +214,14 @@ class TestBasisRank:
         with pytest.raises(InvalidParameter, match=r"singular values 0\.00e\+00"):
             InitialConditionBasis(np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("shape", [(4, 5), (0, 1)])
+    def test_more_columns_than_rows_rejected(self, shape):
+        # n0 > n columns cannot be independent; the SVD would see only n values
+        n, n0 = shape
+        X0 = np.random.default_rng(0).standard_normal(shape)
+        with pytest.raises(InvalidParameter, match=f"{n0} columns but only {n} rows"):
+            InitialConditionBasis(X0)
+
 
 class TestModelFiles:
     def test_scalar_round_trip(self, tmp_path):

@@ -397,7 +397,7 @@ class TestIrkaReduce:
         assert best == 2 and len(errors) == best + 3
         assert R.h2_error == min(errors)
         assert h2_error_norm(aux, R.sys) == pytest.approx(R.h2_error, rel=1e-9)
-        assert min(errors) < warm.h2_error
+        assert min(errors) < projected_h2_error(aux, warm.V, warm.sys)
 
     def test_unstable_candidate_solve_is_not_scored(self, monkeypatch):
         # the first candidate's order-r solve, for Q22, fails: that iterate
