@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._mmio import write_matrix
-from .errors import ConfigError, IcmorError
+from .errors import ConfigError, IcmorError, InvalidParameter
 from .experiment import (
     KNOWN_METHODS,
     MSD_FIELDS,
@@ -26,7 +26,6 @@ from .experiment import (
     ExperimentConfig,
     _build_input,
     _build_model,
-    _grid,
     _model_spec,
     _selection,
     _write_csv,
@@ -35,7 +34,7 @@ from .experiment import (
 )
 from .model import save_model
 from .reduction import abt_reduce, split_reduce
-from .simulation import INPUT_KINDS, l2_norm, linf_norm, simulate
+from .simulation import INPUT_KINDS, l2_norm, linf_norm, simulate, suggest_grid
 
 # the flag that sets each config field: the x0 indices, the orders and grid
 # of reduce and simulate, and build_msd's parameters
@@ -96,11 +95,14 @@ def cmd_reduce(args):
 
 def cmd_simulate(args):
     M, basis = _build_model(_model_spec(args.model), args.x0_indices)
-    t_f, dt = _grid(M, args.tf, args.dt)
     u = _build_input({"kind": args.input}, M.m)
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    tr = simulate(M, u, x0, t_f, dt)
+    try:  # the grid's check, and the allocation of its samples, name horizon or dt
+        t_f, dt = suggest_grid(M, args.tf, args.dt)
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        tr = simulate(M, u, x0, t_f, dt)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from None
     _write_csv(args.out, tr.t, ("y", tr.y))
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
           f"L2={l2_norm(tr):.6g} Linf={linf_norm(tr):.6g}; wrote {args.out}")

@@ -25,7 +25,6 @@ from .model import (
 )
 from .reduction import OrderSelection, abt_reduce, bt_reduce, split_from_bt
 from .simulation import (
-    GRID_SAMPLES,
     INPUT_KINDS,
     InputSignal,
     SimulationTrace,
@@ -223,28 +222,6 @@ def _selection(order, tol):
     return OrderSelection.fixed(order) if order is not None else OrderSelection.tolerance(tol)
 
 
-def _grid(M, horizon=None, dt=None):
-    """Horizon and step: the decay horizon of ``M``, or the given horizon,
-    with ``GRID_SAMPLES`` steps; a given ``dt`` is rounded to a whole number
-    of steps on the horizon.  A horizon or step that is not a finite number
-    > 0, or a step that rounds to no step on the horizon or to a count that
-    overflows, raises ``ConfigError`` naming ``horizon`` or ``dt``."""
-    t_f, step = suggest_grid(M)
-    if horizon is not None:
-        t_f = float(horizon)
-        step = t_f / GRID_SAMPLES
-    if dt is not None:
-        step = float(dt)
-    for key, value in (("horizon", t_f), ("dt", step)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{key}: must be a finite number > 0, got {value!r}")
-    steps = t_f / step  # inf when the quotient overflows
-    if not 0.5 < steps < math.inf:  # round(steps) >= 1 iff steps > 0.5
-        why = "no step" if steps <= 0.5 else "a step count that overflows"
-        raise ConfigError(f"dt: {step!r} gives {why} on the horizon t_f = {t_f!r}")
-    return t_f, t_f / round(steps)
-
-
 def _bound_holds(abs_l2, bound, y_full_l2):
     """Whether the error ``abs_l2``, measured by quadrature, is within
     ``bound``: with a relative slack of 1e-3 for a bound that is attained,
@@ -280,7 +257,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
         if z0.shape != (n0,):
             raise ConfigError(f"z0: expected {n0} coordinates, got {z0.shape}")
         u = _build_input(cfg.input, M.m)
-        t_f, dt = _grid(M, cfg.horizon, cfg.dt)
+        try:
+            t_f, dt = suggest_grid(M, cfg.horizon, cfg.dt)
+        except InvalidParameter as exc:
+            raise ConfigError(str(exc)) from None
 
     # Full-order component responses, stepped in one run; with calibration
     # on, z0 is rescaled so that both components carry the same energy.  A
@@ -420,31 +400,19 @@ def emit_report(rep: ReductionReport, out_dir):
         if tr is not full:
             _write_csv(os.path.join(out_dir, f"error_{name}.csv"), tr.t, ("e", full.y - tr.y))
 
-    methods = list(rep.report["methods"])
-    lines = []
-    lines.append("Reduction report")
-    lines.append("")
-    model = rep.report["model"]
-    lines.append(
-        f"model: n={model['n']} m={model['m']} p={model['p']} n0={model['n0']}"
-    )
-    orders_row = []
-    for m in methods:
-        o = rep.report["methods"][m]["orders"]
-        orders_row.append("/".join(f"{k}={v}" for k, v in o.items()))
-    width = max([12] + [len(s) for s in orders_row] + [len(m) for m in methods]) + 2
+    results, model = rep.report["methods"], rep.report["model"]
+    orders = ["/".join(f"{k}={v}" for k, v in res["orders"].items()) for res in results.values()]
+    width = max([12] + [len(s) for s in orders + list(results)]) + 2
     def row(label, cells):
         return f"{label:<16}" + "".join(f"{c:>{width}}" for c in cells)
-    lines.append(row("", methods))
-    lines.append(row("orders", orders_row))
+    lines = ["Reduction report", "",
+             f"model: n={model['n']} m={model['m']} p={model['p']} n0={model['n0']}",
+             row("", results), row("orders", orders)]
     for key, label in (("rel_linf", "L_inf error"), ("rel_l2", "L_2 error")):
-        cells = []
-        for m in methods:
-            v = rep.report["methods"][m].get(key)
-            cells.append(f"{v:.4e}" if v is not None else "n/a")
-        lines.append(row(label, cells))
-    lines.append(row("bound", [f"{rep.report['methods'][m]['bound']:.4e}" for m in methods]))
-    lines.append(row("bound holds", [str(rep.report["methods"][m]["bound_ok"]) for m in methods]))
+        lines.append(row(label, [f"{res[key]:.4e}" if key in res else "n/a"
+                                 for res in results.values()]))
+    lines.append(row("bound", [f"{res['bound']:.4e}" for res in results.values()]))
+    lines.append(row("bound holds", [str(res["bound_ok"]) for res in results.values()]))
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

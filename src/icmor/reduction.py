@@ -50,6 +50,8 @@ class OrderSelection:
 
     @classmethod
     def fixed(cls, r):
+        if not float(r).is_integer():
+            raise InvalidParameter(f"order must be a whole number, got {r!r}")
         return cls(order=int(r))
 
     @classmethod
@@ -363,14 +365,15 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
             bk, ck = bdirs[:, keep], cdirs[:, keep]
             try:
                 V, Yv = _tangential_basis(M.real_schur, B, s, bk, r)
-                W, Yw = _tangential_basis(M.real_schur, C.T, s, ck, r, transpose=True)
+                # solves too ill-conditioned for r orthonormal directions end
+                # the start; once V falls short, W is not built
+                W, Yw = (V, Yv) if V.shape[1] < r else \
+                    _tangential_basis(M.real_schur, C.T, s, ck, r, transpose=True)
             except NonFinite:
                 stop = f"non-finite basis at iteration {it}"
                 break
             rank = min(V.shape[1], W.shape[1])
             if rank < r:
-                # the solve columns are too ill-conditioned to give r
-                # orthonormal directions: this start ends
                 stop = (f"ill-conditioned basis (numerical rank {rank} < r = {r}) "
                         f"at iteration {it}")
                 break

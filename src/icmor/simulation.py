@@ -7,7 +7,9 @@ linear inputs.  Dirac inputs are realized as state jumps, never as narrow
 pulses.
 """
 
+import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +102,9 @@ class InputSignal:
         """L2 norm over [0, t_f] by trapezoidal quadrature at ``dt / 10``, its
         terms summed as ``np.trapezoid`` sums them, from the input sampled in
         chunks of ``_CHUNK`` steps: no samples x m array is formed."""
-        t = np.linspace(0.0, t_f, 10 * max(int(round(t_f / dt)), 1) + 1)
-        terms = np.empty(len(t) - 1)
+        with _grid_steps(t_f, dt) as N:
+            t = np.linspace(0.0, t_f, 10 * N + 1)
+            terms = np.empty(len(t) - 1)
         for i in range(0, len(terms), _CHUNK):
             sq = np.sum(np.square(self(t[i:i + _CHUNK + 1])), axis=1)
             terms[i:i + _CHUNK] = np.diff(t[i:i + _CHUNK + 1]) * (sq[1:] + sq[:-1]) / 2.0
@@ -132,11 +135,36 @@ GRID_SAMPLES = 4000
 _DECAY_TARGET = 1e-8
 
 
-def suggest_grid(M: StateSpaceModel):
-    """Horizon over which ``exp(abscissa t)`` decays to ``_DECAY_TARGET``,
-    and the step that divides it into ``GRID_SAMPLES`` steps."""
-    t_f = np.log(1.0 / _DECAY_TARGET) / max(-M.abscissa, 1e-12)
-    return float(t_f), float(t_f / GRID_SAMPLES)
+def suggest_grid(M: StateSpaceModel, horizon=None, dt=None):
+    """Horizon and step: the horizon over which ``exp(abscissa t)`` decays to
+    ``_DECAY_TARGET``, or the given ``horizon``, with ``GRID_SAMPLES`` steps;
+    a given ``dt`` is rounded to a whole number of steps on the horizon.  The
+    pair is checked by ``_grid_steps``, whose error names ``horizon`` or ``dt``."""
+    t_f = float(np.log(1.0 / _DECAY_TARGET) / max(-M.abscissa, 1e-12)
+                if horizon is None else horizon)
+    with _grid_steps(t_f, t_f / GRID_SAMPLES if dt is None else dt) as N:
+        return t_f, t_f / N
+
+
+@contextmanager
+def _grid_steps(t_f, dt):
+    """``round(t_f / dt)`` for a block that allocates the grid's samples: the
+    one check of a grid.  A horizon or step that is not finite and > 0, a
+    count that rounds to 0 or overflows, or a ``MemoryError`` in the block
+    raises ``InvalidParameter`` naming ``horizon`` or ``dt``."""
+    t_f, dt = float(t_f), float(dt)
+    for key, value in (("horizon", t_f), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise InvalidParameter(f"{key}: must be a finite number > 0, got {value!r}")
+    steps = t_f / dt  # inf when the quotient overflows
+    if not 0.5 < steps < math.inf:  # round(steps) >= 1 iff steps > 0.5
+        why = "no step" if steps <= 0.5 else "a step count that overflows"
+        raise InvalidParameter(f"dt: {dt!r} gives {why} on the horizon t_f = {t_f!r}")
+    try:
+        yield round(steps)
+    except MemoryError:
+        raise InvalidParameter(f"dt: {dt!r} gives {steps:.3g} steps on the horizon "
+                               f"t_f = {t_f!r}, too many to allocate") from None
 
 
 def _flush(Z):
@@ -180,10 +208,8 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     """
     A, B, C = M.A, M.B, M.C
     n, m = A.shape[0], B.shape[1]
-    if t_f <= 0 or dt <= 0:
-        raise InvalidParameter("need positive horizon and step")
-    N = int(round(t_f / dt))
-    t = np.arange(N + 1) * dt
+    with _grid_steps(t_f, dt) as N:
+        t = np.arange(N + 1) * dt
     split = u is not None and x0 is not None
     if u is None:
         u = InputSignal.zero(m)

@@ -2,10 +2,10 @@
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
 only through ``linalg._trsyl``, the empty-size guards of the two LAPACK
 callers in ``linalg``, no ``scipy.linalg`` import, no ``eigvals`` beside
-the Schur forms, H2 scoring only where an H2 error is read, ``bounds``
-importing only ``errors``, one table of input
-kinds, stderr written only by ``cli.main``, and the types of arrays
-compared and hashed by identity."""
+the Schur forms, H2 scoring only where an H2 error is read, one
+rounding of a step count, ``bounds`` importing only ``errors``, one
+table of input kinds, stderr written only by ``cli.main``, and the types
+of arrays compared and hashed by identity."""
 
 import ast
 import copy
@@ -148,6 +148,21 @@ def test_only_irka_and_the_split_methods_score_h2_errors():
              for module in MODULES}
     assert {module: set(s) for module, s in sites.items() if s} == \
         {"reduction": {"irka_reduce", "split_from_bt"}}
+
+
+def test_only_the_grid_check_rounds_a_step_count():
+    # simulation._grid_steps holds the one rule of a time grid: no other
+    # function rounds a number, or truncates a quotient, into a step count
+    def rounds(child):
+        return isinstance(child, ast.Call) and (
+            any(_names(child.func, name) for name in ("round", "rint", "around"))
+            or any(_names(child.func, name) for name in ("int", "floor", "ceil", "trunc"))
+            and bool(child.args) and isinstance(child.args[0], ast.BinOp)
+            and isinstance(child.args[0].op, (ast.Div, ast.FloorDiv)))
+
+    sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__, rounds)
+             for module in MODULES}
+    assert {module: s for module, s in sites.items() if s} == {"simulation": ["_grid_steps"]}
 
 
 def test_bounds_imports_only_errors():

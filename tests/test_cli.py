@@ -21,10 +21,10 @@ from icmor._mmio import read_matrix, write_matrix
 from icmor.cli import FLAGS, build_parser, main
 from icmor.errors import ConfigError, MaxItersExceeded, NotStable
 from icmor.experiment import (
-    ExperimentConfig, _bound_holds, _grid, emit_report, run_experiment,
+    ExperimentConfig, _bound_holds, emit_report, run_experiment,
 )
 from icmor.linalg import solve_lyapunov
-from icmor.simulation import l2_norm
+from icmor.simulation import l2_norm, suggest_grid
 
 from conftest import _rebind_in_icmor, _verbs, golden_mismatches, record_kernels
 
@@ -266,9 +266,10 @@ class TestRunExperiment:
         # a dt that divides the horizon, and the default step, keep their bits
         M = build_msd(6, m_inputs=2)
         for t_f, dt in ((100.0, 0.1), (100.0, 0.5), (30.0, 0.075)):
-            assert _grid(M, t_f, dt) == (t_f, dt)
-        assert _grid(M) == simulation.suggest_grid(M)
-        assert _grid(M, 100.0) == (100.0, 100.0 / simulation.GRID_SAMPLES)
+            assert suggest_grid(M, t_f, dt) == (t_f, dt)
+        t_f, dt = suggest_grid(M)
+        assert dt == t_f / simulation.GRID_SAMPLES
+        assert suggest_grid(M, 100.0) == (100.0, 100.0 / simulation.GRID_SAMPLES)
 
     def test_bound_floor_is_rounding_size(self):
         assert _bound_holds(1e-12, 0.0, 1.0)
@@ -763,7 +764,7 @@ class TestCliVerbs:
         with open(out) as fh:
             assert fh.readline().strip() == "t,y1"
             data = np.loadtxt(fh, delimiter=",")
-        t_f, dt = _grid(M, 50.0)
+        t_f, dt = suggest_grid(M, 50.0)
         tr = simulation.simulate(M, InputSignal.decaying_pulses(2),
                                  unit_vector_basis(M.n, [12]).X0[:, 0], t_f, dt)
         assert np.array_equal(data, np.column_stack([tr.t, tr.y]))
@@ -787,6 +788,26 @@ class TestCliVerbs:
         assert len(err) == 1 and err[0].startswith(f"error: {flag}: ")
         assert "a step count that overflows" in err[0]
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("verb", ["report", "simulate"])
+    def test_step_too_small_to_allocate_is_one_error_line(self, tmp_path, capsys, verb):
+        # 4e16 steps: numpy's MemoryError for 2.78 EiB of samples ended in a
+        # traceback; no cap on the step count decides it
+        out = str(tmp_path / "out")
+        if verb == "report":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(small_config(tmp_path, methods=["bt-bt"],
+                                                   horizon=400.0, dt=1e-14)))
+            argv = ["report", "--config", str(cfg), "--out", out]
+        else:
+            argv = ["simulate", "--model", "builtin:msd", "--tf", "400", "--dt", "1e-14",
+                    "--out", os.path.join(out, "t.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        flag = "dt" if verb == "report" else "--dt"
+        assert err == [f"error: {flag}: 1e-14 gives 4e+16 steps on the horizon "
+                       "t_f = 400.0, too many to allocate"]
+        assert verb == "simulate" or not os.path.exists(out)
 
     @pytest.mark.parametrize("verb, dt", [("report", 100.0), ("simulate", 100.0),
                                           ("simulate", 0.0)])

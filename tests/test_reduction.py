@@ -49,6 +49,13 @@ class TestOrderSelection:
     def test_fixed_clamped_to_length(self):
         assert OrderSelection.fixed(10).resolve(np.array([1.0, 0.5])) == 2
 
+    def test_fixed_order_is_a_whole_number(self):
+        # int(r) floored 2.5 to the order 2
+        for r in (2.5, np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="^order must be a whole number"):
+                OrderSelection.fixed(r)
+        assert OrderSelection.fixed(3.0).order == 3
+
 
 class TestOrderFromTolerance:
     def test_basic(self):

@@ -1,6 +1,7 @@
 """Simulation engine, the reduced online phase, and signal norms."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -186,10 +187,34 @@ class TestSimulate:
         with pytest.raises(InvalidParameter):
             simulate(M, InputSignal.zero(3), None, 1.0, 0.1)
 
-    def test_bad_grid(self):
+    # each call takes its step count from simulation._grid_steps, whose
+    # error names the horizon or the step; before, NaN raised numpy's
+    # ValueError, an infinite horizon or an overflowing quotient
+    # OverflowError, and a sub-step grid gave one sample
+    @pytest.mark.parametrize("t_f, dt, why", [
+        (np.nan, 0.1, "horizon: must be a finite"), (np.inf, 0.1, "horizon: must be a finite"),
+        (-np.inf, 0.1, "horizon: must be a finite"), (0.0, 0.1, "horizon: must be a finite"),
+        (-1.0, 0.1, "horizon: must be a finite"), (1.0, np.nan, "dt: must be a finite"),
+        (1.0, np.inf, "dt: must be a finite"), (1.0, -np.inf, "dt: must be a finite"),
+        (1.0, 0.0, "dt: must be a finite"), (1.0, -0.1, "dt: must be a finite"),
+        (1.0, 3.0, "dt: 3.0 gives no step"), (1e300, 1e-10, "dt: 1e-10 gives a step count that "
+                                             "overflows"),
+        (400.0, 1e-14, "dt: 1e-14 gives 4e+16 steps on the horizon t_f = 400.0, "
+                       "too many to allocate"),
+    ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-0", "horizon-negative",
+            "dt-nan", "dt-inf", "dt-minus-inf", "dt-0", "dt-negative", "sub-step", "overflow",
+            "too-many-to-allocate"])
+    @pytest.mark.parametrize("call", ["simulate", "online_phase", "l2_norm"])
+    def test_bad_grid(self, call, t_f, dt, why):
         M = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(InvalidParameter):
-            simulate(M, None, None, -1.0, 0.1)
+        u = InputSignal.decaying_pulses(1)
+        S = split_reduce(M, InitialConditionBasis(np.ones((1, 1))), OrderSelection.fixed(1),
+                         OrderSelection.fixed(1))
+        run = {"simulate": lambda: simulate(M, u, [1.0], t_f, dt),
+               "online_phase": lambda: online_phase(S, u, [1.0], t_f, dt),
+               "l2_norm": lambda: u.l2_norm(t_f, dt)}[call]
+        with pytest.raises(InvalidParameter, match="^" + re.escape(why)):
+            run()
 
 
 def _rel_l2(tr, ref):
@@ -235,11 +260,11 @@ class TestLiftedStepping:
         self._check(M, InputSignal.decaying_pulses(2), rng.standard_normal(6),
                     997 * 0.02, 0.02)
 
-    @pytest.mark.parametrize("steps", [3, 0])
+    @pytest.mark.parametrize("steps", [3, 1])
     def test_short_horizons(self, rng, steps):
         M = random_system(rng, 5, 2, 2, margin=0.5)
         dt = 0.1
-        t_f = steps * dt if steps else 0.4 * dt
+        t_f = steps * dt
         self._check(M, InputSignal.decaying_sinusoid(2), rng.standard_normal(5),
                     t_f, dt)
 
