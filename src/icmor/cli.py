@@ -53,6 +53,15 @@ def _flag_error(exc):
     return str(exc)
 
 
+def _check_out_dir(path):
+    """Raise ``makedirs``'s error now if ``path`` lies under a file."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        os.makedirs(path, exist_ok=True)
+
+
 def cmd_bench(args):
     spec = {key: value for key, value in vars(args).items() if key in MSD_FIELDS}
     M, basis = _build_model(_model_spec({"kind": "msd", **spec}), args.x0_indices or None)
@@ -97,12 +106,13 @@ def cmd_simulate(args):
     M, basis = _build_model(_model_spec(args.model), args.x0_indices)
     u = _build_input({"kind": args.input}, M.m)
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
+    _check_out_dir(out_dir := os.path.dirname(args.out) or ".")
     try:  # the grid's check, and the allocation of its samples, name horizon or dt
         t_f, dt = suggest_grid(M, args.tf, args.dt)
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         tr = simulate(M, u, x0, t_f, dt)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from None
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(args.out, tr.t, ("y", tr.y))
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
           f"L2={l2_norm(tr):.6g} Linf={linf_norm(tr):.6g}; wrote {args.out}")
@@ -113,12 +123,7 @@ def cmd_report(args):
     cfg = ExperimentConfig.from_json(args.config)
     if args.out:
         cfg.out = args.out
-    # an unusable out fails now, with makedirs's error; emit_report makes it
-    head = os.path.abspath(cfg.out)
-    while not os.path.lexists(head):
-        head = os.path.dirname(head)
-    if not os.path.isdir(head):
-        os.makedirs(cfg.out, exist_ok=True)
+    _check_out_dir(cfg.out)  # emit_report makes it
     rep = run_experiment(cfg)
     files = emit_report(rep, cfg.out)
     with open(os.path.join(cfg.out, "summary.txt")) as fh:

@@ -65,7 +65,8 @@ class ExperimentConfig:
     def from_dict(cls, d):
         """The config of a JSON object; a field anywhere that is unknown, of
         the wrong type or out of range raises ``ConfigError`` naming it (a
-        model parameter or x0 index out of range, when the model is built)."""
+        model parameter or x0 index out of range when the model is built, a
+        ``horizon`` or ``dt`` when ``run_experiment`` checks the grid)."""
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
         d = dict(d)
@@ -97,10 +98,6 @@ class ExperimentConfig:
             value = getattr(cfg, key)
             if value is not None and value < 0:
                 raise ConfigError(f"{key}: must be >= 0, got {value!r}")
-        for key in ("horizon", "dt"):
-            value = getattr(cfg, key)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{key}: must be > 0, got {value!r}")
         return cfg
 
     @classmethod

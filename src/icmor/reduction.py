@@ -291,10 +291,6 @@ def _pole_data(Ar, Br, Cr):
 
 _STALL_SCORINGS = 3
 _SHIFT_TOL = 1e-6
-# the interp_residuals of an IRKA model that interpolates nothing: the
-# fallback and the order-0 model; every exit fills these four keys
-_NO_INTERPOLATION = {"value": None, "derivative": None, "pole_reflection": False,
-                     "fallback": False}
 
 
 def irka_reduce(M: StateSpaceModel, r, max_iters=100,
@@ -435,7 +431,8 @@ def irka_reduce(M: StateSpaceModel, r, max_iters=100,
         )
         return ReducedModel(sys=warm_start.sys, method="irka", converged=False,
                             h2_error=projected_h2_error(M, warm_start.V, warm_start.sys),
-                            interp_residuals={**_NO_INTERPOLATION, "fallback": True})
+                            interp_residuals={"value": None, "derivative": None,
+                                              "pole_reflection": False, "fallback": True})
     (unconverged, h2_error), (sys, reflected, *samples) = best_key, best
     if unconverged:
         warnings.warn(
@@ -462,17 +459,14 @@ def split_reduce(M: StateSpaceModel, basis: InitialConditionBasis,
 def split_from_bt(suy: ReducedModel, aux: StateSpaceModel, sxy: ReducedModel,
                   basis, x0_method="bt") -> SplitReducedModel:
     """The split model from BT reductions (not modified) of the input map
-    and of ``aux``; ``x0_method`` "bt" scores ``sxy``'s H2 error on ``aux``
-    (the bound's ``e2``), "irka" warm-starts IRKA on ``aux`` at its order.
-    The reduced x0 map takes ``z0`` through its B."""
+    and of ``aux``; ``x0_method`` "irka" warm-starts IRKA on ``aux`` at
+    ``sxy``'s order, and "bt", or an order-0 ``sxy``, keeps ``sxy`` with its
+    H2 error on ``aux`` (the bound's ``e2``).  The reduced x0 map takes
+    ``z0`` through its B."""
     if x0_method not in ("bt", "irka"):
         raise InvalidParameter(f"unknown x0_method '{x0_method}'")
-    if x0_method == "bt":
-        sxy = replace(sxy, h2_error=projected_h2_error(aux, sxy.V, sxy.sys))
-    elif sxy.r == 0:
-        sxy = ReducedModel(sys=sxy.sys, method="irka",
-                           h2_error=projected_h2_error(aux, sxy.V, sxy.sys),
-                           interp_residuals=dict(_NO_INTERPOLATION))
-    else:
+    if x0_method == "irka" and sxy.r > 0:
         sxy = irka_reduce(aux, sxy.r, warm_start=sxy)
+    else:
+        sxy = replace(sxy, h2_error=projected_h2_error(aux, sxy.V, sxy.sys))
     return SplitReducedModel(suy=suy, sxy=sxy, basis=basis)

@@ -196,8 +196,9 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     both are given, the input response from rest and the response to
     ``x0`` are stepped side by side, as the two columns of one ``n x 2``
     state, and the trace carries them as ``components`` (``y_u``,
-    ``y_x0``, as ``online_phase`` does); ``y`` is their sum.  One FOH step
-    is taken per output sample.
+    ``y_x0``, as ``online_phase`` does); ``y`` is their sum.  The grid has
+    the ``N`` steps of ``_grid_steps``, of ``t_f / N`` each, so it ends at
+    ``t_f``; one FOH step is taken per output sample.
 
     In ``xi_k = x_k - F1 u_k`` the recursion reads ``xi_{k+1} = E xi_k + G
     u_k``, ``G = E F1 + F0``, ``y_k = C xi_k + C F1 u_k``.  It is stepped in
@@ -209,6 +210,7 @@ def simulate(M: StateSpaceModel, u, x0, t_f, dt):
     A, B, C = M.A, M.B, M.C
     n, m = A.shape[0], B.shape[1]
     with _grid_steps(t_f, dt) as N:
+        dt = float(t_f) / N
         t = np.arange(N + 1) * dt
     split = u is not None and x0 is not None
     if u is None:

@@ -310,6 +310,7 @@ def step_simulate(M: StateSpaceModel, u, x0, t_f, dt):
     if t_f <= 0 or dt <= 0:
         raise InvalidParameter("need positive horizon and step")
     N = int(round(t_f / dt))
+    dt = t_f / N  # the step simulate takes: N of them end at t_f
     t = np.arange(N + 1) * dt
     if u is None:
         u = InputSignal.zero(m)

@@ -2,10 +2,10 @@
 no module importing a name it does not use, LAPACK's ``dtrsyl`` called
 only through ``linalg._trsyl``, the empty-size guards of the two LAPACK
 callers in ``linalg``, no ``scipy.linalg`` import, no ``eigvals`` beside
-the Schur forms, H2 scoring only where an H2 error is read, one
-rounding of a step count, ``bounds`` importing only ``errors``, one
-table of input kinds, stderr written only by ``cli.main``, and the types
-of arrays compared and hashed by identity."""
+the Schur forms, H2 scoring only where an H2 error is read, IRKA models
+built only by IRKA, one rounding of a step count, ``bounds`` importing
+only ``errors``, one table of input kinds, stderr written only by
+``cli.main``, and the types of arrays compared and hashed by identity."""
 
 import ast
 import copy
@@ -148,6 +148,18 @@ def test_only_irka_and_the_split_methods_score_h2_errors():
              for module in MODULES}
     assert {module: set(s) for module, s in sites.items() if s} == \
         {"reduction": {"irka_reduce", "split_from_bt"}}
+
+
+def test_only_irka_reduce_builds_an_irka_model():
+    # a model labelled "irka" interpolates, or is IRKA's own fallback; an
+    # order-0 x0 map stays BT's
+    sites = {module: _sites(importlib.import_module(f"icmor.{module}").__file__,
+                            lambda child: isinstance(child, ast.Call)
+                            and _names(child.func, "ReducedModel")
+                            and any(kw.arg == "method" and isinstance(kw.value, ast.Constant)
+                                    and kw.value.value == "irka" for kw in child.keywords))
+             for module in MODULES}
+    assert {module: set(s) for module, s in sites.items() if s} == {"reduction": {"irka_reduce"}}
 
 
 def test_only_the_grid_check_rounds_a_step_count():

@@ -19,7 +19,7 @@ from icmor import (
 )
 from icmor._mmio import read_matrix, write_matrix
 from icmor.cli import FLAGS, build_parser, main
-from icmor.errors import ConfigError, MaxItersExceeded, NotStable
+from icmor.errors import ConfigError, InvalidParameter, MaxItersExceeded, NotStable
 from icmor.experiment import (
     ExperimentConfig, _bound_holds, emit_report, run_experiment,
 )
@@ -78,8 +78,9 @@ class TestExperimentConfig:
         ({"z0": ["a"]}, "z0"),
         (None, "config"),  # the whole config is a list
         ({"model": {"kind": "msd", "n_mass": 6}}, "model.n_mass"),
-        ({"dt": 0}, "dt"),
-        ({"horizon": -1.0}, "horizon"),
+        # the grid check rejects a horizon or dt <= 0 (test_bad_config_grid)
+        ({"dt": float("nan")}, "dt"),
+        ({"horizon": float("-inf")}, "horizon"),
         ({"tol": 0}, "tol"),
         ({"tol": 1.5}, "tol"),
         ({"order_x0": -1}, "order_x0"),
@@ -114,6 +115,22 @@ class TestExperimentConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field}")
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("grid", [
+        {"horizon": 0}, {"horizon": -1.0}, {"dt": 0}, {"dt": -0.1},
+        {"horizon": 1.0, "dt": 3.0}, {"horizon": 1e300, "dt": 1e-10}],
+        ids=["horizon-0", "horizon-negative", "dt-0", "dt-negative", "sub-step", "overflow"])
+    def test_bad_config_grid(self, tmp_path, capsys, grid):
+        # from_dict holds no grid rule: simulation._grid_steps rejects the
+        # grid in run_experiment's set-up, with its own text
+        with pytest.raises(InvalidParameter) as exc:
+            suggest_grid(build_msd(12, m_inputs=3), grid.get("horizon"), grid.get("dt"))
+        assert str(exc.value).startswith(f"{'dt' if 'dt' in grid else 'horizon'}: ")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path, **grid)))
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_string_model_shorthand(self):
         cfg = ExperimentConfig.from_dict(
@@ -807,7 +824,8 @@ class TestCliVerbs:
         flag = "dt" if verb == "report" else "--dt"
         assert err == [f"error: {flag}: 1e-14 gives 4e+16 steps on the horizon "
                        "t_f = 400.0, too many to allocate"]
-        assert verb == "simulate" or not os.path.exists(out)
+        # simulate makes the output's directory only once the trace is computed
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("verb, dt", [("report", 100.0), ("simulate", 100.0),
                                           ("simulate", 0.0)])

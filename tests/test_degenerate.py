@@ -118,8 +118,9 @@ CASES = [
     # no x0: the x0 map reduces to order 0, augmented BT to the input map's BT
     ("bt-n0", lambda: _split(_chain(), _no_x0(_chain()), "bt"),
      lambda: (_bt(_chain())[0], 0, "bt", 0.0)),
+    # an order-0 x0 map interpolates nothing: bt-irka keeps BT's model
     ("irka-n0", lambda: _split(_chain(), _no_x0(_chain()), "irka"),
-     lambda: (_bt(_chain())[0], 0, "irka", 0.0)),
+     lambda: (_bt(_chain())[0], 0, "bt", 0.0)),
     ("augbt-n0", lambda: _augbt(_chain(), _chain().with_input(Z((6, 0)))),
      lambda: _bt_as_augbt(_chain(), 0)),
     ("bt-r0", lambda: _bt(_chain(), OrderSelection.fixed(0)),

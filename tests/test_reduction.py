@@ -495,18 +495,21 @@ class TestIrkaReduce:
         if stop == "fallback":
             monkeypatch.setattr(reduction, "shifted_solve",
                                 lambda T, shifts, K, transpose=False: np.full(K.shape, np.nan))
+        if stop == "order-0":
+            # no x0: IRKA has nothing to interpolate, so bt-irka's x0 map is bt-bt's
+            R, bt = (split_reduce(M, InitialConditionBasis(np.zeros((M.n, 0))),
+                                  OrderSelection.tolerance(1e-2), OrderSelection.tolerance(1e-2),
+                                  x0_method=x0_method).sxy for x0_method in ("irka", "bt"))
+            assert (R.method, R.interp_residuals) == ("bt", {})
+            assert (R.r, R.h2_error) == (bt.r, bt.h2_error) == (0, 0.0)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MaxItersExceeded)
-            if stop == "order-0":
-                R = split_reduce(M, InitialConditionBasis(np.zeros((M.n, 0))),
-                                 OrderSelection.tolerance(1e-2), OrderSelection.tolerance(1e-2),
-                                 x0_method="irka").sxy
-            else:
-                R = irka_reduce(aux, warm.r, warm_start=warm)
+            R = irka_reduce(aux, warm.r, warm_start=warm)
         res = R.interp_residuals
         assert R.method == "irka" and (R.r == aux.n) == (stop == "full-order")
         assert set(res) == {"value", "derivative", "pole_reflection", "fallback"}
-        nothing = stop in ("fallback", "order-0")
+        nothing = stop == "fallback"
         assert (res["value"] is None, res["derivative"] is None) == (nothing, nothing)
         assert res["fallback"] == (stop == "fallback") and res["pole_reflection"] in (True, False)
 

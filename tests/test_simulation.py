@@ -260,6 +260,16 @@ class TestLiftedStepping:
         self._check(M, InputSignal.decaying_pulses(2), rng.standard_normal(6),
                     997 * 0.02, 0.02)
 
+    def test_step_that_does_not_divide_the_horizon(self):
+        # round(1 / 0.3) = 3 steps of 1/3 each
+        M = build_msd(3, m_inputs=1)
+        u, x0 = InputSignal.decaying_sinusoid(1), np.eye(M.n)[:, 0]
+        S = split_reduce(M, InitialConditionBasis(x0[:, None]), OrderSelection.fixed(2),
+                         OrderSelection.fixed(1))
+        for tr in (simulate(M, u, x0, 1.0, 0.3), online_phase(S, u, x0, 1.0, 0.3)):
+            assert len(tr.t) == 4 and tr.t[-1] == 1.0
+        self._check(M, u, x0, 1.0, 0.3)
+
     @pytest.mark.parametrize("steps", [3, 1])
     def test_short_horizons(self, rng, steps):
         M = random_system(rng, 5, 2, 2, margin=0.5)
