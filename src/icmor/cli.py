@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._mmio import write_matrix
-from .errors import ConfigError, IcmorError, InvalidParameter
+from .errors import ConfigError, IcmorError
 from .experiment import (
     KNOWN_METHODS,
     MSD_FIELDS,
@@ -27,7 +27,7 @@ from .experiment import (
     _build_input,
     _build_model,
     _model_spec,
-    _selection,
+    _order_selections,
     _write_csv,
     emit_report,
     run_experiment,
@@ -37,20 +37,18 @@ from .reduction import abt_reduce, split_reduce
 from .simulation import INPUT_KINDS, l2_norm, linf_norm, simulate, suggest_grid
 
 # the flag that sets each config field: the x0 indices, the orders and grid
-# of reduce and simulate, and build_msd's parameters
+# of reduce and simulate (augbt's r_aug is --order-u), and build_msd's parameters
 FLAGS = {"x0_indices": "--x0-indices", "tol": "--tol", "order_u": "--order-u",
-         "order_x0": "--order-x0", "horizon": "--tf", "dt": "--dt",
+         "order_x0": "--order-x0", "order_aug": "--order-u", "horizon": "--tf", "dt": "--dt",
          **{"model." + key: "--" + key.replace("_", "-") for key in MSD_FIELDS}}
 
 
 def _flag_error(exc):
-    """The message of ``exc``, with the fields a ``ConfigError`` names
-    renamed to their flags when ``FLAGS`` has each one."""
+    """The message of ``exc``, with the config fields an ``IcmorError``
+    names renamed to their flags when ``FLAGS`` has each one."""
     keys, _, why = str(exc).partition(": ")
     flags = [FLAGS.get(key) for key in keys.split(", ")]
-    if isinstance(exc, ConfigError) and all(flags):
-        return f"{', '.join(flags)}: {why}"
-    return str(exc)
+    return f"{', '.join(flags)}: {why}" if isinstance(exc, IcmorError) and all(flags) else str(exc)
 
 
 def _check_out_dir(path):
@@ -71,28 +69,30 @@ def cmd_bench(args):
 
 
 def cmd_reduce(args):
-    # augbt has one order, --order-u
-    if args.method == "augbt" and args.order_x0 is not None:
+    # augbt has one order, r_aug, which --order-u sets
+    augbt = args.method == "augbt"
+    if augbt and args.order_x0 is not None:
         raise ConfigError("order_x0: not used by augbt; --order-u sets r_aug")
     cfg = ExperimentConfig.from_dict({
         "model": args.model, "methods": [args.method], "x0_indices": args.x0_indices,
-        "tol": args.tol, "order_u": args.order_u, "order_x0": args.order_x0})
+        "tol": args.tol, "order_aug" if augbt else "order_u": args.order_u,
+        "order_x0": args.order_x0})
     M, basis = _build_model(cfg.model, cfg.x0_indices)
     if basis is None:
         raise ConfigError(f"x0_indices: {args.method} needs x0 indices "
                           "or a model directory with X0.mtx")
+    _check_out_dir(args.out)  # made once the reduction returns
+    with _order_selections(cfg) as sel:
+        if augbt:
+            R = abt_reduce(M, M.with_input(basis.X0), sel["augmented"])
+            systems, orders = {"red": R.sys}, {"r_aug": R.r}
+        else:
+            S = split_reduce(M, basis, sel["input"], sel["x0"],
+                             x0_method=SPLIT_METHODS[args.method])
+            systems, orders = {"u": S.suy.sys, "x0": S.sxy.sys}, {"r_u": S.suy.r, "r_x0": S.sxy.r}
     os.makedirs(args.out, exist_ok=True)
-    sel_u = _selection(cfg.order_u, cfg.tol)
-    if args.method in SPLIT_METHODS:
-        S = split_reduce(M, basis, sel_u, _selection(cfg.order_x0, cfg.tol),
-                         x0_method=SPLIT_METHODS[args.method])
-        systems = {"u": S.suy.sys, "x0": S.sxy.sys}
-        orders = {"r_u": S.suy.r, "r_x0": S.sxy.r}
-    else:
-        R = abt_reduce(M, M.with_input(basis.X0), sel_u)
-        systems = {"red": R.sys}
+    if augbt:
         write_matrix(os.path.join(args.out, "X0_red.mtx"), R.X0til)
-        orders = {"r_aug": R.r}
     for tag, red in systems.items():
         for name in ("A", "B", "C"):
             write_matrix(os.path.join(args.out, f"{name}_{tag}.mtx"), getattr(red, name))
@@ -107,11 +107,8 @@ def cmd_simulate(args):
     u = _build_input({"kind": args.input}, M.m)
     x0 = None if basis is None else basis.X0 @ np.ones(basis.n0)
     _check_out_dir(out_dir := os.path.dirname(args.out) or ".")
-    try:  # the grid's check, and the allocation of its samples, name horizon or dt
-        t_f, dt = suggest_grid(M, args.tf, args.dt)
-        tr = simulate(M, u, x0, t_f, dt)
-    except InvalidParameter as exc:
-        raise ConfigError(str(exc)) from None
+    t_f, dt = suggest_grid(M, args.tf, args.dt)
+    tr = simulate(M, u, x0, t_f, dt)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(args.out, tr.t, ("y", tr.y))
     print(f"simulated to t={t_f:.3g} (dt={dt:.3g}); "
@@ -154,10 +151,8 @@ def build_parser():
                    help="model directory with A.mtx/B.mtx/C.mtx, or builtin:msd")
     r.add_argument("--method", choices=KNOWN_METHODS, default=KNOWN_METHODS[0])
     r.add_argument("--tol", type=float, default=1e-2)
-    r.add_argument("--order-u", type=int, default=None,
-                   help="order of the input map, or of the augmented system")
-    r.add_argument("--order-x0", type=int, default=None,
-                   help="order of the initial-condition map of a split method")
+    r.add_argument("--order-u", type=int, help="order of the input map, or augbt's r_aug")
+    r.add_argument("--order-x0", type=int, help="order of a split method's x0 map")
     r.add_argument("--x0-indices", type=int, nargs="*", default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_reduce)

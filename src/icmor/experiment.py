@@ -42,6 +42,8 @@ __all__ = ["ExperimentConfig", "ReductionReport", "run_experiment", "emit_report
 # ``icmor reduce``'s default.
 SPLIT_METHODS = {"bt-bt": "bt", "bt-irka": "irka"}
 KNOWN_METHODS = (*SPLIT_METHODS, "augbt")
+# the config field that fixes each truncated map's order, by its map_name
+ORDER_FIELDS = {"input": "order_u", "x0": "order_x0", "augmented": "order_aug"}
 
 
 @dataclass
@@ -94,7 +96,7 @@ class ExperimentConfig:
         cfg = cls(**d)
         if not 0.0 < cfg.tol < 1.0:
             raise ConfigError(f"tol: must lie in (0, 1), got {cfg.tol!r}")
-        for key in ("order_u", "order_x0", "order_aug"):
+        for key in ORDER_FIELDS.values():
             value = getattr(cfg, key)
             if value is not None and value < 0:
                 raise ConfigError(f"{key}: must be >= 0, got {value!r}")
@@ -215,8 +217,18 @@ def _build_input(spec, m):
         raise ConfigError(f"input.{exc}") from None
 
 
-def _selection(order, tol):
-    return OrderSelection.fixed(order) if order is not None else OrderSelection.tolerance(tol)
+@contextmanager
+def _order_selections(cfg):
+    """Each map's ``OrderSelection`` by map name, for a block in which an
+    ``UnstableReduction`` raises ``ConfigError`` naming the field that
+    selected the failed order: the map's ``ORDER_FIELDS`` entry, or ``tol``."""
+    keys = {name: key if getattr(cfg, key) is not None else "tol"
+            for name, key in ORDER_FIELDS.items()}
+    try:
+        yield {name: OrderSelection.tolerance(cfg.tol) if key == "tol"
+               else OrderSelection.fixed(getattr(cfg, key)) for name, key in keys.items()}
+    except UnstableReduction as exc:
+        raise ConfigError(f"{keys[exc.map_name]}: {exc}") from None
 
 
 def _bound_holds(abs_l2, bound, y_full_l2):
@@ -284,15 +296,11 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     # BT from the two reachability factors they solved: they feed every method
     # and give sigma, theta and eta.  After the simulations, so the factors the
     # models keep add nothing to their peak.
-    with _timed(timings, "reductions"):
-        try:
-            suy = bt_reduce(M, _selection(cfg.order_u, cfg.tol))
-            aux = M.with_input(basis.X0)
-            sxy = bt_reduce(aux, _selection(cfg.order_x0, cfg.tol), "x0")
-            abt = abt_reduce(M, aux, _selection(cfg.order_aug, cfg.tol), scaling=cfg.abt_scaling)
-        except UnstableReduction as exc:
-            key = {"input": "order_u", "x0": "order_x0", "augmented": "order_aug"}[exc.map_name]
-            raise ConfigError(f"{key if getattr(cfg, key) is not None else 'tol'}: {exc}") from None
+    with _timed(timings, "reductions"), _order_selections(cfg) as sel:
+        suy = bt_reduce(M, sel["input"])
+        aux = M.with_input(basis.X0)
+        sxy = bt_reduce(aux, sel["x0"], "x0")
+        abt = abt_reduce(M, aux, sel["augmented"], scaling=cfg.abt_scaling)
 
     traces = {"full": tr_full}
     methods_report = {}
@@ -338,10 +346,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
             "methods": list(cfg.methods),
             "x0_indices": cfg.x0_indices,
             "tol": cfg.tol,
-            "orders_requested": {
-                "order_u": cfg.order_u, "order_x0": cfg.order_x0,
-                "order_aug": cfg.order_aug,
-            },
+            "orders_requested": {key: getattr(cfg, key) for key in ORDER_FIELDS.values()},
             "input": cfg.input,
             "calibrate": cfg.calibrate,
             "abt_scaling": cfg.abt_scaling,

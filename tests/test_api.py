@@ -5,7 +5,8 @@ callers in ``linalg``, no ``scipy.linalg`` import, no ``eigvals`` beside
 the Schur forms, H2 scoring only where an H2 error is read, IRKA models
 built only by IRKA, one rounding of a step count, ``bounds`` importing
 only ``errors``, one table of input kinds, stderr written only by
-``cli.main``, and the types of arrays compared and hashed by identity."""
+``cli.main``, error fields mapped only by ``experiment`` and renamed only
+by ``cli._flag_error``, and the types of arrays compared and hashed by identity."""
 
 import ast
 import copy
@@ -211,6 +212,24 @@ def test_only_cli_main_writes_to_stderr():
     sites = _sites(importlib.import_module("icmor.cli").__file__,
                    lambda child: _names(child, "stderr"))
     assert set(sites) == {"main"}
+
+
+def test_only_experiment_maps_an_error_to_its_field():
+    # experiment.ORDER_FIELDS turns a truncated map's name into the field of
+    # its order, and cli._flag_error renames any error's fields to flags: no
+    # other module reads the map's name, and no cli function restates a
+    # library error's text
+    def reads_map_name(child):
+        return isinstance(child, ast.Attribute) and child.attr == "map_name" \
+            and isinstance(child.ctx, ast.Load)
+
+    def catches_invalid_parameter(child):
+        return isinstance(child, ast.ExceptHandler) and child.type is not None \
+            and any(_names(node, "InvalidParameter") for node in ast.walk(child.type))
+
+    assert {module for module in MODULES if _sites(
+        importlib.import_module(f"icmor.{module}").__file__, reads_map_name)} == {"experiment"}
+    assert _sites(importlib.import_module("icmor.cli").__file__, catches_invalid_parameter) == []
 
 
 def _instances():

@@ -676,32 +676,79 @@ class TestCliVerbs:
         assert len(err) == 1 and err[0].startswith(
             "error: order_u: the input map's balanced truncation at order 57 is not stable")
 
-    def test_reduce_split(self, tmp_path):
+    @pytest.mark.parametrize("fixed", [False, True], ids=["tol", "fixed"])
+    @pytest.mark.parametrize("method", experiment.KNOWN_METHODS)
+    def test_reduce_writes_the_library_reduction(self, tmp_path, method, fixed):
+        # every matrix reduce writes is, bit for bit, the library's reduction
+        # at the same orders; augbt's --order-u sets r_aug
         model_dir = str(tmp_path / "model")
         M = build_msd(8, m_inputs=2)
         save_model(M, model_dir, basis=unit_vector_basis(M.n, [16]))
-        out = str(tmp_path / "red")
-        rc = main(["reduce", "--model", model_dir, "--method", "bt-bt",
-                   "--tol", "1e-2", "--out", out])
-        assert rc == 0
-        with open(os.path.join(out, "offline.json")) as fh:
-            info = json.load(fh)
-        assert info["method"] == "bt-bt"
-        assert set(info["orders"]) == {"r_u", "r_x0"}
+        orders = ["--order-u", "3", *(["--order-x0", "2"] if method != "augbt" else [])]
+        out = tmp_path / "red"
+        assert main(["reduce", "--model", model_dir, "--method", method, "--tol", "1e-2",
+                     *(orders if fixed else []), "--out", str(out)]) == 0
+        M, basis = load_model(model_dir)
+        sel_u, sel_x0 = ((OrderSelection.fixed(3), OrderSelection.fixed(2)) if fixed
+                         else (OrderSelection.tolerance(1e-2),) * 2)
+        if method == "augbt":
+            R = reduction.abt_reduce(M, M.with_input(basis.X0), sel_u)
+            systems, want, r = {"red": R.sys}, {"X0_red": R.X0til}, {"r_aug": R.r}
+        else:
+            S = reduction.split_reduce(M, basis, sel_u, sel_x0,
+                                       x0_method=experiment.SPLIT_METHODS[method])
+            systems, want, r = {"u": S.suy.sys, "x0": S.sxy.sys}, {}, \
+                {"r_u": S.suy.r, "r_x0": S.sxy.r}
+        want.update({f"{name}_{tag}": getattr(red, name)
+                     for tag, red in systems.items() for name in "ABC"})
+        assert json.loads((out / "offline.json").read_text()) == {"method": method, "orders": r}
+        assert sorted(os.listdir(out)) == sorted([f"{key}.mtx" for key in want] + ["offline.json"])
+        for key, matrix in want.items():
+            assert np.array_equal(read_matrix(str(out / f"{key}.mtx")), matrix), key
+        if fixed:
+            assert list(r.values()) == ([3] if method == "augbt" else [3, 2])
 
-    def test_reduce_augbt(self, tmp_path):
+    def test_reduce_names_the_unstable_fixed_order(self, tmp_path, capsys):
+        # the input map of test_report_names_the_unstable_fixed_order: one
+        # line naming the flag, and the --out directory is made only once the
+        # reduction returns, so none is left behind
+        out = tmp_path / "red57"
+        assert main(["reduce", "--model", "builtin:msd", "--x0-indices", "300",
+                     "--order-u", "57", "--out", str(out / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: --order-u: the input map's balanced truncation at order 57 is not stable")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "tol"])
+    @pytest.mark.parametrize("method, call, name, flag", [
+        ("bt-bt", 1, "input", "--order-u"), ("bt-bt", 2, "x0", "--order-x0"),
+        ("augbt", 1, "augmented", "--order-u"),
+    ], ids=["input", "x0", "augmented"])
+    def test_reduce_names_the_flag_of_an_unstable_truncation(self, tmp_path, capsys, monkeypatch,
+                                                             method, call, name, flag, fixed):
+        # as test_unstable_truncation_names_its_order: the truncation whose
+        # verdict fails names the flag that fixed its order, else --tol
         model_dir = str(tmp_path / "model")
         M = build_msd(8, m_inputs=2)
-        basis = unit_vector_basis(M.n, [16])
-        save_model(M, model_dir, basis=basis)
-        out = str(tmp_path / "red")
-        assert main(["reduce", "--model", model_dir, "--method", "augbt",
-                     "--tol", "1e-2", "--out", out]) == 0
-        with open(os.path.join(out, "offline.json")) as fh:
-            r = json.load(fh)["orders"]["r_aug"]
-        want = reduction.abt_reduce(M, M.with_input(basis.X0), OrderSelection.tolerance(1e-2))
-        assert r == want.r
-        assert np.allclose(read_matrix(os.path.join(out, "X0_red.mtx")), want.X0til)
+        save_model(M, model_dir, basis=unit_vector_basis(M.n, [16]))
+        built, model = [], reduction.StateSpaceModel
+
+        def failing(*args, **kwargs):
+            built.append(1)
+            if len(built) == call:
+                raise NotStable("A has stability margin 1.000e-03", 1e-3)
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "StateSpaceModel", failing)
+        out = tmp_path / "red"
+        assert main(["reduce", "--model", model_dir, "--method", method,
+                     *([flag, "2"] if fixed else []), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(rf"error: {flag if fixed else '--tol'}: the {name} "
+                                          r"map's balanced truncation at order \d+ is not stable",
+                                          err[0]), err
+        assert not out.exists()
 
     def test_reduce_augbt_rejects_order_x0(self, tmp_path, capsys):
         out = tmp_path / "red"
