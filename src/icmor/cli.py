@@ -36,10 +36,10 @@ from .model import save_model
 from .reduction import abt_reduce, split_reduce
 from .simulation import INPUT_KINDS, l2_norm, linf_norm, simulate, suggest_grid
 
-# the flag that sets each config field: the x0 indices, the orders and grid
-# of reduce and simulate (augbt's r_aug is --order-u), and build_msd's parameters
-FLAGS = {"x0_indices": "--x0-indices", "tol": "--tol", "order_u": "--order-u",
-         "order_x0": "--order-x0", "order_aug": "--order-u", "horizon": "--tf", "dt": "--dt",
+# the flag that sets each config field: the model, x0 indices, orders and
+# grid of reduce and simulate (r_aug is --order-u), and build_msd's parameters
+FLAGS = {"model.path": "--model", "x0_indices": "--x0-indices", "horizon": "--tf", "tol": "--tol",
+         "dt": "--dt", "order_u": "--order-u", "order_x0": "--order-x0", "order_aug": "--order-u",
          **{"model." + key: "--" + key.replace("_", "-") for key in MSD_FIELDS}}
 
 
@@ -77,12 +77,12 @@ def cmd_reduce(args):
         "model": args.model, "methods": [args.method], "x0_indices": args.x0_indices,
         "tol": args.tol, "order_aug" if augbt else "order_u": args.order_u,
         "order_x0": args.order_x0})
-    M, basis = _build_model(cfg.model, cfg.x0_indices)
-    if basis is None:
-        raise ConfigError(f"x0_indices: {args.method} needs x0 indices "
-                          "or a model directory with X0.mtx")
-    _check_out_dir(args.out)  # made once the reduction returns
     with _order_selections(cfg) as sel:
+        M, basis = _build_model(cfg.model, cfg.x0_indices)
+        if basis is None:
+            raise ConfigError(f"x0_indices: {args.method} needs x0 indices "
+                              "or a model directory with X0.mtx")
+        _check_out_dir(args.out)  # made once the reduction returns
         if augbt:
             R = abt_reduce(M, M.with_input(basis.X0), sel["augmented"])
             systems, orders = {"red": R.sys}, {"r_aug": R.r}

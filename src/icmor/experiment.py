@@ -65,42 +65,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """The config of a JSON object; a field anywhere that is unknown, of
-        the wrong type or out of range raises ``ConfigError`` naming it (a
-        model parameter or x0 index out of range when the model is built, a
-        ``horizon`` or ``dt`` when ``run_experiment`` checks the grid)."""
+        """The config of a JSON object, whose shape only is checked here: a
+        missing ``model`` or ``methods``, an unknown key, a wrong type, NaN,
+        Infinity or a bad model key or ``kind`` raises ``ConfigError`` naming
+        the field.  ``run_experiment`` checks each value where it is used."""
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
         d = dict(d)
-        if "model" not in d:
-            raise ConfigError("model: required")
+        for key in ("model", "methods"):
+            if key not in d:
+                raise ConfigError(f"{key}: required")
         d["model"] = _model_spec(d["model"])
-        methods = d.get("methods")
-        if not methods:
-            raise ConfigError("methods: at least one method required")
         fields = cls.__dataclass_fields__
         for key, value in d.items():
             if key not in fields:
                 raise ConfigError(f"{key}: unknown config field")
             if value is not None or fields[key].default is not None:
                 _check(value, fields[key].type, key)
-        for m in methods:
-            if m not in KNOWN_METHODS:
-                raise ConfigError(f"methods: unknown method '{m}'")
-        if len(set(methods)) != len(methods):
-            raise ConfigError(f"methods: must be distinct, got {methods!r}")
         for key, kind in (("x0_indices", int), ("z0", float)):
             for value in d.get(key) or ():
                 _check(value, kind, f"{key} entry")
-        _build_input(d.get("input"), 1)  # for the constructor's own checks
-        cfg = cls(**d)
-        if not 0.0 < cfg.tol < 1.0:
-            raise ConfigError(f"tol: must lie in (0, 1), got {cfg.tol!r}")
-        for key in ORDER_FIELDS.values():
-            value = getattr(cfg, key)
-            if value is not None and value < 0:
-                raise ConfigError(f"{key}: must be >= 0, got {value!r}")
-        return cfg
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path):
@@ -159,12 +144,6 @@ def _model_spec(model):
         _check(value, _MODEL_FIELDS[key], f"model.{key}")
         if "path" in model and key != "path":
             raise ConfigError(f"model.{key}: not used with 'path'")
-    if "path" in model:
-        if not os.path.isdir(model["path"]):
-            raise ConfigError(f"model.path: no directory '{model['path']}'")
-        for name in ("A.mtx", "B.mtx", "C.mtx"):
-            if not os.path.isfile(os.path.join(model["path"], name)):
-                raise ConfigError(f"model.path: no {name} in '{model['path']}'")
     if model.get("kind", "msd") != "msd":
         raise ConfigError(f"model.kind: unknown builtin '{model['kind']}'")
     return model
@@ -173,12 +152,15 @@ def _model_spec(model):
 def _build_model(spec, x0_indices=None):
     """The model of a normalized spec and its basis: unit vectors at
     ``x0_indices`` when given, else the model directory's ``X0.mtx``, else
-    None.  A value ``build_msd`` or ``unit_vector_basis`` rejects raises
-    ``ConfigError`` naming ``model.<parameter>`` or ``x0_indices``, and a
-    chain whose ``A`` is not finite or not stable one naming the ``mass``,
-    ``stiffness`` and ``damping`` that the spec sets."""
+    None.  ``ConfigError`` names ``model.path`` for a file ``load_model``
+    cannot read, ``model.<parameter>`` or ``x0_indices`` for a value
+    ``build_msd`` or ``unit_vector_basis`` rejects, and the ``mass``,
+    ``stiffness`` and ``damping`` the spec sets for a non-finite or unstable ``A``."""
     if "path" in spec:
-        M, basis = load_model(spec["path"])
+        try:
+            M, basis = load_model(spec["path"])
+        except OSError as exc:
+            raise ConfigError(f"model.path: {exc.strerror}: '{exc.filename}'") from None
     else:
         try:
             M, basis = build_msd(**{k: v for k, v in spec.items() if k != "kind"}), None
@@ -217,18 +199,27 @@ def _build_input(spec, m):
         raise ConfigError(f"input.{exc}") from None
 
 
-@contextmanager
 def _order_selections(cfg):
-    """Each map's ``OrderSelection`` by map name, for a block in which an
-    ``UnstableReduction`` raises ``ConfigError`` naming the field that
-    selected the failed order: the map's ``ORDER_FIELDS`` entry, or ``tol``."""
+    """A context manager that gives each map's ``OrderSelection`` by map
+    name, of its ``ORDER_FIELDS`` entry or else ``tol``.  A value one rejects
+    (``tol``'s even if unused) raises ``ConfigError`` naming its field now,
+    and an ``UnstableReduction`` in the block one naming its order's field."""
     keys = {name: key if getattr(cfg, key) is not None else "tol"
             for name, key in ORDER_FIELDS.items()}
-    try:
-        yield {name: OrderSelection.tolerance(cfg.tol) if key == "tol"
-               else OrderSelection.fixed(getattr(cfg, key)) for name, key in keys.items()}
-    except UnstableReduction as exc:
-        raise ConfigError(f"{keys[exc.map_name]}: {exc}") from None
+    sel = {}
+    for key in dict.fromkeys(("tol", *keys.values())):
+        try:
+            sel[key] = OrderSelection.tolerance(cfg.tol) if key == "tol" \
+                else OrderSelection.fixed(getattr(cfg, key))
+        except InvalidParameter as exc:
+            raise ConfigError(f"{key}: {str(exc).partition(': ')[2]}") from None
+    @contextmanager
+    def named():
+        try:
+            yield {name: sel[key] for name, key in keys.items()}
+        except UnstableReduction as exc:
+            raise ConfigError(f"{keys[exc.map_name]}: {exc}") from None
+    return named()
 
 
 def _bound_holds(abs_l2, bound, y_full_l2):
@@ -254,10 +245,18 @@ def _timed(times, key):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
-    """Run every configured method; wall times go to ``timings``, so the
-    report of a repeated run is identical."""
+    """Check every config value, then run every configured method; wall
+    times go to ``timings``, so the report of a repeated run is identical."""
+    if not cfg.methods:
+        raise ConfigError("methods: at least one method required")
+    for m in cfg.methods:
+        if m not in KNOWN_METHODS:
+            raise ConfigError(f"methods: unknown method '{m}'")
+    if len(set(cfg.methods)) != len(cfg.methods):
+        raise ConfigError(f"methods: must be distinct, got {cfg.methods!r}")
     timings = {}
     with _timed(timings, "setup"):
+        orders = _order_selections(cfg)
         M, basis = _build_model(cfg.model, cfg.x0_indices)
         if basis is None:
             basis = InitialConditionBasis(np.zeros((M.n, 0)))
@@ -296,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReductionReport:
     # BT from the two reachability factors they solved: they feed every method
     # and give sigma, theta and eta.  After the simulations, so the factors the
     # models keep add nothing to their peak.
-    with _timed(timings, "reductions"), _order_selections(cfg) as sel:
+    with _timed(timings, "reductions"), orders as sel:
         suy = bt_reduce(M, sel["input"])
         aux = M.with_input(basis.X0)
         sxy = bt_reduce(aux, sel["x0"], "x0")

@@ -44,14 +44,14 @@ class OrderSelection:
         if (self.order is None) == (self.tol is None):
             raise InvalidParameter("give exactly one of order, tol")
         if self.order is not None and self.order < 0:
-            raise InvalidParameter("order must be >= 0")
+            raise InvalidParameter(f"order: must be >= 0, got {self.order!r}")
         if self.tol is not None and not (0.0 < self.tol < 1.0):
-            raise InvalidParameter("tol must lie in (0, 1)")
+            raise InvalidParameter(f"tol: must lie in (0, 1), got {self.tol!r}")
 
     @classmethod
     def fixed(cls, r):
         if not float(r).is_integer():
-            raise InvalidParameter(f"order must be a whole number, got {r!r}")
+            raise InvalidParameter(f"order: must be a whole number, got {r!r}")
         return cls(order=int(r))
 
     @classmethod

@@ -6,7 +6,8 @@ the Schur forms, H2 scoring only where an H2 error is read, IRKA models
 built only by IRKA, one rounding of a step count, ``bounds`` importing
 only ``errors``, one table of input kinds, stderr written only by
 ``cli.main``, error fields mapped only by ``experiment`` and renamed only
-by ``cli._flag_error``, and the types of arrays compared and hashed by identity."""
+by ``cli._flag_error``, only shape rules in ``ExperimentConfig.from_dict``,
+and the types of arrays compared and hashed by identity."""
 
 import ast
 import copy
@@ -230,6 +231,24 @@ def test_only_experiment_maps_an_error_to_its_field():
     assert {module for module in MODULES if _sites(
         importlib.import_module(f"icmor.{module}").__file__, reads_map_name)} == {"experiment"}
     assert _sites(importlib.import_module("icmor.cli").__file__, catches_invalid_parameter) == []
+
+
+def test_from_dict_holds_only_shape_rules():
+    # each config value is checked where it is used, in run_experiment's
+    # set-up, so a config from the constructor gets every rule: from_dict
+    # and _model_spec compare no value with a number, build no input signal
+    # or order selection, look up no method and read no file
+    def value_rule(child):
+        return (isinstance(child, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and type(side.value) in (int, float)
+                    for side in (child.left, *child.comparators))
+                or any(_names(child, name) for name in (
+                    "_build_input", "InputSignal", "OrderSelection", "KNOWN_METHODS"))
+                or isinstance(child, ast.Attribute) and child.attr == "path"
+                and _names(child.value, "os"))
+
+    sites = _sites(importlib.import_module("icmor.experiment").__file__, value_rule)
+    assert {site for site in sites if site in ("from_dict", "_model_spec")} == set()
 
 
 def _instances():

@@ -33,6 +33,24 @@ from conftest import _rebind_in_icmor, _verbs, golden_mismatches, record_kernels
 PAPER_MODEL = {"kind": "msd", "n_masses": 150, "m_inputs": 10}
 
 
+# the config fields whose values only run_experiment's set-up checks, where
+# each is used: the methods, OrderSelection's tol and orders, load_model's
+# files and the InputSignal constructors' parameters
+SET_UP_FIELDS = ("methods", "tol", "order_", "model.path", "input.")
+
+
+def _count_simulations(monkeypatch):
+    """A list that gets one entry per ``simulate`` call from here on."""
+    calls, original = [], simulation.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    _rebind_in_icmor(monkeypatch, original, counted)
+    return calls
+
+
 def small_config(tmp_path, **overrides):
     cfg = {
         "model": {"kind": "msd", "n_masses": 12, "m_inputs": 3},
@@ -54,11 +72,6 @@ class TestExperimentConfig:
     def test_requires_methods(self):
         with pytest.raises(ConfigError, match="methods"):
             ExperimentConfig.from_dict({"model": {"kind": "msd"}})
-
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError, match="unknown method"):
-            ExperimentConfig.from_dict(
-                {"model": {"kind": "msd"}, "methods": ["hankel-norm"]})
 
     def test_unknown_field_reports_path(self):
         with pytest.raises(ConfigError, match="tolerance"):
@@ -103,17 +116,31 @@ class TestExperimentConfig:
         ({"input": {"width": 0}}, "input.width"),
         # a repeated method would run, and be timed, twice
         ({"methods": ["bt-bt", "augbt", "bt-bt"]}, "methods"),
+        # a method no branch of run_experiment runs
+        ({"methods": ["hankel-norm"]}, "methods"),
     ])
-    def test_malformed_field_is_named(self, tmp_path, capsys, overrides, field):
+    def test_malformed_field_is_named(self, tmp_path, capsys, monkeypatch, overrides, field):
+        # from_dict checks the shape; a value of a SET_UP_FIELDS field passes
+        # it and is checked where it is used, in run_experiment's set-up, for
+        # a config from the constructor too; either way before any simulation
         cfg = [small_config(tmp_path)] if overrides is None \
             else small_config(tmp_path, **overrides)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
-            ExperimentConfig.from_dict(cfg)
+        calls = _count_simulations(monkeypatch)
+        if field.startswith(SET_UP_FIELDS):
+            loaded = ExperimentConfig.from_dict(cfg)
+            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b") as exc:
+                run_experiment(loaded)
+            with pytest.raises(ConfigError) as built:
+                run_experiment(ExperimentConfig(**cfg))
+            assert str(built.value) == str(exc.value)
+        else:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b") as exc:
+                ExperimentConfig.from_dict(cfg)
+        assert calls == []
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["report", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {field}")
+        assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("grid", [
@@ -385,6 +412,24 @@ class TestRunExperiment:
                            r"balanced truncation at order \d+ is not stable"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"methods": ["hankel-norm"]}, "methods: unknown method 'hankel-norm'"),
+        ({"methods": ["bt-bt", "bt-bt"]}, "methods: must be distinct, got ['bt-bt', 'bt-bt']"),
+        ({"methods": []}, "methods: at least one method required"),
+        ({"tol": 5.0}, "tol: must lie in (0, 1), got 5.0"),
+        ({"order_u": -1}, "order_u: must be >= 0, got -1"),
+        ({"model": {"path": "missing"}},
+         "model.path: No such file or directory: 'missing/A.mtx'"),
+    ], ids=["unknown-method", "repeated-method", "no-method", "tol", "order_u", "model.path"])
+    def test_constructor_config_is_checked(self, tmp_path, monkeypatch, overrides, message):
+        # a config built without from_dict gets every value rule, named by
+        # its field, before the first simulation
+        monkeypatch.chdir(tmp_path)
+        calls = _count_simulations(monkeypatch)
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(ExperimentConfig(**small_config(tmp_path, **overrides)))
+        assert str(exc.value) == message and calls == []
+
     def test_determinism(self, tmp_path):
         cfg = small_config(tmp_path)
         r1 = run_experiment(ExperimentConfig.from_dict(cfg))
@@ -515,8 +560,9 @@ class TestCliVerbs:
             argv = [verb, "--model", model, "--x0-indices", "1", "--out", out]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: model.path")
-        assert lacking is None or lacking in err[0]
+        name = "model.path" if verb == "report" else "--model"
+        assert len(err) == 1 and err[0].startswith(f"error: {name}: ")
+        assert (lacking or "A.mtx") in err[0]
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("name, text, message", [
@@ -576,7 +622,7 @@ class TestCliVerbs:
 
         def accepted(kind):
             try:
-                ExperimentConfig.from_dict(small_config(tmp_path, input={"kind": kind}))
+                experiment._build_input({"kind": kind}, 3)
             except ConfigError:
                 return False
             return True

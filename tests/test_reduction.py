@@ -52,7 +52,7 @@ class TestOrderSelection:
     def test_fixed_order_is_a_whole_number(self):
         # int(r) floored 2.5 to the order 2
         for r in (2.5, np.nan, np.inf):
-            with pytest.raises(InvalidParameter, match="^order must be a whole number"):
+            with pytest.raises(InvalidParameter, match="^order: must be a whole number"):
                 OrderSelection.fixed(r)
         assert OrderSelection.fixed(3.0).order == 3
 
