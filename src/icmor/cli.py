@@ -73,10 +73,9 @@ def cmd_reduce(args):
     augbt = args.method == "augbt"
     if augbt and args.order_x0 is not None:
         raise ConfigError("order_x0: not used by augbt; --order-u sets r_aug")
-    cfg = ExperimentConfig.from_dict({
-        "model": args.model, "methods": [args.method], "x0_indices": args.x0_indices,
-        "tol": args.tol, "order_aug" if augbt else "order_u": args.order_u,
-        "order_x0": args.order_x0})
+    cfg = ExperimentConfig(
+        model=args.model, methods=[args.method], x0_indices=args.x0_indices, tol=args.tol,
+        order_x0=args.order_x0, **{"order_aug" if augbt else "order_u": args.order_u})
     with _order_selections(cfg) as sel:
         M, basis = _build_model(cfg.model, cfg.x0_indices)
         if basis is None:

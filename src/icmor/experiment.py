@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import abt_bound, split_bound
-from .errors import (ConfigError, IndexOutOfRange, InvalidParameter, NonFinite, NotStable,
-                     UnstableReduction)
+from .errors import (ConfigError, IcmorError, IndexOutOfRange, InvalidParameter, NonFinite,
+                     NotStable, UnstableReduction)
 from .gramians import gramian_factors  # noqa: F401 (perfbench's tests expect it bound here)
 from .model import (
     InitialConditionBasis,
@@ -63,28 +63,28 @@ class ExperimentConfig:
     calibrate: bool = True
     abt_scaling: bool = True
 
-    @classmethod
-    def from_dict(cls, d):
-        """The config of a JSON object, whose shape only is checked here: a
-        missing ``model`` or ``methods``, an unknown key, a wrong type, NaN,
+    def __post_init__(self):
+        """Check the shape of every field, from JSON or not: a wrong type, NaN,
         Infinity or a bad model key or ``kind`` raises ``ConfigError`` naming
         the field.  ``run_experiment`` checks each value where it is used."""
+        self.model = _model_spec(self.model)
+        for key, spec in self.__dataclass_fields__.items():
+            if (value := getattr(self, key)) is not None or spec.default is not None:
+                _check(value, spec.type, key)
+        for key, kind in (("x0_indices", int), ("z0", float)):
+            for value in getattr(self, key) or ():
+                _check(value, kind, f"{key} entry")
+
+    @classmethod
+    def from_dict(cls, d):
+        """The config of a JSON object: what JSON alone needs is checked here,
+        a missing ``model`` or ``methods`` and an unknown key, each raising
+        ``ConfigError`` naming the field; the constructor checks the rest."""
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
-        d = dict(d)
-        for key in ("model", "methods"):
-            if key not in d:
-                raise ConfigError(f"{key}: required")
-        d["model"] = _model_spec(d["model"])
-        fields = cls.__dataclass_fields__
-        for key, value in d.items():
-            if key not in fields:
-                raise ConfigError(f"{key}: unknown config field")
-            if value is not None or fields[key].default is not None:
-                _check(value, fields[key].type, key)
-        for key, kind in (("x0_indices", int), ("z0", float)):
-            for value in d.get(key) or ():
-                _check(value, kind, f"{key} entry")
+        for key in ("model", "methods", *d):
+            if key not in d or key not in cls.__dataclass_fields__:
+                raise ConfigError(f"{key}: {'unknown config field' if key in d else 'required'}")
         return cls(**d)
 
     @classmethod
@@ -152,20 +152,26 @@ def _model_spec(model):
 def _build_model(spec, x0_indices=None):
     """The model of a normalized spec and its basis: unit vectors at
     ``x0_indices`` when given, else the model directory's ``X0.mtx``, else
-    None.  ``ConfigError`` names ``model.path`` for a file ``load_model``
-    cannot read, ``model.<parameter>`` or ``x0_indices`` for a value
-    ``build_msd`` or ``unit_vector_basis`` rejects, and the ``mass``,
-    ``stiffness`` and ``damping`` the spec sets for a non-finite or unstable ``A``."""
+    None.  ``ConfigError`` names ``model.path`` for any ``load_model`` error
+    or a matrix too large to allocate, ``model.n_masses`` for a chain too
+    large, ``model.<parameter>`` or ``x0_indices`` for a rejected value, and
+    the ``mass``, ``stiffness`` and ``damping`` set for a non-finite or unstable ``A``."""
     if "path" in spec:
         try:
             M, basis = load_model(spec["path"])
         except OSError as exc:
             raise ConfigError(f"model.path: {exc.strerror}: '{exc.filename}'") from None
+        except IcmorError as exc:
+            raise ConfigError(f"model.path: {exc}") from None
+        except MemoryError as exc:
+            raise ConfigError(f"model.path: too large to allocate ({exc})") from None
     else:
         try:
             M, basis = build_msd(**{k: v for k, v in spec.items() if k != "kind"}), None
         except InvalidParameter as exc:
             raise ConfigError(f"model.{exc}") from None
+        except MemoryError as exc:
+            raise ConfigError(f"model.n_masses: too large to allocate ({exc})") from None
         except (NonFinite, NotStable) as exc:
             keys = [f"model.{k}" for k, kind in MSD_FIELDS.items() if kind is float and k in spec]
             raise ConfigError(f"{', '.join(keys) or 'model'}: the chain is not numerically "

@@ -6,8 +6,9 @@ the Schur forms, H2 scoring only where an H2 error is read, IRKA models
 built only by IRKA, one rounding of a step count, ``bounds`` importing
 only ``errors``, one table of input kinds, stderr written only by
 ``cli.main``, error fields mapped only by ``experiment`` and renamed only
-by ``cli._flag_error``, only shape rules in ``ExperimentConfig.from_dict``,
-and the types of arrays compared and hashed by identity."""
+by ``cli._flag_error``, only shape rules in ``ExperimentConfig``'s
+constructor and none in ``from_dict``, and the types of arrays compared
+and hashed by identity."""
 
 import ast
 import copy
@@ -235,9 +236,11 @@ def test_only_experiment_maps_an_error_to_its_field():
 
 def test_from_dict_holds_only_shape_rules():
     # each config value is checked where it is used, in run_experiment's
-    # set-up, so a config from the constructor gets every rule: from_dict
-    # and _model_spec compare no value with a number, build no input signal
-    # or order selection, look up no method and read no file
+    # set-up, so a config from the constructor gets every rule: the shape
+    # rules (__post_init__ and _model_spec) and from_dict compare no value
+    # with a number, build no input signal or order selection, look up no
+    # method and read no file.  The shape is checked once, when the config
+    # is built: from_dict calls neither _check nor _model_spec
     def value_rule(child):
         return (isinstance(child, ast.Compare) and any(
                     isinstance(side, ast.Constant) and type(side.value) in (int, float)
@@ -247,8 +250,15 @@ def test_from_dict_holds_only_shape_rules():
                 or isinstance(child, ast.Attribute) and child.attr == "path"
                 and _names(child.value, "os"))
 
-    sites = _sites(importlib.import_module("icmor.experiment").__file__, value_rule)
-    assert {site for site in sites if site in ("from_dict", "_model_spec")} == set()
+    def shape_rule(child):
+        return isinstance(child, ast.Call) and (
+            _names(child.func, "_check") or _names(child.func, "_model_spec"))
+
+    path = importlib.import_module("icmor.experiment").__file__
+    shape_sites = {"from_dict", "__post_init__", "_model_spec"}
+    assert {site for site in _sites(path, value_rule) if site in shape_sites} == set()
+    assert "from_dict" not in _sites(path, shape_rule)
+    assert "__post_init__" in _sites(path, shape_rule)
 
 
 def _instances():

@@ -118,25 +118,29 @@ class TestExperimentConfig:
         ({"methods": ["bt-bt", "augbt", "bt-bt"]}, "methods"),
         # a method no branch of run_experiment runs
         ({"methods": ["hankel-norm"]}, "methods"),
+        # json reads 0 as an int, which is no bool
+        ({"calibrate": 0}, "calibrate"),
     ])
     def test_malformed_field_is_named(self, tmp_path, capsys, monkeypatch, overrides, field):
-        # from_dict checks the shape; a value of a SET_UP_FIELDS field passes
-        # it and is checked where it is used, in run_experiment's set-up, for
-        # a config from the constructor too; either way before any simulation
+        # the constructor checks the shape, from JSON or not, with one text;
+        # a value of a SET_UP_FIELDS field passes it and is checked where it
+        # is used, in run_experiment's set-up; either way before any simulation
         cfg = [small_config(tmp_path)] if overrides is None \
             else small_config(tmp_path, **overrides)
         calls = _count_simulations(monkeypatch)
-        if field.startswith(SET_UP_FIELDS):
-            loaded = ExperimentConfig.from_dict(cfg)
-            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b") as exc:
-                run_experiment(loaded)
-            with pytest.raises(ConfigError) as built:
-                run_experiment(ExperimentConfig(**cfg))
-            assert str(built.value) == str(exc.value)
-        else:
-            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b") as exc:
-                ExperimentConfig.from_dict(cfg)
-        assert calls == []
+        builders, texts = [ExperimentConfig.from_dict], []
+        if overrides is not None:  # a list is no set of keyword arguments
+            builders.append(lambda d: ExperimentConfig(**d))
+        for build in builders:
+            if field.startswith(SET_UP_FIELDS):
+                loaded = build(cfg)
+                with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b") as exc:
+                    run_experiment(loaded)
+            else:
+                with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b") as exc:
+                    build(cfg)
+            texts.append(str(exc.value))
+        assert len(set(texts)) == 1 and calls == []
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["report", "--config", str(cfg_path)]) == 1
@@ -163,6 +167,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(
             {"model": "builtin:msd", "methods": ["bt-bt"]})
         assert cfg.model == {"kind": "msd"}
+        assert ExperimentConfig(model="builtin:msd", methods=["bt-bt"]) == cfg
 
 
 class TestRunExperiment:
@@ -566,27 +571,74 @@ class TestCliVerbs:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("name, text, message", [
-        ("A.mtx", "%%MatrixMarket matrix coordinate real general\n-1 6 0\n", "negative size"),
-        ("B.mtx", "%%MatrixMarket matrix array real general\n-1 -2\n1\n2\n", "negative size"),
-        ("C.mtx", "%%MatrixMarket matrix array real symmetric\n-1 3\n", "negative size"),
+        ("A.mtx", "%%MatrixMarket matrix coordinate real general\n-1 6 0\n",
+         "{path}:2: negative size"),
+        ("B.mtx", "%%MatrixMarket matrix array real general\n-1 -2\n1\n2\n",
+         "{path}:2: negative size"),
+        ("C.mtx", "%%MatrixMarket matrix array real symmetric\n-1 3\n", "{path}:2: negative size"),
         # Matrix Market symmetric matrices are square
         ("B.mtx", "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n",
-         "symmetric matrix is not square"),
+         "{path}:2: symmetric matrix is not square"),
         ("B.mtx", "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n",
-         "symmetric matrix is not square"),
+         "{path}:2: symmetric matrix is not square"),
+        # files that parse but give no stable model of order 6 or no basis
+        ("B.mtx", "%%MatrixMarket matrix array real general\n2 1\n1\n1\n",
+         "B has 2 rows, expected 6"),
+        ("A.mtx", "%%MatrixMarket matrix coordinate real general\n6 6 1\n1 1 1.0\n",
+         "A has stability margin 1.000e+00"),
+        ("B.mtx", "%%MatrixMarket matrix array real general\n6 1\n0\nx\n0\n0\n0\n0\n",
+         "{path}:4: bad value 'x'"),
+        ("X0.mtx", "%%MatrixMarket matrix array real general\n2 1\n1\n1\n",
+         "X0 has 2 rows, model order is 6"),
+        ("X0.mtx", "%%MatrixMarket matrix coordinate real general\n6 1 0\n",
+         "X0 is numerically rank deficient"),
     ], ids=["coordinate", "array", "array-symmetric", "coordinate-non-square-symmetric",
-            "array-non-square-symmetric"])
+            "array-non-square-symmetric", "B-rows", "unstable-A", "bad-value", "X0-rows",
+            "X0-rank"])
     def test_negative_size_is_one_error_line(self, tmp_path, capsys, name, text, message):
+        # every error load_model raises names the model directory: the
+        # config field in a report, the flag in simulate
         model = tmp_path / "model"
         save_model(build_msd(3, m_inputs=1), str(model))
         (model / name).write_text(text)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(small_config(tmp_path, model=str(model), x0_indices=[1])))
-        assert main(["report", "--config", str(cfg)]) == 1
+        out = tmp_path / "out"
+        for argv, field in ((["report", "--config", str(cfg)], "model.path"),
+                            (["simulate", "--model", str(model), "--out", str(out / "a.csv")],
+                             "--model")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: {field}: {message.format(path=model / name)}")
+        assert not (tmp_path / "results").exists() and not out.exists()
+
+    @pytest.mark.parametrize("verb", ["bench", "simulate", "report"])
+    def test_model_too_large_to_allocate_is_one_error_line(self, tmp_path, capsys, verb):
+        # an order-1e9 A needs 8e18 bytes, more than any address space, so
+        # numpy's MemoryError comes at once, with no memory touched; a size
+        # that fits could be granted lazily under memory overcommit
+        out = tmp_path / "out"
+        if verb == "simulate":
+            model = tmp_path / "model"
+            save_model(build_msd(3, m_inputs=1), str(model))
+            (model / "A.mtx").write_text(
+                "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 0\n")
+            argv = ["simulate", "--model", str(model), "--out", str(out / "a.csv")]
+            field = "--model"
+        elif verb == "bench":
+            argv = ["bench", "msd", "--n-masses", "500000000", "--out", str(out)]
+            field = "--n-masses"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(small_config(
+                tmp_path, model={"kind": "msd", "n_masses": 500000000, "m_inputs": 3})))
+            argv = ["report", "--config", str(cfg), "--out", str(out)]
+            field = "model.n_masses"
+        assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert f"{name}:2: {message}" in err[0]
-        assert not (tmp_path / "results").exists()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: too large to allocate (")
+        assert not out.exists()
 
     def test_zero_initial_condition_basis_is_one_error_line(self, tmp_path, capsys):
         model = str(tmp_path / "model")
@@ -596,7 +648,8 @@ class TestCliVerbs:
         cfg.write_text(json.dumps(small_config(tmp_path, model=model, x0_indices=None)))
         assert main(["report", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: X0 is numerically rank deficient")
+        assert len(err) == 1 and err[0].startswith(
+            "error: model.path: X0 is numerically rank deficient")
         assert "nan" not in err[0]
 
     def test_wide_initial_condition_basis_is_one_error_line(self, tmp_path, capsys):
@@ -608,8 +661,8 @@ class TestCliVerbs:
         cfg.write_text(json.dumps(small_config(tmp_path, model=model, x0_indices=None)))
         assert main(["report", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: X0 has 5 columns but only 4 rows, so it cannot have full "
-                       "column rank"]
+        assert err == ["error: model.path: X0 has 5 columns but only 4 rows, so it cannot "
+                       "have full column rank"]
 
     def test_one_table_of_input_kinds(self, tmp_path):
         # the --input choices and the kinds a config may name are
